@@ -1,15 +1,15 @@
-"""Quantum channels in Kraus form, gates, circuits and noisy compilation.
+"""Quantum channels in Kraus form, gates, circuits and noisy evolution.
 
 Tensor conventions match densmat: qubit 0 is the leftmost, most significant
 factor, so the basis index of a bitstring is int(bits, 2).
 
-``compile_noisy`` never materializes the per-gate Kraus product (which grows
-exponentially in the gate count).  It evolves the full matrix-unit basis
-through the circuit, interleaving unitary conjugations with the analytic
-action of depolarizing noise, then reads the channel off its Choi matrix.
-Any channel on dimension d has a Kraus representation with at most d**2
-operators, and that is what the eigendecomposition of the Choi matrix
-returns.
+``evolve`` is the one path that pushes operators through a noisy circuit.
+Each gate acts by a tensordot on its own target axes, so no full-register
+unitary is built, and depolarizing noise after it acts through its closed
+form.  ``compile_noisy`` evolves the full matrix-unit basis that way and
+reads the channel off its Choi matrix.  Any channel on dimension d has a
+Kraus representation with at most d**2 operators, and that is what the
+eigendecomposition of the Choi matrix returns.
 """
 
 from __future__ import annotations
@@ -32,12 +32,8 @@ from .errors import (
     CircuitError,
     ConfigError,
     DimensionMismatchError,
-    KrausExplosionError,
     NotUnitaryError,
 )
-
-# compose() refuses to build a Kraus family larger than this.
-KRAUS_CAP = 4 ** 16
 
 MAX_QUBITS = 8
 
@@ -252,27 +248,6 @@ def unitary_channel(u) -> KrausChannel:
     return KrausChannel((m,))
 
 
-def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
-    """Channel running `first`, then `second` (i.e. second o first).
-
-    Raises KrausExplosionError if the product family would exceed KRAUS_CAP.
-    """
-    if second.dim_in != first.dim_out:
-        raise DimensionMismatchError(
-            f"cannot chain: first outputs dim {first.dim_out}, "
-            f"second expects dim {second.dim_in}"
-        )
-    n_ops = len(first.kraus_ops) * len(second.kraus_ops)
-    if n_ops > KRAUS_CAP:
-        raise KrausExplosionError(
-            f"composition would need {n_ops} Kraus operators (cap {KRAUS_CAP})"
-        )
-    ops = tuple(
-        k2 @ k1 for k2 in second.kraus_ops for k1 in first.kraus_ops
-    )
-    return KrausChannel(ops)
-
-
 def apply(chan: KrausChannel, state: DensityMatrix) -> DensityMatrix:
     """Apply the channel: sum_k K rho K+.  Output is validated as a state."""
     if chan.dim_in != state.dim:
@@ -284,30 +259,22 @@ def apply(chan: KrausChannel, state: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def _embed_unitary(g: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Expand a k-qubit unitary to the full register, acting on `targets`.
+def _act(
+    stack: np.ndarray, g: np.ndarray, targets: tuple[int, ...], num_qubits: int, side: int
+) -> np.ndarray:
+    """Multiply a k-qubit matrix into a batch of operators at `targets`.
 
-    Factor order inside g follows the order of `targets`, so CNOT on
-    targets (1, 0) has its control on qubit 1.
+    side 0 acts on the row index (M -> g M); side num_qubits acts on the
+    column index (M -> M g^T).  Factor order inside g follows the order of
+    `targets`, so CNOT on targets (1, 0) has its control on qubit 1.
     """
     k = len(targets)
-    n = num_qubits
-    d = 2 ** n
-    gt = g.reshape((2,) * (2 * k))
-    ident = np.eye(d, dtype=complex).reshape((2,) * (2 * n))
-    # contract gate input axes with the row axes of the identity at `targets`
-    out = np.tensordot(gt, ident, axes=(tuple(range(k, 2 * k)), targets))
-    # axes now: k gate outputs (targets order), n-k untouched row axes
-    # (ascending), n column axes; restore row axes to qubit order
-    rest = [q for q in range(n) if q not in targets]
-    perm = []
-    for q in range(n):
-        if q in targets:
-            perm.append(targets.index(q))
-        else:
-            perm.append(k + rest.index(q))
-    perm += [n + j for j in range(n)]
-    return out.transpose(perm).reshape(d, d)
+    m, d = stack.shape[0], stack.shape[1]
+    t = stack.reshape((m,) + (2,) * (2 * num_qubits))
+    axes = [1 + side + q for q in targets]
+    out = np.tensordot(g.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
+    # the k gate outputs come first; move them back to the target axes
+    return np.moveaxis(out, list(range(k)), axes).reshape(m, d, d)
 
 
 def _depolarize_stack(
@@ -347,13 +314,32 @@ def _depolarize_stack(
     return (1.0 - strength) * stack + strength * expanded
 
 
+def evolve(circ: Circuit, noise: NoiseModel, states) -> np.ndarray:
+    """Push a (B, d, d) stack of operators through the noisy circuit.
+
+    Each gate conjugates every operator (M -> U M U+); the noise channel
+    then acts on that gate's targets.  Returns the evolved stack as a raw
+    array; callers validate what they read as states.
+    """
+    stack = np.asarray(states, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (circ.dim, circ.dim):
+        raise DimensionMismatchError(
+            f"expected a (B, {circ.dim}, {circ.dim}) stack, got shape {stack.shape}"
+        )
+    n = circ.num_qubits
+    for g in circ.gates:
+        u = g.unitary()
+        stack = _act(_act(stack, u, g.targets, n, 0), u.conj(), g.targets, n, n)
+        stack = _depolarize_stack(stack, g.targets, n, noise.strength)
+    return stack
+
+
 def compile_ideal(circ: Circuit) -> KrausChannel:
     """Compose the circuit's gates into one unitary channel on the register."""
-    d = circ.dim
-    u = np.eye(d, dtype=complex)
+    u = np.eye(circ.dim, dtype=complex)[np.newaxis]
     for g in circ.gates:
-        u = _embed_unitary(g.unitary(), g.targets, circ.num_qubits) @ u
-    return unitary_channel(u)
+        u = _act(u, g.unitary(), g.targets, circ.num_qubits, 0)
+    return unitary_channel(u[0])
 
 
 def compile_noisy(circ: Circuit, noise: NoiseModel) -> KrausChannel:
@@ -365,14 +351,9 @@ def compile_noisy(circ: Circuit, noise: NoiseModel) -> KrausChannel:
     """
     if noise.kind == "none" or noise.strength == 0.0 or not circ.gates:
         return compile_ideal(circ)
-    n = circ.num_qubits
     d = circ.dim
     # evolve the matrix units E_ij; row m = i*d + j of the identity
-    stack = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    for g in circ.gates:
-        u = _embed_unitary(g.unitary(), g.targets, n)
-        stack = u @ stack @ u.conj().T
-        stack = _depolarize_stack(stack, g.targets, n, noise.strength)
+    stack = evolve(circ, noise, np.eye(d * d, dtype=complex).reshape(d * d, d, d))
     # Choi matrix with row index (i, a), column index (j, b)
     choi = stack.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     choi = (choi + choi.conj().T) / 2.0
@@ -388,14 +369,15 @@ def gate_count(circ: Circuit) -> int:
     return len(circ.gates)
 
 
+def _is_json_number(x, kinds=(int, float)) -> bool:
+    # bool is a subclass of int, but JSON true/false are not numbers
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _complex_from_json(entry) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_json_number(entry):
         return complex(entry)
-    if (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) for x in entry)
-    ):
+    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_json_number, entry)):
         return complex(entry[0], entry[1])
     raise ConfigError(f"matrix entry {entry!r} is neither a number nor [re, im]")
 
@@ -409,7 +391,7 @@ def circuit_from_json(obj: dict) -> Circuit:
     """
     if not isinstance(obj, dict):
         raise ConfigError("circuit must be a JSON object")
-    if "num_qubits" not in obj or not isinstance(obj["num_qubits"], int):
+    if "num_qubits" not in obj or not _is_json_number(obj["num_qubits"], int):
         raise ConfigError('circuit needs an integer "num_qubits" field')
     raw_gates = obj.get("gates", [])
     if not isinstance(raw_gates, list):
@@ -421,7 +403,7 @@ def circuit_from_json(obj: dict) -> Circuit:
         if "targets" not in g or not isinstance(g["targets"], list):
             raise ConfigError(f'gate {i} needs a "targets" list')
         targets = tuple(g["targets"])
-        if not all(isinstance(t, int) for t in targets):
+        if not all(_is_json_number(t, int) for t in targets):
             raise ConfigError(f"gate {i} targets must be integers")
         has_name = "name" in g
         has_matrix = "matrix" in g

@@ -60,10 +60,6 @@ class BadStrengthError(DomainError):
     """Noise strength outside its admissible interval."""
 
 
-class KrausExplosionError(DomainError):
-    """A composition would materialize more Kraus operators than the cap allows."""
-
-
 class CircuitError(DomainError):
     """Circuit structure is invalid (unknown gate, bad target list, ...)."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Circuit, KrausChannel, apply, compile_ideal
+from .channels import Circuit, KrausChannel, NoiseModel, apply, evolve
 from .densmat import (
     DensityMatrix,
     HermitianOperator,
@@ -173,16 +173,19 @@ class OutcomeDistribution:
             )
 
 
+def _readout(sigma: DensityMatrix, comp: OverallComputation) -> OutcomeDistribution:
+    return OutcomeDistribution(
+        {y: effect_probability(sigma, comp.povm[y]) for y in comp.outputs}
+    )
+
+
 def outcome_distribution(
     chan: KrausChannel, comp: OverallComputation, x: str
 ) -> OutcomeDistribution:
     """Pr_x(y) = tr(E_y chan(rho_x)) over all outputs y."""
     if x not in comp.truth_table:
         raise UnknownInputError(f"input {x!r} is not in the computation's domain")
-    sigma = apply(chan, comp.init[x])
-    return OutcomeDistribution(
-        {y: effect_probability(sigma, comp.povm[y]) for y in comp.outputs}
-    )
+    return _readout(apply(chan, comp.init[x]), comp)
 
 
 def actual_failure_probability(
@@ -193,19 +196,37 @@ def actual_failure_probability(
     return 1.0 - dist.probabilities[comp.truth_table[x]]
 
 
+def _evolve_inputs(
+    circ: Circuit, noise: NoiseModel, comp: OverallComputation
+) -> dict[str, DensityMatrix]:
+    """Every input state pushed through the noisy circuit in one batch."""
+    if circ.dim != comp.dim:
+        raise DimensionMismatchError(
+            f"circuit dim {circ.dim} does not match computation dim {comp.dim}"
+        )
+    outs = evolve(circ, noise, np.stack([comp.init[x].entries for x in comp.inputs]))
+    return {x: DensityMatrix(out) for x, out in zip(comp.inputs, outs)}
+
+
+def _success_probabilities(
+    outputs: dict[str, DensityMatrix], comp: OverallComputation
+) -> dict[str, float]:
+    """Pr_x(F(x)) for every input, read through the full outcome distribution."""
+    return {
+        x: _readout(outputs[x], comp).probabilities[comp.truth_table[x]]
+        for x in comp.inputs
+    }
+
+
 def ideal_failure_bound(circ: Circuit, comp: OverallComputation) -> float:
     """Intrinsic failure bound p: worst-case failure under the ideal circuit.
 
-    p = max over inputs x of (1 - Pr_x(F(x))) with the noiseless compiled
-    channel.  This is a property of the algorithm itself, before any
-    implementation error enters.
+    p = max over inputs x of (1 - Pr_x(F(x))) with the noiseless circuit.
+    This is a property of the algorithm itself, before any implementation
+    error enters.
     """
-    ideal = compile_ideal(circ)
-    if ideal.dim_in != comp.dim:
-        raise DimensionMismatchError(
-            f"circuit dim {ideal.dim_in} does not match computation dim {comp.dim}"
-        )
-    return max(actual_failure_probability(ideal, comp, x) for x in comp.inputs)
+    ideal = _evolve_inputs(circ, NoiseModel(kind="none"), comp)
+    return max(1.0 - s for s in _success_probabilities(ideal, comp).values())
 
 
 def computation_from_json(obj: dict) -> OverallComputation:

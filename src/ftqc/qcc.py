@@ -2,15 +2,13 @@
 
 The central quantity is the implementation inaccuracy at a state rho:
 
-    || lower(P(lift(rho))) - G(rho) ||_1
+    || P(rho) - G(rho) ||_1
 
-where G is the ideal channel on the logical space, P the implemented
-channel on the (possibly larger) computational space, and lift/lower the
-linking maps between the two.  Its maximum alpha over a computation's
-input states combines with the intrinsic failure bound p into a per-input
-failure bound p + alpha.  That combined bound is a theorem: if an instance
-violates it the numerics are broken, so the check raises instead of
-reporting a false flag.
+where G is the ideal map and P the noisy implementation of the same
+circuit.  Its maximum alpha over a computation's input states combines with
+the intrinsic failure bound p into a per-input failure bound p + alpha.
+That combined bound is a theorem: if an instance violates it the numerics
+are broken, so the check raises instead of reporting a false flag.
 """
 
 from __future__ import annotations
@@ -20,16 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Circuit, KrausChannel, NoiseModel, apply, compile_ideal, compile_noisy
-from .densmat import DensityMatrix, pure_state, tensor, trace_norm, partial_trace
-from .densmat import effect_probability
+from .channels import Circuit, KrausChannel, NoiseModel, apply, compile_noisy
+from .densmat import DensityMatrix, effect_probability, pure_state, trace_norm
 from .errors import (
     BadProbabilityError,
     DimensionMismatchError,
     DomainError,
     TheoremViolationError,
 )
-from .kitaev import OverallComputation, ideal_failure_bound
+from .kitaev import OverallComputation, _evolve_inputs, _success_probabilities
 
 # Absolute slack on the favorable side of every bound check in this module.
 BOUND_SLACK = 1e-9
@@ -39,7 +36,9 @@ BOUND_SLACK = 1e-9
 class LinkingMaps:
     """Logical-to-computational embedding: append a fixed ancilla, trace it out.
 
-    ancilla_dim = 1 makes both directions the identity.
+    No gate acts on the ancilla, so P (x) I applied to rho (x) |0><0| and
+    traced down is exactly P(rho): every valid ancilla_dim gives the same
+    result as 1, and the maps are never materialized.
     """
 
     ancilla_dim: int = 1
@@ -110,35 +109,6 @@ class MixingCheck(NamedTuple):
     holds: bool
 
 
-_ANCILLA_GROUND: dict[int, DensityMatrix] = {}
-
-
-def _ancilla_ground(dim: int) -> DensityMatrix:
-    if dim not in _ANCILLA_GROUND:
-        m = np.zeros((dim, dim), dtype=complex)
-        m[0, 0] = 1.0
-        _ANCILLA_GROUND[dim] = DensityMatrix(m)
-    return _ANCILLA_GROUND[dim]
-
-
-def lift(rho_logical: DensityMatrix, link: LinkingMaps) -> DensityMatrix:
-    """Embed a logical state into the computational space: rho -> rho (x) |0><0|."""
-    if link.ancilla_dim == 1:
-        return rho_logical
-    return tensor(rho_logical, _ancilla_ground(link.ancilla_dim))
-
-
-def lower(rho_comp: DensityMatrix, link: LinkingMaps) -> DensityMatrix:
-    """Project a computational state back down: trace out the ancilla factor."""
-    if link.ancilla_dim == 1:
-        return rho_comp
-    if rho_comp.dim % link.ancilla_dim != 0:
-        raise DimensionMismatchError(
-            f"dim {rho_comp.dim} is not divisible by ancilla_dim {link.ancilla_dim}"
-        )
-    return partial_trace(rho_comp, rho_comp.dim // link.ancilla_dim, link.ancilla_dim)
-
-
 def implementation_inaccuracy(
     P: KrausChannel, G: KrausChannel, link: LinkingMaps, rho: DensityMatrix
 ) -> float:
@@ -147,12 +117,11 @@ def implementation_inaccuracy(
         raise DimensionMismatchError(
             f"ideal channel expects dim {G.dim_in}, state has dim {rho.dim}"
         )
-    if P.dim_in != rho.dim * link.ancilla_dim:
+    if P.dim_in != rho.dim:
         raise DimensionMismatchError(
-            f"implemented channel expects dim {P.dim_in}, "
-            f"lifted state has dim {rho.dim * link.ancilla_dim}"
+            f"implemented channel expects dim {P.dim_in}, state has dim {rho.dim}"
         )
-    actual = lower(apply(P, lift(rho, link)), link)
+    actual = apply(P, rho)
     ideal = apply(G, rho)
     return trace_norm(actual.entries - ideal.entries)
 
@@ -193,16 +162,8 @@ def alpha_random_search(
 def implemented_channel(
     circ: Circuit, noise: NoiseModel, link: LinkingMaps = LinkingMaps()
 ) -> KrausChannel:
-    """The noisy compiled map on the computational space.
-
-    The compiled channel acts on the logical register; a nontrivial linking
-    pair widens it to act as the identity on the appended ancilla.
-    """
-    P = compile_noisy(circ, noise)
-    if link.ancilla_dim > 1:
-        eye_anc = np.eye(link.ancilla_dim)
-        P = KrausChannel(tuple(np.kron(k, eye_anc) for k in P.kraus_ops))
-    return P
+    """The noisy compiled map; the ancilla of `link` carries no gate."""
+    return compile_noisy(circ, noise)
 
 
 def certify_combined_bound(
@@ -213,29 +174,25 @@ def certify_combined_bound(
 ) -> QccReport:
     """Run the full certification for one computation under one noise model.
 
-    p comes from the ideal circuit, alpha from comparing the noisy channel
-    against the ideal one on every input state, and each input's actual
-    failure probability is checked against p + alpha.  The inequality holds
-    by theorem; a violation beyond the 1e-9 slack raises
+    The input states are evolved once through the ideal circuit and once
+    through the noisy one.  p comes from the ideal outputs, alpha from the
+    trace distance between the two outputs of every input, and each input's
+    actual failure probability is checked against p + alpha.  The
+    inequality holds by theorem; a violation beyond the 1e-9 slack raises
     TheoremViolationError instead of returning a report.
     """
-    G = compile_ideal(circ)
-    if G.dim_in != comp.dim:
-        raise DimensionMismatchError(
-            f"circuit dim {G.dim_in} does not match computation dim {comp.dim}"
-        )
-    P = implemented_channel(circ, noise, link)
-    p = ideal_failure_bound(circ, comp)
+    ideal_outs = _evolve_inputs(circ, NoiseModel(kind="none"), comp)
+    actual_outs = _evolve_inputs(circ, noise, comp)
+    ideal_success = _success_probabilities(ideal_outs, comp)
+    p = max(1.0 - s for s in ideal_success.values())
     records = []
     for x in comp.inputs:
-        rho = comp.init[x]
         effect = comp.povm[comp.truth_table[x]]
-        ideal_out = apply(G, rho)
-        actual_out = lower(apply(P, lift(rho, link)), link)
+        ideal_out, actual_out = ideal_outs[x], actual_outs[x]
         records.append(
             InputRecord(
                 x=x,
-                ideal_success=effect_probability(ideal_out, effect),
+                ideal_success=ideal_success[x],
                 actual_success=effect_probability(actual_out, effect),
                 inaccuracy_x=trace_norm(actual_out.entries - ideal_out.entries),
             )

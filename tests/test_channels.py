@@ -13,21 +13,19 @@ from ftqc import (
     circuit_from_json,
     compile_ideal,
     compile_noisy,
-    compose,
     depolarizing,
+    evolve,
     gate_count,
     make_state,
     maximally_mixed,
     trace_norm,
     unitary_channel,
 )
-from ftqc.channels import KRAUS_CAP, _embed_unitary
 from ftqc.errors import (
     BadStrengthError,
     CircuitError,
     ConfigError,
     DimensionMismatchError,
-    KrausExplosionError,
     NotUnitaryError,
 )
 
@@ -91,13 +89,14 @@ class TestDepolarizing:
     def test_composition_law(self):
         # dep(a) then dep(b) equals dep(1 - (1-a)(1-b))
         a, b = 0.2, 0.35
-        combined = compose(depolarizing(a), depolarizing(b))
         direct = depolarizing(1.0 - (1.0 - a) * (1.0 - b))
         rng = np.random.default_rng(7)
         for _ in range(5):
             rho = make_state(helpers.ginibre_density(2, rng))
             np.testing.assert_allclose(
-                apply(combined, rho).entries, apply(direct, rho).entries, atol=1e-12
+                apply(depolarizing(b), apply(depolarizing(a), rho)).entries,
+                apply(direct, rho).entries,
+                atol=1e-12,
             )
 
     @given(st.integers(0, 10 ** 6))
@@ -122,27 +121,18 @@ class TestComposeAndApply:
             np.testing.assert_allclose(got, helpers.loop_apply(ops, rho), atol=1e-12)
 
     def test_compose_matches_sequential_apply(self):
+        # a two-gate circuit compiled as one channel equals its single-gate
+        # channels applied one after the other
         rng = np.random.default_rng(22)
-        first = KrausChannel(helpers.random_cptp_kraus(2, 3, rng))
-        second = KrausChannel(helpers.random_cptp_kraus(2, 2, rng))
-        rho = make_state(helpers.ginibre_density(2, rng))
-        np.testing.assert_allclose(
-            apply(compose(first, second), rho).entries,
-            apply(second, apply(first, rho)).entries,
-            atol=1e-12,
-        )
-
-    def test_compose_checks_dimensions(self):
-        with pytest.raises(DimensionMismatchError):
-            compose(depolarizing(0.1), depolarizing(0.1, num_qubits=2))
-
-    def test_kraus_explosion_guard(self):
-        # two channels of 65537 operators each would need 65537^2 > 4^16 products
-        pad = [np.eye(2)] + [np.zeros((2, 2))] * 65536
-        assert len(pad) ** 2 > KRAUS_CAP
-        big = KrausChannel(pad)
-        with pytest.raises(KrausExplosionError):
-            compose(big, big)
+        noise = NoiseModel(kind="depolarizing", strength=0.25)
+        first = Gate(matrix=helpers.haar_unitary(4, rng), targets=(1, 0))
+        second = Gate(matrix=helpers.haar_unitary(2, rng), targets=(1,))
+        whole = compile_noisy(Circuit(num_qubits=2, gates=[first, second]), noise)
+        rho = make_state(helpers.ginibre_density(4, rng))
+        step = rho
+        for g in (first, second):
+            step = apply(compile_noisy(Circuit(num_qubits=2, gates=[g]), noise), step)
+        np.testing.assert_allclose(apply(whole, rho).entries, step.entries, atol=1e-12)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
@@ -199,6 +189,12 @@ class TestGateAndCircuit:
         assert gate_count(bell_circuit()) == 2
 
 
+def embedded(u, targets, n):
+    """The full-register unitary that compile_ideal builds for one gate."""
+    circ = Circuit(num_qubits=n, gates=[Gate(matrix=u, targets=targets)])
+    return compile_ideal(circ).kraus_ops[0]
+
+
 class TestEmbedding:
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
@@ -208,19 +204,18 @@ class TestEmbedding:
         arity = 1 if n == 1 else int(rng.integers(1, 3))
         targets = tuple(int(t) for t in rng.choice(n, size=arity, replace=False))
         u = helpers.haar_unitary(2 ** arity, rng)
-        got = _embed_unitary(u, targets, n)
         want = helpers.embed_oracle(u, targets, n)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(embedded(u, targets, n), want, atol=1e-12)
 
     def test_leading_qubit_is_most_significant(self):
         # X on qubit 0 of two maps |00> (index 0) to |10> (index 2)
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        full = _embed_unitary(x, (0,), 2)
+        full = embedded(x, (0,), 2)
         np.testing.assert_allclose(full, np.kron(x, np.eye(2)), atol=1e-15)
 
     def test_trailing_qubit_is_least_significant(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        full = _embed_unitary(x, (1,), 2)
+        full = embedded(x, (1,), 2)
         np.testing.assert_allclose(full, np.kron(np.eye(2), x), atol=1e-15)
 
 
@@ -268,12 +263,13 @@ class TestCompile:
         circ = Circuit(num_qubits=1, gates=[Gate(name="H", targets=(0,))])
         ch = compile_noisy(circ, NoiseModel(kind="depolarizing", strength=0.3))
         h = unitary_channel(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
-        direct = compose(h, depolarizing(0.3))
         rng = np.random.default_rng(17)
         for _ in range(5):
             rho = make_state(helpers.ginibre_density(2, rng))
             np.testing.assert_allclose(
-                apply(ch, rho).entries, apply(direct, rho).entries, atol=1e-12
+                apply(ch, rho).entries,
+                apply(depolarizing(0.3), apply(h, rho)).entries,
+                atol=1e-12,
             )
 
     @given(st.integers(0, 10 ** 6))
@@ -283,9 +279,16 @@ class TestCompile:
         circ, noise, _ = helpers.random_instance(rng)
         ch = compile_noisy(circ, noise)
         rho = helpers.ginibre_density(2 ** circ.num_qubits, rng)
-        got = apply(ch, make_state(rho)).entries
         want = helpers.sequential_noisy_oracle(circ, noise.strength, rho)
-        assert trace_norm(got - want) < 1e-9
+        assert trace_norm(apply(ch, make_state(rho)).entries - want) < 1e-9
+        assert trace_norm(evolve(circ, noise, rho[np.newaxis])[0] - want) < 1e-9
+
+    def test_evolve_rejects_wrong_stack_shape(self):
+        noise = NoiseModel(kind="depolarizing", strength=0.1)
+        with pytest.raises(DimensionMismatchError):
+            evolve(bell_circuit(), noise, np.eye(4, dtype=complex))
+        with pytest.raises(DimensionMismatchError):
+            evolve(bell_circuit(), noise, np.eye(2, dtype=complex)[np.newaxis])
 
     def test_bad_noise_kind_rejected(self):
         with pytest.raises(BadStrengthError):

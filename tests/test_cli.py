@@ -235,6 +235,21 @@ class TestVerify:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            {"num_qubits": True, "gates": [{"name": "I", "targets": [0]}]},
+            {"num_qubits": 1, "gates": [{"name": "X", "targets": [False]}]},
+            {"num_qubits": 1, "gates": [{"matrix": [[True, 0], [0, True]], "targets": [0]}]},
+        ],
+        ids=["num_qubits", "targets", "matrix_entry"],
+    )
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys, circuit):
+        cfg = dict(VERIFY_CFG, circuit=circuit)
+        code, _, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert code == 2
+        assert err.startswith("config error")
+
     def test_unknown_noise_kind_exits_two(self, tmp_path, capsys):
         cfg = dict(VERIFY_CFG, noise={"kind": "amplitude", "strength": 0.1})
         code, _, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +15,14 @@ from ftqc import (
     QccReport,
     alpha_over_inputs,
     alpha_random_search,
+    apply,
     basis_encoding,
     basis_readout,
     certify_combined_bound,
     compile_ideal,
+    compile_noisy,
     implementation_inaccuracy,
     implemented_channel,
-    lift,
-    lower,
     make_state,
     maximally_mixed,
     mix_error_state,
@@ -55,29 +57,14 @@ def identity_circuit(n=1):
 
 class TestLinkingMaps:
     def test_trivial_link_is_identity_both_ways(self):
-        link = LinkingMaps()
-        assert lift(GROUND, link) is GROUND
-        assert lower(GROUND, link) is GROUND
-
-    def test_lift_appends_ancilla_ground(self):
-        link = LinkingMaps(ancilla_dim=2)
-        lifted = lift(GROUND, link)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = 1.0
-        np.testing.assert_allclose(lifted.entries, expected, atol=1e-15)
-
-    def test_lower_retracts_lift(self):
-        # frozen retraction identity: lower(lift(rho)) == rho for any state
-        rng = np.random.default_rng(31)
-        link = LinkingMaps(ancilla_dim=3)
-        for _ in range(5):
-            rho = make_state(helpers.ginibre_density(2, rng))
-            back = lower(lift(rho, link), link)
-            np.testing.assert_allclose(back.entries, rho.entries, atol=1e-12)
-
-    def test_lower_checks_divisibility(self):
-        with pytest.raises(DimensionMismatchError):
-            lower(maximally_mixed(3), LinkingMaps(ancilla_dim=2))
+        # the implemented channel acts on the logical register itself
+        noise = NoiseModel(kind="depolarizing", strength=0.3)
+        P = implemented_channel(identity_circuit(), noise, LinkingMaps())
+        assert P.dim_in == P.dim_out == 2
+        rho = make_state(helpers.ginibre_density(2, np.random.default_rng(31)))
+        np.testing.assert_array_equal(
+            apply(P, rho).entries, apply(compile_noisy(identity_circuit(), noise), rho).entries
+        )
 
     def test_rejects_bad_ancilla_dim(self):
         with pytest.raises(DimensionMismatchError):
@@ -211,6 +198,39 @@ class TestCertify:
         )
         assert wide.alpha == pytest.approx(base.alpha, abs=1e-12)
         assert wide.worst_margin == pytest.approx(base.worst_margin, abs=1e-12)
+
+    def test_six_qubit_ladder_all_basis_inputs(self):
+        # H + CNOT ladder and a T layer on 6 qubits, every basis input
+        n, lam = 6, 0.01
+        gates = [Gate(name="H", targets=(0,))]
+        gates += [Gate(name="CNOT", targets=(q, q + 1)) for q in range(n - 1)]
+        gates += [Gate(name="T", targets=(q,)) for q in range(n)]
+        circ = Circuit(num_qubits=n, gates=gates)
+        inputs = [format(i, f"0{n}b") for i in range(2 ** n)]
+        comp = OverallComputation(
+            inputs=tuple(inputs),
+            outputs=("0", "1"),
+            truth_table={x: x[-1] for x in inputs},
+            init=basis_encoding(n, inputs),
+            povm=basis_readout(n, measured=(n - 1,)),
+        )
+        start = time.perf_counter()
+        report = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=lam), comp)
+        assert time.perf_counter() - start < 5.0
+        assert report.bound_holds is True
+        assert report.alpha == max(r.inaccuracy_x for r in report.per_input)
+        for rec in report.per_input:
+            assert 1.0 - rec.actual_success <= report.p + report.alpha + 1e-9
+        records = {r.x: r for r in report.per_input}
+        for x in ("000000", "011010", "100101", "111111"):
+            rho = comp.init[x].entries
+            ideal = helpers.sequential_noisy_oracle(circ, 0.0, rho)
+            actual = helpers.sequential_noisy_oracle(circ, lam, rho)
+            effect = comp.povm[x[-1]].entries
+            rec = records[x]
+            assert rec.ideal_success == pytest.approx(np.trace(effect @ ideal).real, abs=1e-12)
+            assert rec.actual_success == pytest.approx(np.trace(effect @ actual).real, abs=1e-12)
+            assert rec.inaccuracy_x == pytest.approx(helpers.svd_trace_norm(actual - ideal), abs=1e-12)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)

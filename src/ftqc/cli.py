@@ -142,8 +142,13 @@ def _emit_csv(header: list[str], rows: list[list]) -> str:
 
 
 # --- subcommands --------------------------------------------------------------
+# Each returns (payload, header, rows): the JSON report and its CSV form.
 
-def _cmd_plan(run: RunConfig) -> str:
+def _one_row(payload: dict):
+    return payload, list(payload), [list(payload.values())]
+
+
+def _cmd_plan(run: RunConfig):
     prm = run.parameters
     eps_th = _number(prm, "eps_th")
     n_gates = _integer(prm, "gate_count")
@@ -153,15 +158,12 @@ def _cmd_plan(run: RunConfig) -> str:
         # inverse query: admissible gate error at a fixed level
         levels = _integer(prm, "levels")
         eps0_max = ftcalc.max_gate_error(levels, eps_th, n_gates, p_hat, p)
-        payload = {
+        return _one_row({
             "levels": levels,
             "max_eps0": eps0_max,
             "budget": ftcalc.epsilon_budget(p_hat, p),
             "alpha_required": ftcalc.required_alpha(p_hat, p),
-        }
-        if run.output_format == "csv":
-            return _emit_csv(list(payload), [list(payload.values())])
-        return _emit_json(payload)
+        })
     params = ftcalc.FtParams(
         eps0=_number(prm, "eps0"),
         eps_th=eps_th,
@@ -169,16 +171,12 @@ def _cmd_plan(run: RunConfig) -> str:
         p=p,
         p_hat=p_hat,
     )
-    result = ftcalc.required_levels(params)
-    payload = result.to_dict()
-    if run.output_format == "csv":
-        return _emit_csv(list(payload), [list(payload.values())])
-    return _emit_json(payload)
+    return _one_row(ftcalc.required_levels(params).to_dict())
 
 
-def _cmd_tradeoff(run: RunConfig) -> str:
+def _cmd_tradeoff(run: RunConfig):
     prm = run.parameters
-    rows = ftcalc.tradeoff_curve(
+    points = ftcalc.tradeoff_curve(
         _number(prm, "eps0_min"),
         _number(prm, "eps0_max"),
         _integer(prm, "points"),
@@ -187,23 +185,9 @@ def _cmd_tradeoff(run: RunConfig) -> str:
         p=_number(prm, "p"),
         p_hat=_p_hat(prm),
     )
-    if run.output_format == "json":
-        payload = {
-            "points": [
-                {
-                    "eps0": r.eps0,
-                    "levels": r.levels,
-                    "eps_qc": r.eps_qc,
-                    "closed_form": r.closed_form,
-                }
-                for r in rows
-            ]
-        }
-        return _emit_json(payload)
-    return _emit_csv(
-        ["eps0", "levels", "eps_qc", "closed_form"],
-        [[r.eps0, r.levels, r.eps_qc, r.closed_form] for r in rows],
-    )
+    header = ["eps0", "levels", "eps_qc", "closed_form"]
+    rows = [[r.eps0, r.levels, r.eps_qc, r.closed_form] for r in points]
+    return {"points": [dict(zip(header, row)) for row in rows]}, header, rows
 
 
 def _parse_noise(obj) -> NoiseModel:
@@ -221,16 +205,25 @@ def _parse_noise(obj) -> NoiseModel:
     return NoiseModel(kind=obj["kind"], strength=float(strength))
 
 
-def _cmd_verify(run: RunConfig) -> str:
+def _cmd_verify(run: RunConfig):
     prm = run.parameters
     circ: Circuit = circuit_from_json(_sub_object(prm, "circuit"))
     comp: OverallComputation = computation_from_json(_sub_object(prm, "computation"))
+    if circ.dim != comp.dim:
+        raise ConfigError(
+            f"circuit has {circ.num_qubits} qubit(s) but the computation has "
+            f"{comp.dim.bit_length() - 1} qubit(s)"
+        )
     if "noise" not in prm:
         raise ConfigError('missing config key "noise"')
     noise = _parse_noise(prm["noise"])
     link = LinkingMaps(ancilla_dim=_integer(prm, "ancilla_dim")) if "ancilla_dim" in prm else LinkingMaps()
     report = qcc.certify_combined_bound(circ, noise, comp, link)
     payload = report.to_dict()
+    # CSV: one row per input, the report-wide fields repeated on each row
+    summary = {key: v for key, v in payload.items() if key != "per_input"}
+    header = [*payload["per_input"][0], *summary]
+    rows = [[*rec.values(), *summary.values()] for rec in payload["per_input"]]
     if prm.get("random_search_trials") is not None:
         trials = _integer(prm, "random_search_trials")
         from .channels import compile_ideal
@@ -242,35 +235,10 @@ def _cmd_verify(run: RunConfig) -> str:
             trials,
             run.seed,
         )
-    if run.output_format == "csv":
-        header = [
-            "x",
-            "ideal_success",
-            "actual_success",
-            "inaccuracy_x",
-            "alpha",
-            "p",
-            "bound_holds",
-            "worst_margin",
-        ]
-        rows = [
-            [
-                r.x,
-                r.ideal_success,
-                r.actual_success,
-                r.inaccuracy_x,
-                report.alpha,
-                report.p,
-                report.bound_holds,
-                report.worst_margin,
-            ]
-            for r in report.per_input
-        ]
-        return _emit_csv(header, rows)
-    return _emit_json(payload)
+    return payload, header, rows
 
 
-def _cmd_vote(run: RunConfig) -> str:
+def _cmd_vote(run: RunConfig):
     prm = run.parameters
     p_prime = _number(prm, "p_prime")
     has_k = prm.get("k") is not None
@@ -279,26 +247,20 @@ def _cmd_vote(run: RunConfig) -> str:
         raise ConfigError('give exactly one of "k" or "target"')
     if has_k:
         k = _integer(prm, "k")
-        success = vote.majority_success(p_prime, k)
     else:
-        target = _number(prm, "target")
-        k = vote.min_repetitions(p_prime, target)
-        success = vote.majority_success(p_prime, k)
+        k = vote.min_repetitions(p_prime, _number(prm, "target"))
+    success = vote.majority_success(p_prime, k)
     plan = vote.VotePlan(
         per_run_failure=p_prime, repetitions=k, success_probability=success
     )
-    payload = {
+    payload, header, rows = _one_row({
         "per_run_failure": plan.per_run_failure,
         "repetitions": plan.repetitions,
         "success_probability": plan.success_probability,
-    }
+    })
     if has_target:
         payload["target"] = float(prm["target"])
-    if run.output_format == "csv":
-        header = ["per_run_failure", "repetitions", "success_probability"]
-        rows = [[plan.per_run_failure, plan.repetitions, plan.success_probability]]
-        return _emit_csv(header, rows)
-    return _emit_json(payload)
+    return payload, header, rows
 
 
 _DISPATCH = {
@@ -374,7 +336,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = _assemble(args)
-        text = _DISPATCH[run.command](run)
+        payload, header, rows = _DISPATCH[run.command](run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -384,6 +346,7 @@ def main(argv=None) -> int:
     except FtqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    text = _emit_csv(header, rows) if run.output_format == "csv" else _emit_json(payload)
     if run.output_path is None:
         sys.stdout.write(text)
     else:

@@ -7,8 +7,9 @@ times and taking the majority answer succeeds with probability
 
 Small k (up to 64, so every odd k through 63) is evaluated in exact
 rational arithmetic over the binary value of p' and converted to float
-once at the end; larger k uses the regularized incomplete-beta tail of
-the binomial distribution.
+once at the end.  Larger k sums the binomial terms in log space over a
+window of about 40 standard deviations around the mean, so the cost grows
+as sqrt(k), not k.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.stats import binom as _binom
+import numpy as np
 
 from .errors import (
     BadProbabilityError,
@@ -30,7 +31,7 @@ from .errors import (
 # Largest k handled by the exact big-integer path.
 EXACT_K_LIMIT = 64
 
-# Ascending-search ceiling for min_repetitions.
+# Search ceiling for min_repetitions.
 REPETITION_CAP = 10 ** 5
 
 
@@ -54,11 +55,30 @@ def _majority_success_exact(p_prime: float, k: int) -> float:
     return float(Fraction(total, den ** k))
 
 
+def _majority_success_tail(p_prime: float, k: int) -> float:
+    # Terms j of Binomial(k, q) within 40 sd + 40 of the mean k*q; Bernstein's
+    # inequality puts the mass outside below 2e-26, so the window's own total
+    # stands in for 1.  Each term comes from its neighbour,
+    # t[j+1] / t[j] = (k - j) / (j + 1) * q / p', summed outwards from the
+    # mode so the logs stay small (terms from lgamma differences were off by
+    # ~1e-9 at k = 1e7: lgamma near 1e8 has an ulp near 1e-8).
+    q = 1.0 - p_prime
+    half = 40.0 * math.sqrt(k * p_prime * q) + 40.0
+    lo = max(0, math.floor(k * q - half))
+    hi = min(k, math.ceil(k * q + half))
+    c = math.floor((k + 1) * q) - lo
+    j = np.arange(lo, hi, dtype=np.float64)
+    step = np.log((k - j) / (j + 1)) + math.log(q / p_prime)
+    logt = np.concatenate((-np.cumsum(step[:c][::-1])[::-1], [0.0], np.cumsum(step[c:])))
+    terms = np.exp(logt)
+    return float(terms[max((k + 1) // 2 - lo, 0):].sum() / terms.sum())
+
+
 def majority_success(p_prime: float, k: int) -> float:
     """Probability that the majority of k runs is correct.
 
     :param p_prime: per-run failure probability, in [0, 1].
-    :param k: odd positive repetition count, at most 1e5 supported.
+    :param k: odd positive repetition count; above 64 the cost grows as sqrt(k).
     """
     p = float(p_prime)
     if not (0.0 <= p <= 1.0):
@@ -66,9 +86,9 @@ def majority_success(p_prime: float, k: int) -> float:
     k = _check_repetitions(k)
     if k <= EXACT_K_LIMIT:
         return _majority_success_exact(p, k)
-    m = (k + 1) // 2
-    val = float(_binom.sf(m - 1, k, 1.0 - p))
-    return min(1.0, max(0.0, val))
+    if p in (0.0, 1.0):
+        return 1.0 - p
+    return min(1.0, max(0.0, _majority_success_tail(p, k)))
 
 
 def min_repetitions(p_prime: float, target: float) -> int:
@@ -86,14 +106,22 @@ def min_repetitions(p_prime: float, target: float) -> int:
     t = float(target)
     if not (0.0 < t < 1.0):
         raise BadProbabilityError(f"target = {target} outside (0, 1)")
-    k = 1
-    while k <= REPETITION_CAP:
-        if majority_success(p, k) >= t:
-            return k
-        k += 2
-    raise CapExceededError(
-        f"no odd k <= {REPETITION_CAP} reaches target {target} at p_prime {p_prime}"
-    )
+    # success is nondecreasing in odd k below 1/2: double, then bisect
+    top = (REPETITION_CAP - 1) | 1
+    miss, k = 0, 1
+    while majority_success(p, k) < t:
+        if k == top:
+            raise CapExceededError(
+                f"no odd k <= {REPETITION_CAP} reaches target {target} at p_prime {p_prime}"
+            )
+        miss, k = k, min(2 * k + 1, top)
+    while k - miss > 2:
+        mid = (miss + k) // 2 | 1
+        if majority_success(p, mid) >= t:
+            k = mid
+        else:
+            miss = mid
+    return k
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,12 @@ class TestVerify:
         assert code == 2
         assert err.startswith("config error")
 
+    def test_circuit_computation_width_mismatch_exits_two(self, tmp_path, capsys):
+        cfg = dict(VERIFY_CFG, circuit={"num_qubits": 3, "gates": [{"name": "I", "targets": [0]}]})
+        code, _, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert code == 2
+        assert err == "config error: circuit has 3 qubit(s) but the computation has 1 qubit(s)\n"
+
     def test_unknown_noise_kind_exits_two(self, tmp_path, capsys):
         cfg = dict(VERIFY_CFG, noise={"kind": "amplitude", "strength": 0.1})
         code, _, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])

@@ -1,10 +1,15 @@
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ftqc
 from ftqc import VotePlan, majority_success, min_repetitions
 from ftqc.errors import (
     BadProbabilityError,
@@ -51,14 +56,22 @@ class TestMajoritySuccess:
                 )
 
     def test_exact_and_tail_paths_agree_at_seam(self):
-        # k=63 uses integer arithmetic, k=65 the log-space tail sum
+        # k=63 uses integer arithmetic, k >= 65 the windowed log-space tail sum
         assert EXACT_K_LIMIT == 64
         for p in (0.1, 0.3, 0.49):
             below = majority_success(p, 63)
-            above = majority_success(p, 65)
             assert below == pytest.approx(binomial_tail_oracle(p, 63), abs=1e-13)
-            assert above == pytest.approx(binomial_tail_oracle(p, 65), abs=1e-13)
-            assert above >= below - 1e-13  # more repetitions never hurt below 1/2
+            for k in (65, 101, 301):
+                above = majority_success(p, k)
+                assert above == pytest.approx(binomial_tail_oracle(p, k), abs=1e-13)
+                assert above >= below - 1e-13  # more repetitions never hurt below 1/2
+
+    def test_billion_repetitions_fast_and_accurate(self):
+        # reference: the windowed sum in 35-digit arithmetic (mpmath)
+        started = time.perf_counter()
+        value = majority_success(0.5 - 1e-5, 10 ** 9 + 1)
+        assert time.perf_counter() - started < 1.0
+        assert value == pytest.approx(0.7364553717430277, abs=1e-11)
 
     def test_large_panel_nearly_certain(self):
         assert majority_success(0.4, 10 ** 4 + 1) > 0.999
@@ -106,8 +119,16 @@ class TestMinRepetitions:
         assert min_repetitions(0.15, 0.9) == 3
 
     def test_minimality_certificate(self):
-        for p, target in ((0.1, 0.99), (0.3, 0.95), (0.45, 0.9)):
+        cases = (
+            (0.1, 0.99, 5),
+            (0.3, 0.95, 17),
+            (0.45, 0.9, 163),
+            (0.3, 0.99999, 105),
+            (0.485, 0.9, 1825),
+        )
+        for p, target, expected in cases:
             k = min_repetitions(p, target)
+            assert k == expected
             assert majority_success(p, k) >= target
             if k > 1:
                 assert majority_success(p, k - 2) < target
@@ -143,3 +164,21 @@ class TestVotePlan:
     def test_rejects_even_repetitions(self):
         with pytest.raises(EvenRepetitionsError):
             VotePlan(per_run_failure=0.15, repetitions=2, success_probability=0.93925)
+
+
+def test_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which any import of scipy fails
+    cfg = tmp_path / "vote.json"
+    cfg.write_text('{"p_prime": 0.485, "target": 0.9}')
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+sys.path.insert(0, {str(Path(ftqc.__file__).parents[1])!r})
+from ftqc import cli, majority_success, min_repetitions
+assert abs(majority_success(0.3, 1001) - 1.0) < 1e-12
+assert min_repetitions(0.485, 0.9) == 1825
+sys.exit(cli.main(["vote", "--config", {str(cfg)!r}]))
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert b'"repetitions": 1825' in done.stdout

@@ -1,128 +1,57 @@
 """Resource planner and empirical verifier for fault-tolerant quantum
 computations: density-operator simulation, channel compilation, combined
 failure-bound certification, concatenation-level planning, and
-majority-vote analysis."""
+majority-vote analysis.
 
-from . import errors
-from .densmat import (
-    DensityMatrix,
-    HermitianOperator,
-    apply_unitary,
-    effect_probability,
-    make_state,
-    maximally_mixed,
-    partial_trace,
-    pure_state,
-    tensor,
-    trace_norm,
-)
-from .channels import (
-    Circuit,
-    Gate,
-    KrausChannel,
-    NoiseModel,
-    apply,
-    circuit_from_json,
-    compile_ideal,
-    compile_noisy,
-    depolarizing,
-    evolve,
-    gate_count,
-    unitary_channel,
-)
-from .kitaev import (
-    OutcomeDistribution,
-    OverallComputation,
-    actual_failure_probability,
-    basis_encoding,
-    basis_readout,
-    computation_from_json,
-    ideal_failure_bound,
-    outcome_distribution,
-)
-from .qcc import (
-    InputRecord,
-    LinkingMaps,
-    MixingCheck,
-    QccReport,
-    alpha_over_inputs,
-    alpha_random_search,
-    certify_combined_bound,
-    implementation_inaccuracy,
-    implemented_channel,
-    mix_error_state,
-    mixing_inaccuracy_bound_check,
-)
-from .ftcalc import (
-    FtParams,
-    PlanResult,
-    TradeoffPoint,
-    circuit_failure,
-    epsilon_budget,
-    logical_gate_error,
-    max_gate_error,
-    required_alpha,
-    required_levels,
-    tradeoff_curve,
-)
-from .vote import VotePlan, majority_success, min_repetitions
+Every public name is imported from its home module on first use (PEP 562),
+so `import ftqc` loads no submodule, and the planner (`ftcalc`, `vote`)
+starts without numpy and the simulator.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "DensityMatrix",
-    "HermitianOperator",
-    "apply_unitary",
-    "effect_probability",
-    "make_state",
-    "maximally_mixed",
-    "partial_trace",
-    "pure_state",
-    "tensor",
-    "trace_norm",
-    "Circuit",
-    "Gate",
-    "KrausChannel",
-    "NoiseModel",
-    "apply",
-    "circuit_from_json",
-    "compile_ideal",
-    "compile_noisy",
-    "depolarizing",
-    "evolve",
-    "gate_count",
-    "unitary_channel",
-    "OutcomeDistribution",
-    "OverallComputation",
-    "actual_failure_probability",
-    "basis_encoding",
-    "basis_readout",
-    "computation_from_json",
-    "ideal_failure_bound",
-    "outcome_distribution",
-    "InputRecord",
-    "LinkingMaps",
-    "MixingCheck",
-    "QccReport",
-    "alpha_over_inputs",
-    "alpha_random_search",
-    "certify_combined_bound",
-    "implementation_inaccuracy",
-    "implemented_channel",
-    "mix_error_state",
-    "mixing_inaccuracy_bound_check",
-    "FtParams",
-    "PlanResult",
-    "TradeoffPoint",
-    "circuit_failure",
-    "epsilon_budget",
-    "logical_gate_error",
-    "max_gate_error",
-    "required_alpha",
-    "required_levels",
-    "tradeoff_curve",
-    "VotePlan",
-    "majority_success",
-    "min_repetitions",
-]
+# Each exported name and its home module, in the order of __all__; the
+# module `errors` exports itself.
+_EXPORTS = {
+    name: home
+    for home, names in (
+        ("errors", "errors"),
+        ("densmat", "DensityMatrix HermitianOperator apply_unitary effect_probability"
+                    " make_state maximally_mixed partial_trace pure_state tensor trace_norm"),
+        ("channels", "Circuit Gate KrausChannel NoiseModel apply circuit_from_json"
+                     " compile_ideal compile_noisy depolarizing evolve gate_count"
+                     " unitary_channel"),
+        ("kitaev", "OutcomeDistribution OverallComputation actual_failure_probability"
+                   " basis_encoding basis_readout computation_from_json"
+                   " ideal_failure_bound outcome_distribution"),
+        ("qcc", "InputRecord LinkingMaps MixingCheck QccReport alpha_over_inputs"
+                " alpha_random_search certify_combined_bound implementation_inaccuracy"
+                " implemented_channel mix_error_state mixing_inaccuracy_bound_check"),
+        ("ftcalc", "FtParams PlanResult TradeoffPoint circuit_failure epsilon_budget"
+                   " logical_gate_error max_gate_error required_alpha required_levels"
+                   " tradeoff_curve"),
+        ("vote", "VotePlan majority_success min_repetitions"),
+    )
+    for name in names.split()
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        home = _EXPORTS[name]
+    elif name in _EXPORTS.values():  # a home module by its own name: ftqc.densmat
+        home = name
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{home}", __name__)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -15,11 +15,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import ftcalc, qcc, vote
-from .channels import Circuit, NoiseModel, circuit_from_json, gate_count
+# the planner commands need no numpy; verify imports the simulator itself
+from . import ftcalc, vote
 from .errors import ConfigError, FtqcError, TheoremViolationError
-from .kitaev import OverallComputation, computation_from_json
-from .qcc import LinkingMaps
 
 _DEFAULT_FORMATS = {"plan": "json", "tradeoff": "csv", "verify": "json", "vote": "json"}
 
@@ -190,7 +188,9 @@ def _cmd_tradeoff(run: RunConfig):
     return {"points": [dict(zip(header, row)) for row in rows]}, header, rows
 
 
-def _parse_noise(obj) -> NoiseModel:
+def _parse_noise(obj):
+    from .channels import NoiseModel
+
     if obj == "none":
         return NoiseModel(kind="none")
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -206,9 +206,13 @@ def _parse_noise(obj) -> NoiseModel:
 
 
 def _cmd_verify(run: RunConfig):
+    from . import qcc
+    from .channels import circuit_from_json, compile_ideal
+    from .kitaev import computation_from_json
+
     prm = run.parameters
-    circ: Circuit = circuit_from_json(_sub_object(prm, "circuit"))
-    comp: OverallComputation = computation_from_json(_sub_object(prm, "computation"))
+    circ = circuit_from_json(_sub_object(prm, "circuit"))
+    comp = computation_from_json(_sub_object(prm, "computation"))
     if circ.dim != comp.dim:
         raise ConfigError(
             f"circuit has {circ.num_qubits} qubit(s) but the computation has "
@@ -217,7 +221,7 @@ def _cmd_verify(run: RunConfig):
     if "noise" not in prm:
         raise ConfigError('missing config key "noise"')
     noise = _parse_noise(prm["noise"])
-    link = LinkingMaps(ancilla_dim=_integer(prm, "ancilla_dim")) if "ancilla_dim" in prm else LinkingMaps()
+    link = qcc.LinkingMaps(ancilla_dim=_integer(prm, "ancilla_dim")) if "ancilla_dim" in prm else qcc.LinkingMaps()
     report = qcc.certify_combined_bound(circ, noise, comp, link)
     payload = report.to_dict()
     # CSV: one row per input, the report-wide fields repeated on each row
@@ -226,8 +230,6 @@ def _cmd_verify(run: RunConfig):
     rows = [[*rec.values(), *summary.values()] for rec in payload["per_input"]]
     if prm.get("random_search_trials") is not None:
         trials = _integer(prm, "random_search_trials")
-        from .channels import compile_ideal
-
         payload["alpha_random_search"] = qcc.alpha_random_search(
             qcc.implemented_channel(circ, noise, link),
             compile_ideal(circ),

@@ -13,6 +13,7 @@ at distance 2 under this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,12 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def spectrum_range(self) -> tuple[float, float]:
+        """Smallest and largest eigenvalue, computed once per operator."""
+        eigs = np.linalg.eigvalsh(self.entries)
+        return float(eigs[0]), float(eigs[-1])
 
 
 @dataclass(frozen=True)
@@ -214,10 +221,8 @@ def effect_probability(state: DensityMatrix, effect: HermitianOperator) -> float
         raise DimensionMismatchError(
             f"effect dim {effect.dim} does not match state dim {state.dim}"
         )
-    eigs = np.linalg.eigvalsh(effect.entries)
-    if eigs[0] < -VALIDATION_TOL or eigs[-1] > 1.0 + VALIDATION_TOL:
-        raise NotAnEffectError(
-            f"effect spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] leaves [0, 1]"
-        )
+    lo, hi = effect.spectrum_range
+    if lo < -VALIDATION_TOL or hi > 1.0 + VALIDATION_TOL:
+        raise NotAnEffectError(f"effect spectrum [{lo:.3e}, {hi:.3e}] leaves [0, 1]")
     p = float(np.real(np.trace(effect.entries @ state.entries)))
     return min(1.0, max(0.0, p))

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AboveThresholdError,
     BadProbabilityError,
@@ -262,6 +260,10 @@ def tradeoff_curve(
         )
     if not isinstance(points, int) or points < 2:
         raise DomainError(f"points must be an integer >= 2, got {points!r}")
+    # numpy only here, so the rest of the planner starts without it; a pure
+    # Python grid differs from geomspace in the last bit of some points
+    import numpy as np
+
     grid = np.geomspace(eps0_min, eps0_max, points, endpoint=False)
     rows = []
     for e0 in grid:

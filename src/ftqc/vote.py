@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     BadProbabilityError,
     CapExceededError,
@@ -61,7 +59,10 @@ def _majority_success_tail(p_prime: float, k: int) -> float:
     # stands in for 1.  Each term comes from its neighbour,
     # t[j+1] / t[j] = (k - j) / (j + 1) * q / p', summed outwards from the
     # mode so the logs stay small (terms from lgamma differences were off by
-    # ~1e-9 at k = 1e7: lgamma near 1e8 has an ulp near 1e-8).
+    # ~1e-9 at k = 1e7: lgamma near 1e8 has an ulp near 1e-8).  numpy is
+    # imported here, so votes with k <= EXACT_K_LIMIT start without it.
+    import numpy as np
+
     q = 1.0 - p_prime
     half = 40.0 * math.sqrt(k * p_prime * q) + 40.0
     lo = max(0, math.floor(k * q - half))

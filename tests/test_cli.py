@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -359,3 +362,37 @@ class TestConfigHandling:
         assert code == 0
         assert out == ""
         assert dest.read_text() == PLAN_GOLDEN_JSON
+
+
+class TestStartup:
+    def test_planner_runs_without_numpy(self, tmp_path, capsys):
+        # a fresh interpreter: import the CLI, then make any import of numpy fail
+        no_eps0 = {k: v for k, v in PLAN_CFG.items() if k != "eps0"}
+        argvs = [
+            ["plan", "--config", write_cfg(tmp_path, PLAN_CFG, "plan.json"), "--eps0", "1e-11"],
+            ["plan", "--config", write_cfg(tmp_path, no_eps0, "inverse.json"), "--levels", "3"],
+            ["vote", "--config", write_cfg(tmp_path, {"p_prime": 0.2, "target": 0.99}, "t.json")],
+            ["vote", "--config", write_cfg(tmp_path, {"p_prime": 0.2, "k": 33}, "k33.json"),
+             "--format", "csv"],
+            ["vote", "--config", write_cfg(tmp_path, {"p_prime": 0.2, "k": 10}, "k10.json")],
+        ]
+        code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
+import ftqc.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+sys.modules["numpy"] = None
+runs = []
+for argv in {argvs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([ftqc.cli.main(argv), out.getvalue()])
+print(json.dumps({{"numpy_modules": loaded, "runs": runs}}))
+"""
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        result = json.loads(done.stdout)
+        assert result["numpy_modules"] == []
+        expected = [list(run_cli(capsys, argv)[:2]) for argv in argvs]
+        assert result["runs"] == expected
+        assert [c for c, _ in expected] == [0, 0, 0, 0, 1]

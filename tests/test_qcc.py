@@ -232,6 +232,34 @@ class TestCertify:
             assert rec.actual_success == pytest.approx(np.trace(effect @ actual).real, abs=1e-12)
             assert rec.inaccuracy_x == pytest.approx(helpers.svd_trace_norm(actual - ideal), abs=1e-12)
 
+    def test_each_effect_spectrum_checked_once(self, monkeypatch):
+        # all 8 basis inputs of a 3-qubit ladder read out by 2 distinct effects
+        n = 3
+        gates = [Gate(name="H", targets=(0,))]
+        gates += [Gate(name="CNOT", targets=(q, q + 1)) for q in range(n - 1)]
+        inputs = [format(i, f"0{n}b") for i in range(2 ** n)]
+        comp = OverallComputation(
+            inputs=tuple(inputs),
+            outputs=("0", "1"),
+            truth_table={x: x[-1] for x in inputs},
+            init=basis_encoding(n, inputs),
+            povm=basis_readout(n, measured=(n - 1,)),
+        )
+        effects = [e.entries for e in comp.povm.values()]
+        checks = [0] * len(effects)
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            for i, e in enumerate(effects):
+                checks[i] += a is e
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        circ = Circuit(num_qubits=n, gates=gates)
+        for _ in range(2):
+            certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=0.05), comp)
+        assert checks == [1, 1]
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
     def test_bound_holds_on_random_instances(self, seed):

@@ -18,21 +18,19 @@ _EXPORTS = {
     name: home
     for home, names in (
         ("errors", "errors"),
-        ("densmat", "DensityMatrix HermitianOperator apply_unitary effect_probability"
-                    " make_state maximally_mixed partial_trace pure_state tensor trace_norm"),
+        ("densmat", "DensityMatrix HermitianOperator effect_probability make_state"
+                    " pure_state trace_norm"),
         ("channels", "Circuit Gate KrausChannel NoiseModel apply circuit_from_json"
-                     " compile_ideal compile_noisy depolarizing evolve gate_count"
-                     " unitary_channel"),
-        ("kitaev", "OutcomeDistribution OverallComputation actual_failure_probability"
-                   " basis_encoding basis_readout computation_from_json"
-                   " ideal_failure_bound outcome_distribution"),
-        ("qcc", "InputRecord LinkingMaps MixingCheck QccReport alpha_over_inputs"
-                " alpha_random_search certify_combined_bound implementation_inaccuracy"
-                " implemented_channel mix_error_state mixing_inaccuracy_bound_check"),
+                     " compile_ideal compile_noisy evolve unitary_channel"),
+        ("kitaev", "OutcomeDistribution OverallComputation basis_encoding basis_readout"
+                   " computation_from_json"),
+        ("qcc", "InputRecord LinkingMaps MixingCheck QccReport alpha_random_search"
+                " certify_combined_bound implementation_inaccuracy implemented_channel"
+                " mix_error_state mixing_inaccuracy_bound_check"),
         ("ftcalc", "FtParams PlanResult TradeoffPoint circuit_failure epsilon_budget"
                    " logical_gate_error max_gate_error required_alpha required_levels"
                    " tradeoff_curve"),
-        ("vote", "VotePlan majority_success min_repetitions"),
+        ("vote", "majority_success min_repetitions"),
     )
     for name in names.split()
 }

@@ -14,7 +14,6 @@ eigendecomposition of the Choi matrix returns.
 
 from __future__ import annotations
 
-import itertools
 import string
 from dataclasses import dataclass, field
 
@@ -26,6 +25,8 @@ from .densmat import (
     MAX_DIM,
     VALIDATION_TOL,
     _as_square_matrix,
+    _is_json_number,
+    _matrix_from_json,
 )
 from .errors import (
     BadStrengthError,
@@ -37,18 +38,11 @@ from .errors import (
 
 MAX_QUBITS = 8
 
-_PAULI = {
+_GATE_TABLE: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-_GATE_TABLE: dict[str, np.ndarray] = {
-    "I": _PAULI["I"],
-    "X": _PAULI["X"],
-    "Y": _PAULI["Y"],
-    "Z": _PAULI["Z"],
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
@@ -212,33 +206,6 @@ class NoiseModel:
         object.__setattr__(self, "strength", s)
 
 
-def depolarizing(strength: float, num_qubits: int = 1) -> KrausChannel:
-    """Depolarizing channel rho -> (1-s) rho + s tr(rho) I/d on num_qubits.
-
-    Kraus family: sqrt(1 - s + s/d**2) I together with sqrt(s)/d P for every
-    nontrivial Pauli string P.
-    """
-    s = float(strength)
-    if not (0.0 <= s <= 1.0):
-        raise BadStrengthError(f"strength {s} outside [0, 1]")
-    if not (1 <= num_qubits <= MAX_QUBITS):
-        raise DimensionMismatchError(
-            f"num_qubits {num_qubits} outside [1, {MAX_QUBITS}]"
-        )
-    d = 2 ** num_qubits
-    ops = [np.sqrt(1.0 - s + s / d ** 2) * np.eye(d, dtype=complex)]
-    coeff = np.sqrt(s) / d
-    if s > 0.0:
-        for labels in itertools.product("IXYZ", repeat=num_qubits):
-            if all(c == "I" for c in labels):
-                continue
-            p = _PAULI[labels[0]]
-            for c in labels[1:]:
-                p = np.kron(p, _PAULI[c])
-            ops.append(coeff * p)
-    return KrausChannel(tuple(ops))
-
-
 def unitary_channel(u) -> KrausChannel:
     """The channel rho -> U rho U+ for a unitary U."""
     m = _as_square_matrix(u)
@@ -365,23 +332,6 @@ def compile_noisy(circ: Circuit, noise: NoiseModel) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-def gate_count(circ: Circuit) -> int:
-    return len(circ.gates)
-
-
-def _is_json_number(x, kinds=(int, float)) -> bool:
-    # bool is a subclass of int, but JSON true/false are not numbers
-    return isinstance(x, kinds) and not isinstance(x, bool)
-
-
-def _complex_from_json(entry) -> complex:
-    if _is_json_number(entry):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_json_number, entry)):
-        return complex(entry[0], entry[1])
-    raise ConfigError(f"matrix entry {entry!r} is neither a number nor [re, im]")
-
-
 def circuit_from_json(obj: dict) -> Circuit:
     """Build a Circuit from its JSON object form.
 
@@ -414,11 +364,6 @@ def circuit_from_json(obj: dict) -> Circuit:
                 raise ConfigError(f"gate {i} name must be a string")
             gates.append(Gate(targets=targets, name=g["name"]))
         else:
-            rows = g["matrix"]
-            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-                raise ConfigError(f"gate {i} matrix must be a list of rows")
-            mat = np.array(
-                [[_complex_from_json(e) for e in row] for row in rows], dtype=complex
-            )
+            mat = _matrix_from_json(g["matrix"], f"gate {i} matrix")
             gates.append(Gate(targets=targets, matrix=mat))
     return Circuit(num_qubits=obj["num_qubits"], gates=tuple(gates))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 # the planner commands need no numpy; verify imports the simulator itself
 from . import ftcalc, vote
-from .errors import ConfigError, FtqcError, TheoremViolationError
+from .errors import BadProbabilityError, ConfigError, FtqcError, TheoremViolationError
 
 _DEFAULT_FORMATS = {"plan": "json", "tradeoff": "csv", "verify": "json", "vote": "json"}
 
@@ -252,13 +252,12 @@ def _cmd_vote(run: RunConfig):
     else:
         k = vote.min_repetitions(p_prime, _number(prm, "target"))
     success = vote.majority_success(p_prime, k)
-    plan = vote.VotePlan(
-        per_run_failure=p_prime, repetitions=k, success_probability=success
-    )
+    if p_prime == 1.0:
+        raise BadProbabilityError(f"per_run_failure = {p_prime} outside [0, 1)")
     payload, header, rows = _one_row({
-        "per_run_failure": plan.per_run_failure,
-        "repetitions": plan.repetitions,
-        "success_probability": plan.success_probability,
+        "per_run_failure": p_prime,
+        "repetitions": k,
+        "success_probability": success,
     })
     if has_target:
         payload["target"] = float(prm["target"])

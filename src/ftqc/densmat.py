@@ -4,6 +4,8 @@ Everything downstream (channels, computations, certification) goes through
 the two wrapper types defined here, so the validation tolerances live here
 too and are applied exactly once per construction.  No silent repair is
 performed: a matrix either passes validation as given or is rejected.
+Every matrix, gate matrices included, passes ``_as_square_matrix``, and
+every matrix read from a JSON config passes ``_matrix_from_json``.
 
 Norm convention: ``trace_norm`` is the plain Schatten 1-norm, the sum of
 absolute eigenvalues, with no factor 1/2.  Two orthogonal pure states are
@@ -18,12 +20,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
+    DomainError,
     NotAnEffectError,
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
-    NotUnitaryError,
 )
 
 # Validation tolerance used across the package for Hermiticity, trace,
@@ -49,7 +52,35 @@ def _as_square_matrix(entries) -> np.ndarray:
         raise DimensionMismatchError(
             f"dimension {dim} exceeds the dense-simulation cap {MAX_DIM}"
         )
+    # NaN passes every `defect > tol` check downstream, so refuse it here
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has a non-finite (nan or inf) entry")
     return m
+
+
+def _is_json_number(x, kinds=(int, float)) -> bool:
+    # bool is a subclass of int, but JSON true/false are not numbers
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
+def _complex_from_json(entry) -> complex:
+    if _is_json_number(entry):
+        return complex(entry)
+    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_json_number, entry)):
+        return complex(entry[0], entry[1])
+    raise ConfigError(f"matrix entry {entry!r} is neither a number nor [re, im]")
+
+
+def _matrix_from_json(rows, what: str) -> np.ndarray:
+    """Decode a JSON matrix: a nonempty list of equal-length rows whose
+    entries are numbers or [re, im] pairs.  `what` names it in errors."""
+    if (
+        not isinstance(rows, list)
+        or not rows
+        or not all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
+    ):
+        raise ConfigError(f"{what} must be a nonempty list of equal-length rows")
+    return np.array([[_complex_from_json(e) for e in row] for row in rows], dtype=complex)
 
 
 def _hermiticity_defect(m: np.ndarray) -> float:
@@ -137,31 +168,6 @@ def pure_state(amplitudes) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-def maximally_mixed(dim: int) -> DensityMatrix:
-    """The state I/dim."""
-    if dim < 1 or dim > MAX_DIM:
-        raise DimensionMismatchError(f"dimension {dim} out of range [1, {MAX_DIM}]")
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
-
-
-def apply_unitary(state: DensityMatrix, u) -> DensityMatrix:
-    """Conjugate a state by a unitary: rho -> U rho U+.
-
-    :param state: input DensityMatrix.
-    :param u: square matrix, unitary within VALIDATION_TOL, same dim as state.
-    :raises NotUnitaryError: if U+U deviates from the identity.
-    """
-    um = _as_square_matrix(u)
-    if um.shape[0] != state.dim:
-        raise DimensionMismatchError(
-            f"unitary dim {um.shape[0]} does not match state dim {state.dim}"
-        )
-    defect = float(np.max(np.abs(um.conj().T @ um - np.eye(state.dim))))
-    if defect > VALIDATION_TOL:
-        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}")
-    return DensityMatrix(um @ state.entries @ um.conj().T)
-
-
 def trace_norm(op) -> float:
     """Schatten 1-norm of a Hermitian operator (sum of |eigenvalues|).
 
@@ -180,35 +186,6 @@ def trace_norm(op) -> float:
     eigs = np.linalg.eigvalsh(m)
     eigs = np.where(np.abs(eigs) < EIGENVALUE_ZERO_TOL, 0.0, eigs)
     return float(np.sum(np.abs(eigs)))
-
-
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product of two states; a is the leading (most significant) factor."""
-    if a.dim * b.dim > MAX_DIM:
-        raise DimensionMismatchError(
-            f"product dimension {a.dim * b.dim} exceeds the cap {MAX_DIM}"
-        )
-    return DensityMatrix(np.kron(a.entries, b.entries))
-
-
-def partial_trace(state: DensityMatrix, keep_dim: int, drop_dim: int) -> DensityMatrix:
-    """Trace out the trailing tensor factor of a bipartite state.
-
-    The state is read as living on C^keep_dim (x) C^drop_dim with the
-    dropped factor trailing (least significant).
-
-    :param state: state of dimension keep_dim * drop_dim.
-    :param keep_dim: dimension of the surviving leading factor.
-    :param drop_dim: dimension of the traced-out trailing factor.
-    """
-    if keep_dim < 1 or drop_dim < 1:
-        raise DimensionMismatchError("factor dimensions must be positive")
-    if keep_dim * drop_dim != state.dim:
-        raise DimensionMismatchError(
-            f"state dim {state.dim} is not keep_dim*drop_dim = {keep_dim * drop_dim}"
-        )
-    t = state.entries.reshape(keep_dim, drop_dim, keep_dim, drop_dim)
-    return DensityMatrix(np.einsum("ajbj->ab", t))
 
 
 def effect_probability(state: DensityMatrix, effect: HermitianOperator) -> float:

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Circuit, KrausChannel, NoiseModel, apply, evolve
 from .densmat import (
     DensityMatrix,
     HermitianOperator,
     VALIDATION_TOL,
-    effect_probability,
+    _matrix_from_json,
 )
 from .errors import (
     BadBitstringError,
@@ -173,62 +172,6 @@ class OutcomeDistribution:
             )
 
 
-def _readout(sigma: DensityMatrix, comp: OverallComputation) -> OutcomeDistribution:
-    return OutcomeDistribution(
-        {y: effect_probability(sigma, comp.povm[y]) for y in comp.outputs}
-    )
-
-
-def outcome_distribution(
-    chan: KrausChannel, comp: OverallComputation, x: str
-) -> OutcomeDistribution:
-    """Pr_x(y) = tr(E_y chan(rho_x)) over all outputs y."""
-    if x not in comp.truth_table:
-        raise UnknownInputError(f"input {x!r} is not in the computation's domain")
-    return _readout(apply(chan, comp.init[x]), comp)
-
-
-def actual_failure_probability(
-    chan: KrausChannel, comp: OverallComputation, x: str
-) -> float:
-    """1 - Pr_x(F(x)) when the computation is run through `chan`."""
-    dist = outcome_distribution(chan, comp, x)
-    return 1.0 - dist.probabilities[comp.truth_table[x]]
-
-
-def _evolve_inputs(
-    circ: Circuit, noise: NoiseModel, comp: OverallComputation
-) -> dict[str, DensityMatrix]:
-    """Every input state pushed through the noisy circuit in one batch."""
-    if circ.dim != comp.dim:
-        raise DimensionMismatchError(
-            f"circuit dim {circ.dim} does not match computation dim {comp.dim}"
-        )
-    outs = evolve(circ, noise, np.stack([comp.init[x].entries for x in comp.inputs]))
-    return {x: DensityMatrix(out) for x, out in zip(comp.inputs, outs)}
-
-
-def _success_probabilities(
-    outputs: dict[str, DensityMatrix], comp: OverallComputation
-) -> dict[str, float]:
-    """Pr_x(F(x)) for every input, read through the full outcome distribution."""
-    return {
-        x: _readout(outputs[x], comp).probabilities[comp.truth_table[x]]
-        for x in comp.inputs
-    }
-
-
-def ideal_failure_bound(circ: Circuit, comp: OverallComputation) -> float:
-    """Intrinsic failure bound p: worst-case failure under the ideal circuit.
-
-    p = max over inputs x of (1 - Pr_x(F(x))) with the noiseless circuit.
-    This is a property of the algorithm itself, before any implementation
-    error enters.
-    """
-    ideal = _evolve_inputs(circ, NoiseModel(kind="none"), comp)
-    return max(1.0 - s for s in _success_probabilities(ideal, comp).values())
-
-
 def computation_from_json(obj: dict) -> OverallComputation:
     """Build an OverallComputation from its JSON object form.
 
@@ -237,8 +180,6 @@ def computation_from_json(obj: dict) -> OverallComputation:
     bitstrings; the register size is their common length.  Explicit effect
     matrices use the same entry encoding as circuit gate matrices.
     """
-    from .channels import _complex_from_json  # shared entry decoding
-
     if not isinstance(obj, dict):
         raise ConfigError("computation must be a JSON object")
     for key in ("inputs", "outputs", "truth_table", "povm"):
@@ -250,8 +191,8 @@ def computation_from_json(obj: dict) -> OverallComputation:
         raise ConfigError('"inputs" must be a list of strings')
     if not isinstance(outputs, list) or not all(isinstance(y, str) for y in outputs):
         raise ConfigError('"outputs" must be a list of strings')
-    if not inputs:
-        raise ConfigError('"inputs" must be nonempty')
+    if not inputs or "" in inputs:
+        raise ConfigError('"inputs" must be a nonempty list of nonempty labels')
     if not isinstance(obj["truth_table"], dict):
         raise ConfigError('"truth_table" must be an object')
     num_qubits = len(inputs[0])
@@ -260,14 +201,10 @@ def computation_from_json(obj: dict) -> OverallComputation:
     if raw_povm == "computational_basis":
         povm = basis_readout(num_qubits)
     elif isinstance(raw_povm, dict):
-        povm = {}
-        for label, rows in raw_povm.items():
-            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-                raise ConfigError(f"povm effect {label!r} must be a matrix")
-            mat = np.array(
-                [[_complex_from_json(e) for e in row] for row in rows], dtype=complex
-            )
-            povm[label] = HermitianOperator(mat)
+        povm = {
+            label: HermitianOperator(_matrix_from_json(rows, f"povm effect {label!r}"))
+            for label, rows in raw_povm.items()
+        }
     else:
         raise ConfigError(
             '"povm" must be "computational_basis" or an object of matrices'

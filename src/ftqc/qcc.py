@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Circuit, KrausChannel, NoiseModel, apply, compile_noisy
+from .channels import Circuit, KrausChannel, NoiseModel, apply, compile_noisy, evolve
 from .densmat import DensityMatrix, effect_probability, pure_state, trace_norm
 from .errors import (
     BadProbabilityError,
@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     TheoremViolationError,
 )
-from .kitaev import OverallComputation, _evolve_inputs, _success_probabilities
+from .kitaev import OutcomeDistribution, OverallComputation
 
 # Absolute slack on the favorable side of every bound check in this module.
 BOUND_SLACK = 1e-9
@@ -126,15 +126,6 @@ def implementation_inaccuracy(
     return trace_norm(actual.entries - ideal.entries)
 
 
-def alpha_over_inputs(
-    P: KrausChannel, G: KrausChannel, link: LinkingMaps, comp: OverallComputation
-) -> float:
-    """Worst-case inaccuracy over the computation's own input states."""
-    return max(
-        implementation_inaccuracy(P, G, link, comp.init[x]) for x in comp.inputs
-    )
-
-
 def alpha_random_search(
     P: KrausChannel, G: KrausChannel, link: LinkingMaps, trials: int, seed: int
 ) -> float:
@@ -164,6 +155,30 @@ def implemented_channel(
 ) -> KrausChannel:
     """The noisy compiled map; the ancilla of `link` carries no gate."""
     return compile_noisy(circ, noise)
+
+
+def _evolve_inputs(
+    circ: Circuit, noise: NoiseModel, comp: OverallComputation
+) -> dict[str, DensityMatrix]:
+    """Every input state pushed through the noisy circuit in one batch."""
+    if circ.dim != comp.dim:
+        raise DimensionMismatchError(
+            f"circuit dim {circ.dim} does not match computation dim {comp.dim}"
+        )
+    outs = evolve(circ, noise, np.stack([comp.init[x].entries for x in comp.inputs]))
+    return {x: DensityMatrix(out) for x, out in zip(comp.inputs, outs)}
+
+
+def _success_probabilities(
+    outputs: dict[str, DensityMatrix], comp: OverallComputation
+) -> dict[str, float]:
+    """Pr_x(F(x)) for every input, read through the full outcome distribution."""
+    return {
+        x: OutcomeDistribution(
+            {y: effect_probability(outputs[x], comp.povm[y]) for y in comp.outputs}
+        ).probabilities[comp.truth_table[x]]
+        for x in comp.inputs
+    }
 
 
 def certify_combined_bound(

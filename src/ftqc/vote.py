@@ -15,7 +15,6 @@ as sqrt(k), not k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -123,30 +122,3 @@ def min_repetitions(p_prime: float, target: float) -> int:
         else:
             miss = mid
     return k
-
-
-@dataclass(frozen=True)
-class VotePlan:
-    """A checked (p', k, success) triple; construction revalidates the math."""
-
-    per_run_failure: float
-    repetitions: int
-    success_probability: float
-
-    def __post_init__(self):
-        p = float(self.per_run_failure)
-        if not (0.0 <= p < 1.0):
-            raise BadProbabilityError(f"per_run_failure = {p} outside [0, 1)")
-        k = _check_repetitions(self.repetitions)
-        s = float(self.success_probability)
-        if not (0.0 <= s <= 1.0):
-            raise BadProbabilityError(f"success_probability = {s} outside [0, 1]")
-        expected = majority_success(p, k)
-        if abs(s - expected) > 1e-12:
-            raise DomainError(
-                f"success_probability {s:.15g} inconsistent with the binomial "
-                f"formula value {expected:.15g} (tolerance 1e-12)"
-            )
-        object.__setattr__(self, "per_run_failure", p)
-        object.__setattr__(self, "repetitions", k)
-        object.__setattr__(self, "success_probability", s)

@@ -110,15 +110,6 @@ def loop_apply(kraus_ops, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def loop_partial_trace(mat: np.ndarray, keep: int, drop: int) -> np.ndarray:
-    out = np.zeros((keep, keep), dtype=complex)
-    for a in range(keep):
-        for b in range(keep):
-            for j in range(drop):
-                out[a, b] += mat[a * drop + j, b * drop + j]
-    return out
-
-
 def embed_oracle(g: np.ndarray, targets, n: int) -> np.ndarray:
     """Expand a k-qubit operator to n qubits by explicit bit manipulation."""
     targets = tuple(targets)

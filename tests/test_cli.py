@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 
 from ftqc import cli
 from ftqc.errors import TheoremViolationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PLAN_CFG = {"eps0": 1e-10, "eps_th": 1e-9, "gate_count": 10 ** 12, "p": 0.2, "p_hat": 0.4}
 
@@ -265,6 +268,31 @@ class TestVerify:
         assert code == 2
         assert "noise.kind" in err
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("circuit", {"num_qubits": 1, "gates": [{"matrix": [[1, 0], [0]], "targets": [0]}]}),
+            ("computation", dict(VERIFY_CFG["computation"], povm={"0": [[1, 0], [0]], "1": [[0, 0], [0, 1]]})),
+            ("computation", dict(VERIFY_CFG["computation"], inputs=[""], truth_table={"": "0"})),
+        ],
+        ids=["ragged_gate_matrix", "ragged_povm_matrix", "empty_label"],
+    )
+    def test_malformed_matrix_or_label_exits_two(self, tmp_path, capsys, section, value):
+        cfg = dict(VERIFY_CFG, **{section: value})
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_non_finite_matrix_entry_exits_one(self, tmp_path, capsys):
+        # json writes and reads the NaN literal
+        gate = {"matrix": [[float("nan"), 0], [0, 1]], "targets": [0]}
+        cfg = dict(VERIFY_CFG, circuit={"num_qubits": 1, "gates": [gate]})
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: matrix has a non-finite (nan or inf) entry\n"
+
 
 class TestVote:
     def test_golden_fixed_k(self, tmp_path, capsys):
@@ -314,6 +342,14 @@ class TestVote:
             capsys, ["vote", "--config", write_cfg(tmp_path, {"p_prime": 0.1})]
         )
         assert code == 2
+
+    def test_certain_failure_exits_one(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, ["vote", "--config", write_cfg(tmp_path, {"p_prime": 1.0, "k": 3})]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: per_run_failure = 1.0 outside [0, 1)\n"
 
 
 class TestConfigHandling:
@@ -396,3 +432,21 @@ print(json.dumps({{"numpy_modules": loaded, "runs": runs}}))
         expected = [list(run_cli(capsys, argv)[:2]) for argv in argvs]
         assert result["runs"] == expected
         assert [c for c, _ in expected] == [0, 0, 0, 0, 1]
+
+
+def test_recorded_outputs_replay_byte_identical(tmp_path, capsys, monkeypatch):
+    # every argv of perfbench/cli_golden.json, run from a copy of demo/ and
+    # of the vote configs the benchmark writes under .perfbench_out/cli/
+    golden = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text())
+    assert len(golden) == 35
+    shutil.copytree(ROOT / "demo", tmp_path / "demo")
+    monkeypatch.chdir(tmp_path)
+    for key, want in golden.items():
+        argv = key.split()
+        config = Path(argv[argv.index("--config") + 1])
+        if config.parts[0] == ".perfbench_out":
+            config.parent.mkdir(parents=True, exist_ok=True)
+            k = int(config.stem.removeprefix("vote_k"))
+            config.write_text(json.dumps({"p_prime": 0.15, "k": k}))
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out.encode()) == (want["exit"], want["stdout"].encode()), key

@@ -1,23 +1,20 @@
 import numpy as np
 import pytest
 
-import helpers
 from ftqc import (
     Circuit,
     Gate,
     NoiseModel,
+    OutcomeDistribution,
     OverallComputation,
-    actual_failure_probability,
     basis_encoding,
     basis_readout,
-    compile_ideal,
-    compile_noisy,
+    certify_combined_bound,
     computation_from_json,
-    ideal_failure_bound,
-    outcome_distribution,
 )
 from ftqc.errors import (
     BadBitstringError,
+    BadProbabilityError,
     ConfigError,
     DimensionMismatchError,
     NotAnEffectError,
@@ -124,57 +121,39 @@ class TestOverallComputation:
 
 
 class TestOutcomeDistribution:
-    def test_hadamard_is_balanced(self):
-        circ = Circuit(num_qubits=1, gates=[Gate(name="H", targets=(0,))])
-        dist = outcome_distribution(compile_ideal(circ), parity_computation(), "0")
-        assert dist.probabilities["0"] == pytest.approx(0.5, abs=1e-12)
-        assert dist.probabilities["1"] == pytest.approx(0.5, abs=1e-12)
-
-    def test_unknown_input_rejected(self):
-        circ = Circuit(num_qubits=1, gates=[])
-        with pytest.raises(UnknownInputError):
-            outcome_distribution(compile_ideal(circ), parity_computation(), "7")
-
     def test_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(40)
-        for _ in range(10):
-            circ, noise, comp = helpers.random_instance(rng)
-            chan = compile_noisy(circ, noise)
-            for x in comp.inputs:
-                dist = outcome_distribution(chan, comp, x)
-                assert sum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-9)
+        dist = OutcomeDistribution({"0": 0.25, "1": 0.75})
+        assert dist.probabilities == {"0": 0.25, "1": 0.75}
+        with pytest.raises(BadProbabilityError):
+            OutcomeDistribution({"0": 0.25, "1": 0.5})
+
+
+def report(gates, noise=NoiseModel(kind="none")):
+    """Certification of the one-qubit identity computation under `gates`."""
+    return certify_combined_bound(Circuit(num_qubits=1, gates=gates), noise, parity_computation())
 
 
 class TestFailureProbabilities:
+    # the intrinsic bound p is the worst failure of the ideal circuit
     def test_ideal_identity_never_fails(self):
-        circ = Circuit(num_qubits=1, gates=[])
-        assert ideal_failure_bound(circ, parity_computation()) == pytest.approx(0.0, abs=1e-12)
+        assert report([]).p == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_hadamard_fails_half_the_time(self):
-        circ = Circuit(num_qubits=1, gates=[Gate(name="H", targets=(0,))])
-        assert ideal_failure_bound(circ, parity_computation()) == pytest.approx(0.5, abs=1e-12)
+        rep = report([Gate(name="H", targets=(0,))])
+        assert rep.p == pytest.approx(0.5, abs=1e-12)
+        for rec in rep.per_input:
+            assert rec.ideal_success == pytest.approx(0.5, abs=1e-12)
 
     def test_wrong_circuit_always_fails(self):
         # X flips every basis state, so the identity truth table never matches
-        circ = Circuit(num_qubits=1, gates=[Gate(name="X", targets=(0,))])
-        assert ideal_failure_bound(circ, parity_computation()) == pytest.approx(1.0, abs=1e-12)
+        assert report([Gate(name="X", targets=(0,))]).p == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarized_identity_failure(self):
         # frozen: lambda=0.3 identity circuit fails with probability 0.15 on each input
-        circ = Circuit(num_qubits=1, gates=[Gate(name="I", targets=(0,))])
-        chan = compile_noisy(circ, NoiseModel(kind="depolarizing", strength=0.3))
-        comp = parity_computation()
-        for x in ("0", "1"):
-            assert actual_failure_probability(chan, comp, x) == pytest.approx(0.15, abs=1e-12)
-
-    def test_failure_is_one_minus_success(self):
-        rng = np.random.default_rng(41)
-        circ, noise, comp = helpers.random_instance(rng)
-        chan = compile_noisy(circ, noise)
-        for x in comp.inputs:
-            dist = outcome_distribution(chan, comp, x)
-            fail = actual_failure_probability(chan, comp, x)
-            assert fail == pytest.approx(1.0 - dist.probabilities[comp.truth_table[x]], abs=1e-12)
+        rep = report([Gate(name="I", targets=(0,))], NoiseModel(kind="depolarizing", strength=0.3))
+        assert [rec.x for rec in rep.per_input] == ["0", "1"]
+        for rec in rep.per_input:
+            assert 1.0 - rec.actual_success == pytest.approx(0.15, abs=1e-12)
 
 
 class TestComputationJson:

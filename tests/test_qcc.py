@@ -13,7 +13,6 @@ from ftqc import (
     LinkingMaps,
     NoiseModel,
     QccReport,
-    alpha_over_inputs,
     alpha_random_search,
     apply,
     basis_encoding,
@@ -24,7 +23,6 @@ from ftqc import (
     implementation_inaccuracy,
     implemented_channel,
     make_state,
-    maximally_mixed,
     mix_error_state,
     mixing_inaccuracy_bound_check,
     pure_state,
@@ -38,16 +36,17 @@ from ftqc.errors import (
 from ftqc.kitaev import OverallComputation
 
 GROUND = make_state([[1, 0], [0, 0]])
+MIXED = make_state(np.eye(2) / 2.0)
 
 
-def identity_parity():
-    labels = ("0", "1")
+def identity_parity(n=1):
+    labels = tuple(format(i, f"0{n}b") for i in range(2 ** n))
     return OverallComputation(
         inputs=labels,
         outputs=labels,
         truth_table={x: x for x in labels},
-        init=basis_encoding(1, labels),
-        povm=basis_readout(1),
+        init=basis_encoding(n, labels),
+        povm=basis_readout(n),
     )
 
 
@@ -88,7 +87,7 @@ class TestImplementationInaccuracy:
         P = implemented_channel(identity_circuit(), NoiseModel(kind="none"))
         G = compile_ideal(identity_circuit())
         with pytest.raises(DimensionMismatchError):
-            implementation_inaccuracy(P, G, LinkingMaps(), maximally_mixed(4))
+            implementation_inaccuracy(P, G, LinkingMaps(), make_state(np.eye(4) / 4.0))
 
     def test_every_pure_state_sees_the_same_depolarizing_gap(self):
         # for the identity circuit, dep(lam) shifts any pure state by exactly lam
@@ -104,19 +103,27 @@ class TestImplementationInaccuracy:
 
 class TestAlpha:
     def test_alpha_for_depolarized_identity(self):
-        P = implemented_channel(identity_circuit(), NoiseModel(kind="depolarizing", strength=0.3))
-        G = compile_ideal(identity_circuit())
-        alpha = alpha_over_inputs(P, G, LinkingMaps(), identity_parity())
-        assert alpha == pytest.approx(0.3, abs=1e-12)
+        # noise on qubit 0 of two moves every basis input by lambda = 0.3
+        report = certify_combined_bound(
+            identity_circuit(2), NoiseModel(kind="depolarizing", strength=0.3), identity_parity(2)
+        )
+        assert report.alpha == pytest.approx(0.3, abs=1e-12)
+        for rec in report.per_input:
+            assert rec.inaccuracy_x == pytest.approx(0.3, abs=1e-12)
 
     def test_alpha_for_orthogonal_failure(self):
-        # X instead of I sends each basis state to the orthogonal one: gap 2
-        P = implemented_channel(
-            Circuit(num_qubits=1, gates=[Gate(name="X", targets=(0,))]), NoiseModel(kind="none")
-        )
-        G = compile_ideal(identity_circuit())
-        alpha = alpha_over_inputs(P, G, LinkingMaps(), identity_parity())
-        assert alpha == pytest.approx(2.0, abs=1e-12)
+        # full-strength noise sends each basis state to I/d, at distance
+        # 2 (1 - 1/d): the orthogonal gap 2 less the overlap with I/d
+        for n in (1, 2):
+            d = 2 ** n
+            circ = Circuit(num_qubits=n, gates=[Gate(matrix=np.eye(d), targets=tuple(range(n)))])
+            report = certify_combined_bound(
+                circ, NoiseModel(kind="depolarizing", strength=1.0), identity_parity(n)
+            )
+            assert report.alpha == pytest.approx(2.0 * (1.0 - 1.0 / d), abs=1e-12)
+            assert report.p == pytest.approx(0.0, abs=1e-12)
+            for rec in report.per_input:
+                assert rec.actual_success == pytest.approx(1.0 / d, abs=1e-12)
 
     def test_random_search_is_reproducible(self):
         P = implemented_channel(identity_circuit(), NoiseModel(kind="depolarizing", strength=0.3))
@@ -294,7 +301,7 @@ class TestCertify:
 class TestMixing:
     def test_frozen_mixture(self):
         # frozen: 0.9 |0><0| + 0.1 I/2 -> diag(0.95, 0.05)
-        mixed = mix_error_state(GROUND, maximally_mixed(2), 0.1)
+        mixed = mix_error_state(GROUND, MIXED, 0.1)
         np.testing.assert_allclose(mixed.entries, np.diag([0.95, 0.05]), atol=1e-15)
 
     def test_orthogonal_error_saturates_bound(self):
@@ -314,11 +321,11 @@ class TestMixing:
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(BadProbabilityError):
-            mix_error_state(GROUND, maximally_mixed(2), 1.5)
+            mix_error_state(GROUND, MIXED, 1.5)
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            mix_error_state(GROUND, maximally_mixed(4), 0.1)
+            mix_error_state(GROUND, make_state(np.eye(4) / 4.0), 0.1)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ftqc
-from ftqc import VotePlan, majority_success, min_repetitions
+from ftqc import majority_success, min_repetitions
 from ftqc.errors import (
     BadProbabilityError,
     CapExceededError,
@@ -150,20 +150,6 @@ class TestMinRepetitions:
         assert REPETITION_CAP == 10 ** 5
         with pytest.raises(CapExceededError):
             min_repetitions(0.4999, 0.999)
-
-
-class TestVotePlan:
-    def test_consistent_plan_accepted(self):
-        plan = VotePlan(per_run_failure=0.15, repetitions=3, success_probability=0.93925)
-        assert plan.repetitions == 3
-
-    def test_rejects_inconsistent_probability(self):
-        with pytest.raises(DomainError):
-            VotePlan(per_run_failure=0.15, repetitions=3, success_probability=0.9)
-
-    def test_rejects_even_repetitions(self):
-        with pytest.raises(EvenRepetitionsError):
-            VotePlan(per_run_failure=0.15, repetitions=2, success_probability=0.93925)
 
 
 def test_runs_without_scipy(tmp_path):

@@ -7,9 +7,9 @@ The per-gate logical error after N levels of concatenation is
 treated as exact, and a circuit of gate_count gates fails with probability
 at most min(1, gate_count * eps_N).  The planner finds the minimal N whose
 circuit failure fits inside the budget (p_hat - p) / 2, by ascending
-search; the closed-form level estimate is reported alongside for
-comparison but is never authoritative (it comes from a sufficient, not
-tight, bound).
+search, which a tradeoff curve resumes at the previous grid point's level;
+the closed-form level estimate is reported alongside for comparison but is
+never authoritative (it comes from a sufficient, not tight, bound).
 
 All powers are evaluated in log-space.  Values below 1e-300 flush to zero,
 which makes the budget test trivially pass; values beyond the float range
@@ -19,7 +19,7 @@ report as inf and are clamped by circuit_failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     AboveThresholdError,
@@ -30,6 +30,9 @@ from .errors import (
 )
 
 LEVEL_CAP = 64
+
+# Largest tradeoff grid, so an oversized request fails before allocating.
+TRADEOFF_POINT_CAP = 10 ** 5
 
 # Relative slack on the feasibility comparison eps_qc <= budget.  Boundary
 # cases (budget exactly saturated in exact arithmetic) must not flip to the
@@ -68,12 +71,8 @@ class FtParams:
         object.__setattr__(self, "eps_th", _check_unit_interval("eps_th", self.eps_th))
         if not isinstance(self.gate_count, int) or self.gate_count < 1:
             raise DomainError(f"gate_count must be a positive integer, got {self.gate_count!r}")
-        object.__setattr__(
-            self, "p", _check_unit_interval("p", self.p, lo_open=False)
-        )
-        object.__setattr__(
-            self, "p_hat", _check_unit_interval("p_hat", self.p_hat, hi_open=False)
-        )
+        object.__setattr__(self, "p", _check_unit_interval("p", self.p, lo_open=False))
+        object.__setattr__(self, "p_hat", _check_unit_interval("p_hat", self.p_hat, hi_open=False))
         if self.p_hat <= self.p:
             raise InfeasibleError(_INFEASIBLE_MSG)
 
@@ -88,14 +87,7 @@ class PlanResult:
     closed_form_levels: float
 
     def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "eps_n": self.eps_n,
-            "eps_qc": self.eps_qc,
-            "budget": self.budget,
-            "alpha_required": self.alpha_required,
-            "closed_form_levels": self.closed_form_levels,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -131,15 +123,18 @@ def logical_gate_error(eps0: float, eps_th: float, levels: int) -> float:
     eth = _check_unit_interval("eps_th", eps_th)
     if not isinstance(levels, int) or levels < 0:
         raise DomainError(f"levels must be a nonnegative integer, got {levels!r}")
+    return _level_error(e0, eth, levels)
+
+
+def _level_error(e0: float, eth: float, levels: int) -> float:
     # exact short-circuits: exponent 2^0 = 1 returns the input, and the
     # threshold is a fixed point at every level
     if levels == 0:
         return e0
     if e0 == eth:
         return eth
-    log_e0 = math.log(e0)
     log_eth = math.log(eth)
-    log_val = log_eth + 2.0 ** levels * (log_e0 - log_eth)
+    log_val = log_eth + 2.0 ** levels * (math.log(e0) - log_eth)
     if log_val < _LOG_FLUSH:
         return 0.0
     if log_val > _LOG_MAX:
@@ -156,9 +151,7 @@ def circuit_failure(eps_n: float, gate_count: int) -> float:
     return min(1.0, gate_count * eps_n)
 
 
-def _closed_form_levels(
-    eps0: float, eps_th: float, gate_count: int, budget: float
-) -> float:
+def _closed_form_levels(eps0: float, eps_th: float, gate_count: int, budget: float) -> float:
     """Un-ceiled level estimate log2(ln(N*eps_th/budget) / ln(eps_th/eps0)).
 
     Returns -inf when the budget already covers gate_count * eps_th (no
@@ -182,24 +175,27 @@ def required_levels(params: FtParams) -> PlanResult:
     <= budget * (1 + FEASIBILITY_SLACK).
     """
     budget = epsilon_budget(params.p_hat, params.p)
+    n, eps_n, eps_qc = _min_level(params.eps0, params.eps_th, params.gate_count, budget, 0)
+    return PlanResult(
+        levels=n, eps_n=eps_n, eps_qc=eps_qc, budget=budget,
+        alpha_required=required_alpha(params.p_hat, params.p),
+        closed_form_levels=_closed_form_levels(params.eps0, params.eps_th, params.gate_count, budget),
+    )
+
+
+def _min_level(eps0: float, eps_th: float, gate_count: int, budget: float,
+               start: int) -> tuple[int, float, float]:
+    """(N, eps_N, eps_qc) at the first feasible level N >= start, on
+    validated inputs; below start the caller knows every level fails."""
     limit = budget * (1.0 + FEASIBILITY_SLACK)
-    for n in range(LEVEL_CAP + 1):
-        eps_n = logical_gate_error(params.eps0, params.eps_th, n)
-        eps_qc = circuit_failure(eps_n, params.gate_count)
+    for n in range(start, LEVEL_CAP + 1):
+        eps_n = _level_error(eps0, eps_th, n)
+        eps_qc = circuit_failure(eps_n, gate_count)
         if eps_qc <= limit:
-            return PlanResult(
-                levels=n,
-                eps_n=eps_n,
-                eps_qc=eps_qc,
-                budget=budget,
-                alpha_required=required_alpha(params.p_hat, params.p),
-                closed_form_levels=_closed_form_levels(
-                    params.eps0, params.eps_th, params.gate_count, budget
-                ),
-            )
-        if n == 0 and params.eps0 >= params.eps_th:
+            return n, eps_n, eps_qc
+        if n == 0 and eps0 >= eps_th:
             raise AboveThresholdError(
-                f"eps0 {params.eps0:.6g} is at or above threshold {params.eps_th:.6g} "
+                f"eps0 {eps0:.6g} is at or above threshold {eps_th:.6g} "
                 "and level 0 misses the budget; concatenation cannot reduce the error"
             )
     raise CapExceededError(
@@ -208,9 +204,7 @@ def required_levels(params: FtParams) -> PlanResult:
     )
 
 
-def max_gate_error(
-    levels: int, eps_th: float, gate_count: int, p_hat: float, p: float
-) -> float:
+def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p: float) -> float:
     """Largest eps0 whose circuit failure at the given level fits the budget.
 
     eps_th * (budget / (gate_count * eps_th)) ** (1 / 2**levels), clamped at
@@ -231,28 +225,25 @@ def max_gate_error(
 
 
 def tradeoff_curve(
-    eps0_min: float,
-    eps0_max: float,
-    points: int,
-    *,
-    eps_th: float,
-    gate_count: int,
-    p: float,
-    p_hat: float,
+    eps0_min: float, eps0_max: float, points: int, *,
+    eps_th: float, gate_count: int, p: float, p_hat: float,
 ) -> list[TradeoffPoint]:
     """required_levels along a log-spaced eps0 grid over [eps0_min, eps0_max).
 
     The right endpoint is excluded, so eps0_max may sit exactly at the
-    threshold; every evaluated point stays strictly below it.  The
-    resulting staircase is monotone: levels never decrease as eps0 grows.
-    Points the planner rejects as above-threshold are emitted with
-    levels = -1 (cannot occur under the eps0_max <= eps_th precondition,
-    kept as a guard).
+    threshold.  The resulting staircase is monotone: levels never decrease
+    as eps0 grows.  A point that rounding puts at or above the threshold,
+    where level 0 misses the budget, is emitted with levels = -1.
+
+    The scalars are validated once, and each point's search resumes at the
+    previous point's level.  That is exact: below the threshold the failure
+    at a fixed level is a chain of monotone float steps in eps0 (log, a
+    product with 2**N > 0, exp, the product with gate_count), so a level
+    that fails at one eps0 fails at every larger one.  A point at or above
+    the threshold, or below its predecessor, searches from level 0.
     """
     if not (0.0 < eps0_min < eps0_max):
-        raise DomainError(
-            f"need 0 < eps0_min < eps0_max, got {eps0_min} and {eps0_max}"
-        )
+        raise DomainError(f"need 0 < eps0_min < eps0_max, got {eps0_min} and {eps0_max}")
     if eps0_max > eps_th:
         raise AboveThresholdError(
             f"eps0_max {eps0_max:.6g} must not exceed the threshold {eps_th:.6g} "
@@ -260,35 +251,27 @@ def tradeoff_curve(
         )
     if not isinstance(points, int) or points < 2:
         raise DomainError(f"points must be an integer >= 2, got {points!r}")
+    if points > TRADEOFF_POINT_CAP:
+        raise DomainError(f"points = {points} exceeds the cap of {TRADEOFF_POINT_CAP}")
     # numpy only here, so the rest of the planner starts without it; a pure
     # Python grid differs from geomspace in the last bit of some points
     import numpy as np
 
-    grid = np.geomspace(eps0_min, eps0_max, points, endpoint=False)
+    grid = np.geomspace(eps0_min, eps0_max, points, endpoint=False).tolist()
+    prm = FtParams(eps0=grid[0], eps_th=eps_th, gate_count=gate_count, p=p, p_hat=p_hat)
+    eth, n_gates = prm.eps_th, prm.gate_count
+    budget = epsilon_budget(prm.p_hat, prm.p)
     rows = []
+    level, prev = 0, 0.0
     for e0 in grid:
+        _check_unit_interval("eps0", e0)
+        start = level if prev <= e0 < eth else 0
+        prev = e0
         try:
-            r = required_levels(
-                FtParams(
-                    eps0=float(e0),
-                    eps_th=eps_th,
-                    gate_count=gate_count,
-                    p=p,
-                    p_hat=p_hat,
-                )
-            )
-            rows.append(
-                TradeoffPoint(
-                    eps0=float(e0),
-                    levels=r.levels,
-                    eps_qc=r.eps_qc,
-                    closed_form=r.closed_form_levels,
-                )
-            )
+            level, _, eps_qc = _min_level(e0, eth, n_gates, budget, start)
         except AboveThresholdError:
-            rows.append(
-                TradeoffPoint(
-                    eps0=float(e0), levels=-1, eps_qc=math.nan, closed_form=math.nan
-                )
-            )
+            rows.append(TradeoffPoint(eps0=e0, levels=-1, eps_qc=math.nan, closed_form=math.nan))
+            continue
+        closed = _closed_form_levels(e0, eth, n_gates, budget)
+        rows.append(TradeoffPoint(eps0=e0, levels=level, eps_qc=eps_qc, closed_form=closed))
     return rows

@@ -31,6 +31,9 @@ from .kitaev import OutcomeDistribution, OverallComputation
 # Absolute slack on the favorable side of every bound check in this module.
 BOUND_SLACK = 1e-9
 
+# Largest trial count alpha_random_search accepts (10**9 trials would run for years).
+SEARCH_TRIAL_CAP = 10 ** 5
+
 
 @dataclass(frozen=True)
 class LinkingMaps:
@@ -137,6 +140,8 @@ def alpha_random_search(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if trials > SEARCH_TRIAL_CAP:
+        raise DomainError(f"trials = {trials} exceeds the cap of {SEARCH_TRIAL_CAP}")
     dim = G.dim_in
     key_hi = int(seed) % (2 ** 64)
     worst = 0.0

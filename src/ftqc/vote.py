@@ -9,7 +9,7 @@ Small k (up to 64, so every odd k through 63) is evaluated in exact
 rational arithmetic over the binary value of p' and converted to float
 once at the end.  Larger k sums the binomial terms in log space over a
 window of about 40 standard deviations around the mean, so the cost grows
-as sqrt(k), not k.
+as sqrt(k), not k; a window above TAIL_TERM_CAP terms is refused up front.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ EXACT_K_LIMIT = 64
 
 # Search ceiling for min_repetitions.
 REPETITION_CAP = 10 ** 5
+
+# Largest binomial window of the k > EXACT_K_LIMIT path (128 MiB per array).
+TAIL_TERM_CAP = 2 ** 24
 
 
 def _check_repetitions(k: int) -> int:
@@ -60,12 +63,17 @@ def _majority_success_tail(p_prime: float, k: int) -> float:
     # mode so the logs stay small (terms from lgamma differences were off by
     # ~1e-9 at k = 1e7: lgamma near 1e8 has an ulp near 1e-8).  numpy is
     # imported here, so votes with k <= EXACT_K_LIMIT start without it.
-    import numpy as np
-
     q = 1.0 - p_prime
     half = 40.0 * math.sqrt(k * p_prime * q) + 40.0
     lo = max(0, math.floor(k * q - half))
     hi = min(k, math.ceil(k * q + half))
+    if hi - lo > TAIL_TERM_CAP:
+        raise DomainError(
+            f"k = {k} needs a window of {hi - lo} binomial terms ({8 * (hi - lo)} bytes "
+            f"per array), above the cap of {TAIL_TERM_CAP} terms"
+        )
+    import numpy as np
+
     c = math.floor((k + 1) * q) - lo
     j = np.arange(lo, hi, dtype=np.float64)
     step = np.log((k - j) / (j + 1)) + math.log(q / p_prime)

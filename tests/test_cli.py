@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,13 @@ class TestTradeoff:
         assert code == 1
         assert "threshold" in err
 
+    def test_oversized_grid_exits_one(self, tmp_path, capsys):
+        cfg = dict(self.CFG, points=10 ** 15)
+        code, out, err = run_cli(capsys, ["tradeoff", "--config", write_cfg(tmp_path, cfg)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: points = 1000000000000000 exceeds the cap of 100000\n"
+
 
 class TestVerify:
     def test_golden_csv(self, tmp_path, capsys):
@@ -213,6 +221,15 @@ class TestVerify:
         assert "alpha_random_search" in payload
         # every pure state sits at exactly lambda from its depolarized image
         assert payload["alpha_random_search"] == 0.3
+
+    def test_oversized_random_search_exits_one_at_once(self, tmp_path, capsys):
+        cfg = dict(VERIFY_CFG, random_search_trials=10 ** 9)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == "error: trials = 1000000000 exceeds the cap of 100000\n"
 
     def test_seed_flag_beats_config_and_env(self, tmp_path, capsys, monkeypatch):
         cfg = dict(VERIFY_CFG, random_search_trials=5, seed=1)
@@ -342,6 +359,15 @@ class TestVote:
             capsys, ["vote", "--config", write_cfg(tmp_path, {"p_prime": 0.1})]
         )
         assert code == 2
+
+    def test_oversized_window_exits_one(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, ["vote", "--config", write_cfg(tmp_path, {"p_prime": 0.15, "k": 10 ** 13 + 1})]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: k = 10000000000001 needs a window of ")
+        assert err.endswith(" terms\n") and err.count("\n") == 1
 
     def test_certain_failure_exits_one(self, tmp_path, capsys):
         code, out, err = run_cli(

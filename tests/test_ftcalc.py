@@ -17,9 +17,10 @@ from ftqc import (
 from ftqc.errors import (
     AboveThresholdError,
     DomainError,
+    FtqcError,
     InfeasibleError,
 )
-from ftqc.ftcalc import FEASIBILITY_SLACK, LEVEL_CAP
+from ftqc.ftcalc import FEASIBILITY_SLACK, LEVEL_CAP, TradeoffPoint
 
 CAPTION = dict(eps_th=1e-9, gate_count=10 ** 12, p=0.2, p_hat=0.4)
 
@@ -309,3 +310,71 @@ class TestTradeoffCurve:
             tradeoff_curve(0.0, 1e-10, 10, **CAPTION)
         with pytest.raises(DomainError):
             tradeoff_curve(1e-13, 1e-10, 1, **CAPTION)
+
+    def test_point_cap_refused_before_the_grid(self):
+        with pytest.raises(DomainError, match="exceeds the cap of 100000"):
+            tradeoff_curve(1e-13, 1e-9, 10 ** 15, **CAPTION)
+
+    def test_resume_restarts_at_threshold_and_after_a_dip(self, monkeypatch):
+        # geomspace can round a point onto the threshold, or below the point
+        # before it, when eps0_min and eps0_max are a few ulps apart; which
+        # points it does that to depends on the platform's libm, so the
+        # grid is pinned here: a deep level, the threshold (level 0 misses
+        # the budget, so -1), then two points each below their predecessor
+        import numpy as np
+
+        eps_th = 1e-3
+        grid = [eps_th * (1 - 1e-6), eps_th, eps_th * (1 - 1e-9), eps_th * (1 - 1e-3)]
+        monkeypatch.setattr(np, "geomspace", lambda *args, **kwargs: np.array(grid))
+        kw = dict(eps_th=eps_th, gate_count=10 ** 4, p=0.2, p_hat=0.4)
+        rows = [_row_key(r) for r in tradeoff_curve(grid[0], eps_th, len(grid), **kw)]
+        assert rows == _per_point_curve(grid[0], eps_th, len(grid), **kw)
+        levels = [r[1] for r in rows]
+        assert levels[1] == -1
+        assert levels[2] > levels[0] > levels[3] > 0
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_per_point_required_levels(self, data):
+        eps_th = 10.0 ** data.draw(st.floats(-12.0, -0.3), label="log10 eps_th")
+        eps0_max = data.draw(
+            st.one_of(st.just(eps_th), st.floats(0.0, 4.0).map(lambda u: eps_th * 10.0 ** -u)),
+            label="eps0_max",
+        )
+        span = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), label="log10 span")
+        eps0_min = min(eps0_max * 10.0 ** -span, math.nextafter(eps0_max, 0.0))
+        points = data.draw(st.integers(2, 300), label="points")
+        p = data.draw(st.floats(0.0, 0.8), label="p")
+        p_hat = data.draw(st.floats(p, 1.0), label="p_hat")
+        # gate_count * eps_th / budget = 10**load, so most grids need concatenation
+        load = data.draw(st.floats(-2.0, 14.0), label="log10 load")
+        gate_count = max(1, int(10.0 ** load * max(p_hat - p, 1e-3) / 2.0 / eps_th))
+        kw = dict(eps_th=eps_th, gate_count=gate_count, p=p, p_hat=p_hat)
+        try:
+            want = _per_point_curve(eps0_min, eps0_max, points, **kw)
+        except FtqcError as exc:
+            with pytest.raises(type(exc)) as got:
+                tradeoff_curve(eps0_min, eps0_max, points, **kw)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        assert [_row_key(r) for r in tradeoff_curve(eps0_min, eps0_max, points, **kw)] == want
+
+
+def _row_key(row):
+    """A TradeoffPoint as a tuple in which NaN compares equal to NaN."""
+    return tuple("nan" if v != v else v for v in (row.eps0, row.levels, row.eps_qc, row.closed_form))
+
+
+def _per_point_curve(eps0_min, eps0_max, points, **kw):
+    """The curve from one independent required_levels call per grid point."""
+    import numpy as np
+
+    rows = []
+    for e0 in np.geomspace(eps0_min, eps0_max, points, endpoint=False).tolist():
+        try:
+            r = required_levels(FtParams(eps0=e0, **kw))
+        except AboveThresholdError:
+            rows.append(_row_key(TradeoffPoint(e0, -1, math.nan, math.nan)))
+        else:
+            rows.append(_row_key(TradeoffPoint(e0, r.levels, r.eps_qc, r.closed_form_levels)))
+    return rows

@@ -73,6 +73,31 @@ class TestMajoritySuccess:
         assert time.perf_counter() - started < 1.0
         assert value == pytest.approx(0.7364553717430277, abs=1e-11)
 
+    def test_oversized_window_refused_before_allocating(self):
+        import re
+        import tracemalloc
+
+        import numpy  # noqa: F401  (its import is not the allocation under test)
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as exc:
+                majority_success(0.15, 10 ** 13 + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 80 sd + 80 terms, sd = sqrt(k p' (1 - p')): about 9e7 terms, 720 MB
+        got = re.fullmatch(
+            r"k = 10000000000001 needs a window of (\d+) binomial terms \((\d+) bytes per array\), "
+            r"above the cap of 16777216 terms",
+            str(exc.value),
+        )
+        assert got, str(exc.value)
+        terms, nbytes = int(got[1]), int(got[2])
+        assert terms == pytest.approx(80 * (10 ** 13 * 0.15 * 0.85) ** 0.5 + 80, abs=2)
+        assert nbytes == 8 * terms
+        assert peak < 10 ** 6
+
     def test_large_panel_nearly_certain(self):
         assert majority_success(0.4, 10 ** 4 + 1) > 0.999
 

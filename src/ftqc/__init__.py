@@ -18,14 +18,12 @@ _EXPORTS = {
     name: home
     for home, names in (
         ("errors", "errors"),
-        ("densmat", "DensityMatrix HermitianOperator effect_probability make_state"
-                    " pure_state trace_norm"),
-        ("channels", "Circuit Gate KrausChannel NoiseModel apply circuit_from_json"
+        ("densmat", "DensityMatrix HermitianOperator effect_probability make_state trace_norm"),
+        ("channels", "Circuit Gate KrausChannel NoiseModel circuit_from_json"
                      " compile_ideal compile_noisy evolve unitary_channel"),
-        ("kitaev", "OutcomeDistribution OverallComputation basis_encoding basis_readout"
-                   " computation_from_json"),
+        ("kitaev", "OverallComputation basis_encoding basis_readout computation_from_json"),
         ("qcc", "InputRecord LinkingMaps MixingCheck QccReport alpha_random_search"
-                " certify_combined_bound implementation_inaccuracy implemented_channel"
+                " certify_combined_bound implemented_channel"
                 " mix_error_state mixing_inaccuracy_bound_check"),
         ("ftcalc", "FtParams PlanResult TradeoffPoint circuit_failure epsilon_budget"
                    " logical_gate_error max_gate_error required_alpha required_levels"

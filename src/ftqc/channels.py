@@ -9,7 +9,8 @@ unitary is built, and depolarizing noise after it acts through its closed
 form.  ``compile_noisy`` evolves the full matrix-unit basis that way and
 reads the channel off its Choi matrix.  Any channel on dimension d has a
 Kraus representation with at most d**2 operators, and that is what the
-eigendecomposition of the Choi matrix returns.
+eigendecomposition of the Choi matrix returns.  The random search applies
+such a channel to blocks of pure vectors through ``_pure_outputs``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densmat import (
-    DensityMatrix,
     EIGENVALUE_ZERO_TOL,
     MAX_DIM,
     VALIDATION_TOL,
     _as_square_matrix,
+    _freeze,
     _is_json_number,
     _matrix_from_json,
 )
@@ -37,6 +38,10 @@ from .errors import (
 )
 
 MAX_QUBITS = 8
+
+# Largest d**4 complex matrix-unit stack compile_noisy builds: 268 MB at 6
+# qubits passes; 7 qubits (4.3 GB) and 8 (69 GB) are refused.
+COMPILE_STACK_CAP_BYTES = 2 ** 30
 
 _GATE_TABLE: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -63,27 +68,22 @@ class KrausChannel:
 
     Completeness sum(K+ K) = I must hold within Frobenius norm 1e-9 on the
     input dimension.  Operators may be rectangular (dim_out x dim_in) but
-    must all share one shape.
+    must all share one shape; they are kept as one read-only
+    (K, dim_out, dim_in) array.
     """
 
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
-        if len(self.kraus_ops) == 0:
+        ops = [np.asarray(k, dtype=complex) for k in self.kraus_ops]
+        if not ops:
             raise DimensionMismatchError("a channel needs at least one Kraus operator")
-        ops = []
-        shape = None
-        for k in self.kraus_ops:
-            m = np.asarray(k, dtype=complex)
+        shape = ops[0].shape
+        for m in ops:
             if m.ndim != 2:
                 raise DimensionMismatchError("Kraus operators must be 2-d matrices")
-            if shape is None:
-                shape = m.shape
-            elif m.shape != shape:
-                raise DimensionMismatchError(
-                    f"Kraus shapes differ: {m.shape} vs {shape}"
-                )
-            ops.append(m)
+            if m.shape != shape:
+                raise DimensionMismatchError(f"Kraus shapes differ: {m.shape} vs {shape}")
         if max(shape) > MAX_DIM:
             raise DimensionMismatchError(
                 f"Kraus dimension {max(shape)} exceeds the cap {MAX_DIM}"
@@ -95,20 +95,15 @@ class KrausChannel:
                 f"completeness defect {defect:.3e} exceeds {VALIDATION_TOL:.0e} "
                 "(sum K+K != I)"
             )
-        frozen = []
-        for m in ops:
-            c = m.copy()
-            c.flags.writeable = False
-            frozen.append(c)
-        object.__setattr__(self, "kraus_ops", tuple(frozen))
+        object.__setattr__(self, "kraus_ops", _freeze(np.stack(ops)))
 
     @property
     def dim_in(self) -> int:
-        return self.kraus_ops[0].shape[1]
+        return self.kraus_ops.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.kraus_ops.shape[1]
 
 
 @dataclass(frozen=True)
@@ -156,9 +151,7 @@ class Gate:
                 raise NotUnitaryError(
                     f"gate matrix unitarity defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}"
                 )
-            c = m.copy()
-            c.flags.writeable = False
-            object.__setattr__(self, "matrix", c)
+            object.__setattr__(self, "matrix", _freeze(m))
 
     def unitary(self) -> np.ndarray:
         return _GATE_TABLE[self.name] if self.name is not None else self.matrix
@@ -215,15 +208,11 @@ def unitary_channel(u) -> KrausChannel:
     return KrausChannel((m,))
 
 
-def apply(chan: KrausChannel, state: DensityMatrix) -> DensityMatrix:
-    """Apply the channel: sum_k K rho K+.  Output is validated as a state."""
-    if chan.dim_in != state.dim:
-        raise DimensionMismatchError(
-            f"channel expects dim {chan.dim_in}, state has dim {state.dim}"
-        )
-    ops = np.stack(chan.kraus_ops)
-    out = np.einsum("kab,bc,kdc->ad", ops, state.entries, ops.conj())
-    return DensityMatrix(out)
+def _pure_outputs(chan: KrausChannel, vectors: np.ndarray) -> np.ndarray:
+    """sum_k K |v><v| K+ for every row v of a (B, dim_in) block, as W W+
+    with the vectors K v for columns of W: K * d**2 work per state, not K * d**3."""
+    w = np.einsum("kab,tb->tak", chan.kraus_ops, vectors, optimize=True)
+    return w @ w.conj().swapaxes(1, 2)
 
 
 def _act(
@@ -319,17 +308,19 @@ def compile_noisy(circ: Circuit, noise: NoiseModel) -> KrausChannel:
     if noise.kind == "none" or noise.strength == 0.0 or not circ.gates:
         return compile_ideal(circ)
     d = circ.dim
+    if d ** 4 * 16 > COMPILE_STACK_CAP_BYTES:
+        raise DimensionMismatchError(
+            f"compiling {circ.num_qubits} noisy qubits needs a {d ** 4 * 16} byte "
+            f"matrix-unit stack, above the cap of {COMPILE_STACK_CAP_BYTES} bytes")
     # evolve the matrix units E_ij; row m = i*d + j of the identity
     stack = evolve(circ, noise, np.eye(d * d, dtype=complex).reshape(d * d, d, d))
     # Choi matrix with row index (i, a), column index (j, b)
     choi = stack.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     choi = (choi + choi.conj().T) / 2.0
     w, v = np.linalg.eigh(choi)
-    ops = []
-    for idx in range(d * d):
-        if w[idx] > EIGENVALUE_ZERO_TOL:
-            ops.append(np.sqrt(w[idx]) * v[:, idx].reshape(d, d).T)
-    return KrausChannel(tuple(ops))
+    keep = w > EIGENVALUE_ZERO_TOL
+    # eigenvector column c, reshaped to (d, d) and transposed, is one operator
+    return KrausChannel((v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, d, d).swapaxes(1, 2))
 
 
 def circuit_from_json(obj: dict) -> Circuit:

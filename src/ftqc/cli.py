@@ -38,11 +38,11 @@ def _load_json_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        raise ConfigError(f"malformed JSON in {path!r}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must contain a JSON object")
+        raise ConfigError(f"{path!r} must contain a JSON object")
     return obj
 
 
@@ -62,20 +62,22 @@ def _number(prm: dict, key: str) -> float:
     v = prm[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f'config key "{key}" must be a number, got {v!r}')
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # JSON integers are unbounded
+        raise ConfigError(f'config key "{key}" is beyond the float range') from None
 
 
 def _integer(prm: dict, key: str) -> int:
     if key not in prm:
         raise ConfigError(f'missing config key "{key}"')
     v = prm[key]
-    if isinstance(v, bool):
-        raise ConfigError(f'config key "{key}" must be an integer, got {v!r}')
-    if isinstance(v, int):
-        return v
     if isinstance(v, float) and v.is_integer():
         return int(v)
-    raise ConfigError(f'config key "{key}" must be an integer, got {v!r}')
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f'config key "{key}" must be an integer, got {v!r}')
+    _number(prm, key)  # refuses an integer beyond the float range
+    return v
 
 
 def _p_hat(prm: dict) -> float:
@@ -222,21 +224,19 @@ def _cmd_verify(run: RunConfig):
         raise ConfigError('missing config key "noise"')
     noise = _parse_noise(prm["noise"])
     link = qcc.LinkingMaps(ancilla_dim=_integer(prm, "ancilla_dim")) if "ancilla_dim" in prm else qcc.LinkingMaps()
-    report = qcc.certify_combined_bound(circ, noise, comp, link)
-    payload = report.to_dict()
+    search = prm.get("random_search_trials") is not None
+    if search:
+        # refuse an oversized search before certifying or compiling anything
+        trials = _integer(prm, "random_search_trials")
+        qcc._check_trials(trials)
+        channels = (qcc.implemented_channel(circ, noise, link), compile_ideal(circ))
+    payload = qcc.certify_combined_bound(circ, noise, comp).to_dict()
     # CSV: one row per input, the report-wide fields repeated on each row
     summary = {key: v for key, v in payload.items() if key != "per_input"}
     header = [*payload["per_input"][0], *summary]
     rows = [[*rec.values(), *summary.values()] for rec in payload["per_input"]]
-    if prm.get("random_search_trials") is not None:
-        trials = _integer(prm, "random_search_trials")
-        payload["alpha_random_search"] = qcc.alpha_random_search(
-            qcc.implemented_channel(circ, noise, link),
-            compile_ideal(circ),
-            link,
-            trials,
-            run.seed,
-        )
+    if search:
+        payload["alpha_random_search"] = qcc.alpha_random_search(*channels, link, trials, run.seed)
     return payload, header, rows
 
 
@@ -350,9 +350,13 @@ def main(argv=None) -> int:
     text = _emit_csv(header, rows) if run.output_format == "csv" else _emit_json(payload)
     if run.output_path is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(run.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"config error: cannot write {run.output_path!r}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,11 +1,12 @@
 """Validated density-operator primitives on dense complex matrices.
 
-Everything downstream (channels, computations, certification) goes through
-the two wrapper types defined here, so the validation tolerances live here
-too and are applied exactly once per construction.  No silent repair is
-performed: a matrix either passes validation as given or is rejected.
-Every matrix, gate matrices included, passes ``_as_square_matrix``, and
-every matrix read from a JSON config passes ``_matrix_from_json``.
+The tolerances live here with the one implementation of each check, and
+each check takes a (B, d, d) stack: certification and the random search
+check whole stacks of evolved outputs, the two wrapper types, ``trace_norm``
+and ``effect_probability`` a stack of one.  No silent repair is performed:
+a matrix either passes validation as given or is rejected.  Every matrix
+given to the package passes ``_as_square_matrix``, and every matrix read
+from a JSON config passes ``_matrix_from_json``.
 
 Norm convention: ``trace_norm`` is the plain Schatten 1-norm, the sum of
 absolute eigenvalues, with no factor 1/2.  Two orthogonal pure states are
@@ -15,7 +16,6 @@ at distance 2 under this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +52,7 @@ def _as_square_matrix(entries) -> np.ndarray:
         raise DimensionMismatchError(
             f"dimension {dim} exceeds the dense-simulation cap {MAX_DIM}"
         )
-    # NaN passes every `defect > tol` check downstream, so refuse it here
-    if not np.isfinite(m).all():
-        raise DomainError("matrix has a non-finite (nan or inf) entry")
+    _check_finite(m)
     return m
 
 
@@ -64,10 +62,13 @@ def _is_json_number(x, kinds=(int, float)) -> bool:
 
 
 def _complex_from_json(entry) -> complex:
-    if _is_json_number(entry):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_json_number, entry)):
-        return complex(entry[0], entry[1])
+    try:
+        if _is_json_number(entry):
+            return complex(entry)
+        if isinstance(entry, list) and len(entry) == 2 and all(map(_is_json_number, entry)):
+            return complex(entry[0], entry[1])
+    except OverflowError:
+        raise ConfigError("matrix entry is beyond the float range") from None
     raise ConfigError(f"matrix entry {entry!r} is neither a number nor [re, im]")
 
 
@@ -83,15 +84,66 @@ def _matrix_from_json(rows, what: str) -> np.ndarray:
     return np.array([[_complex_from_json(e) for e in row] for row in rows], dtype=complex)
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def _freeze(m: np.ndarray) -> np.ndarray:
     out = m.copy()
     out.flags.writeable = False
     return out
 
+
+# --- checks on (B, d, d) stacks; a failing stack reports its worst matrix ---
+
+def _check_finite(stack: np.ndarray) -> None:
+    # NaN passes every `defect > tol` check downstream, so refuse it first
+    if not np.isfinite(stack).all():
+        raise DomainError("matrix has a non-finite (nan or inf) entry")
+
+
+def _check_hermitian(stack: np.ndarray) -> None:
+    _check_finite(stack)
+    # |M - M+| entrywise from real temporaries, half the size of complex ones
+    re, im = stack.real, stack.imag
+    gap = re - re.swapaxes(1, 2)
+    defect = np.hypot(gap, im + im.swapaxes(1, 2), out=gap).max()
+    if defect > VALIDATION_TOL:
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}")
+
+
+def _check_states(stack: np.ndarray) -> None:
+    """Every matrix is Hermitian, of unit trace and positive semidefinite."""
+    _check_hermitian(stack)
+    tr = np.trace(stack, axis1=1, axis2=2)
+    i = np.argmax(np.abs(tr - 1.0))
+    if abs(tr[i] - 1.0) > VALIDATION_TOL:
+        raise NotUnitTraceError(f"trace is {complex(tr[i]):.12g}, expected 1")
+    lo = np.linalg.eigvalsh(stack)[:, 0].min()
+    if lo < -VALIDATION_TOL:
+        raise NotPositiveError(f"smallest eigenvalue {lo:.3e} below -{VALIDATION_TOL:.0e}")
+
+
+def _check_effects(effects: np.ndarray) -> None:
+    """Every matrix of a Hermitian stack has its spectrum in [0, 1]."""
+    eigs = np.linalg.eigvalsh(effects)
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    i = np.argmax(np.maximum(-lo, hi - 1.0))
+    if lo[i] < -VALIDATION_TOL or hi[i] > 1.0 + VALIDATION_TOL:
+        raise NotAnEffectError(f"effect spectrum [{lo[i]:.3e}, {hi[i]:.3e}] leaves [0, 1]")
+
+
+def _readout(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """(B, Y) probabilities tr(E_y rho_b), clamped to [0, 1] against round-off."""
+    p = np.einsum("yij,bji->by", effects, states, optimize=True).real
+    # maximum(p, 0.0), unlike clip, reads -0.0 as 0.0
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Schatten 1-norms of a Hermitian stack, |eigenvalues| < EIGENVALUE_ZERO_TOL flushed."""
+    _check_hermitian(stack)
+    eigs = np.linalg.eigvalsh(stack)
+    return np.abs(np.where(np.abs(eigs) < EIGENVALUE_ZERO_TOL, 0.0, eigs)).sum(axis=1)
+
+
+# --- one-matrix wrappers -------------------------------------------------------
 
 @dataclass(frozen=True)
 class HermitianOperator:
@@ -101,22 +153,12 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = _as_square_matrix(self.entries)
-        defect = _hermiticity_defect(m)
-        if defect > VALIDATION_TOL:
-            raise NotHermitianError(
-                f"Hermiticity defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}"
-            )
+        _check_hermitian(m[np.newaxis])
         object.__setattr__(self, "entries", _freeze(m))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @cached_property
-    def spectrum_range(self) -> tuple[float, float]:
-        """Smallest and largest eigenvalue, computed once per operator."""
-        eigs = np.linalg.eigvalsh(self.entries)
-        return float(eigs[0]), float(eigs[-1])
 
 
 @dataclass(frozen=True)
@@ -132,19 +174,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_square_matrix(self.entries)
-        defect = _hermiticity_defect(m)
-        if defect > VALIDATION_TOL:
-            raise NotHermitianError(
-                f"Hermiticity defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}"
-            )
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > VALIDATION_TOL:
-            raise NotUnitTraceError(f"trace is {tr:.12g}, expected 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -VALIDATION_TOL:
-            raise NotPositiveError(
-                f"smallest eigenvalue {lo:.3e} below -{VALIDATION_TOL:.0e}"
-            )
+        _check_states(m[np.newaxis])
         object.__setattr__(self, "entries", _freeze(m))
 
     @property
@@ -155,17 +185,6 @@ class DensityMatrix:
 def make_state(entries) -> DensityMatrix:
     """Construct a DensityMatrix from anything array-like, with full validation."""
     return DensityMatrix(np.asarray(entries, dtype=complex))
-
-
-def pure_state(amplitudes) -> DensityMatrix:
-    """Rank-1 state |v><v| from a normalized amplitude vector."""
-    v = np.asarray(amplitudes, dtype=complex)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"amplitude vector must be 1-d, got shape {v.shape}")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > VALIDATION_TOL:
-        raise NotUnitTraceError(f"amplitude vector has norm {nrm:.12g}, expected 1")
-    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def trace_norm(op) -> float:
@@ -179,13 +198,8 @@ def trace_norm(op) -> float:
     Note the convention: no factor 1/2.  Orthogonal pure states are at
     distance 2.
     """
-    if isinstance(op, (HermitianOperator, DensityMatrix)):
-        m = op.entries
-    else:
-        m = HermitianOperator(op).entries
-    eigs = np.linalg.eigvalsh(m)
-    eigs = np.where(np.abs(eigs) < EIGENVALUE_ZERO_TOL, 0.0, eigs)
-    return float(np.sum(np.abs(eigs)))
+    m = op.entries if isinstance(op, (HermitianOperator, DensityMatrix)) else op
+    return float(_trace_norms(_as_square_matrix(m)[np.newaxis])[0])
 
 
 def effect_probability(state: DensityMatrix, effect: HermitianOperator) -> float:
@@ -198,8 +212,6 @@ def effect_probability(state: DensityMatrix, effect: HermitianOperator) -> float
         raise DimensionMismatchError(
             f"effect dim {effect.dim} does not match state dim {state.dim}"
         )
-    lo, hi = effect.spectrum_range
-    if lo < -VALIDATION_TOL or hi > 1.0 + VALIDATION_TOL:
-        raise NotAnEffectError(f"effect spectrum [{lo:.3e}, {hi:.3e}] leaves [0, 1]")
-    p = float(np.real(np.trace(effect.entries @ state.entries)))
-    return min(1.0, max(0.0, p))
+    e = effect.entries[np.newaxis]
+    _check_effects(e)
+    return float(_readout(state.entries[np.newaxis], e)[0, 0])

@@ -198,6 +198,10 @@ def _min_level(eps0: float, eps_th: float, gate_count: int, budget: float,
                 f"eps0 {eps0:.6g} is at or above threshold {eps_th:.6g} "
                 "and level 0 misses the budget; concatenation cannot reduce the error"
             )
+    if math.log(eps0) == math.log(eps_th):  # tested here only, off the loop
+        raise AboveThresholdError(
+            f"eps0 {eps0!r} is within float rounding of the threshold {eps_th!r}: their "
+            "logarithms are equal, so no level of concatenation lowers the error")
     raise CapExceededError(
         f"no level up to {LEVEL_CAP} meets the budget {budget:.6g}; "
         "this cannot happen for eps0 < eps_th and guards broken numerics"
@@ -220,7 +224,8 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
         return eth
     if levels == 0:
         return budget / gate_count
-    log_ratio = (math.log(budget) - math.log(gate_count) - math.log(eth)) / 2.0 ** levels
+    # ldexp divides by 2**levels without overflowing at levels >= 1024
+    log_ratio = math.ldexp(math.log(budget) - math.log(gate_count) - math.log(eth), -levels)
     return math.exp(math.log(eth) + log_ratio)
 
 

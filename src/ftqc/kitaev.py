@@ -23,7 +23,6 @@ from .densmat import (
 )
 from .errors import (
     BadBitstringError,
-    BadProbabilityError,
     ConfigError,
     DimensionMismatchError,
     NotAnEffectError,
@@ -154,22 +153,6 @@ class OverallComputation:
     @property
     def dim(self) -> int:
         return next(iter(self.init.values())).dim
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Readout probabilities for one input; must sum to 1 within 1e-9."""
-
-    probabilities: dict[str, float]
-
-    def __post_init__(self):
-        probs = dict(self.probabilities)
-        object.__setattr__(self, "probabilities", probs)
-        total = sum(probs.values())
-        if abs(total - 1.0) > VALIDATION_TOL:
-            raise BadProbabilityError(
-                f"outcome probabilities sum to {total:.12g}, expected 1"
-            )
 
 
 def computation_from_json(obj: dict) -> OverallComputation:

@@ -9,30 +9,43 @@ circuit.  Its maximum alpha over a computation's input states combines with
 the intrinsic failure bound p into a per-input failure bound p + alpha.
 That combined bound is a theorem: if an instance violates it the numerics
 are broken, so the check raises instead of reporting a false flag.
+Certification and the random search check and measure whole stacks of
+output states, never one state object at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Circuit, KrausChannel, NoiseModel, apply, compile_noisy, evolve
-from .densmat import DensityMatrix, effect_probability, pure_state, trace_norm
+from .channels import Circuit, KrausChannel, NoiseModel, _pure_outputs, compile_noisy, evolve
+from .densmat import (
+    VALIDATION_TOL,
+    DensityMatrix,
+    _check_effects,
+    _check_states,
+    _readout,
+    _trace_norms,
+    trace_norm,
+)
 from .errors import (
     BadProbabilityError,
     DimensionMismatchError,
     DomainError,
     TheoremViolationError,
 )
-from .kitaev import OutcomeDistribution, OverallComputation
+from .kitaev import OverallComputation
 
 # Absolute slack on the favorable side of every bound check in this module.
 BOUND_SLACK = 1e-9
 
 # Largest trial count alpha_random_search accepts (10**9 trials would run for years).
 SEARCH_TRIAL_CAP = 10 ** 5
+
+# Trials alpha_random_search pushes through the channels at once.
+SEARCH_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -89,21 +102,7 @@ class QccReport:
 
     def to_dict(self) -> dict:
         """JSON-ready form, fields in declaration order."""
-        return {
-            "per_input": [
-                {
-                    "x": r.x,
-                    "ideal_success": r.ideal_success,
-                    "actual_success": r.actual_success,
-                    "inaccuracy_x": r.inaccuracy_x,
-                }
-                for r in self.per_input
-            ],
-            "alpha": self.alpha,
-            "p": self.p,
-            "bound_holds": self.bound_holds,
-            "worst_margin": self.worst_margin,
-        }
+        return asdict(self)
 
 
 class MixingCheck(NamedTuple):
@@ -112,21 +111,11 @@ class MixingCheck(NamedTuple):
     holds: bool
 
 
-def implementation_inaccuracy(
-    P: KrausChannel, G: KrausChannel, link: LinkingMaps, rho: DensityMatrix
-) -> float:
-    """Trace-norm gap between the implemented and ideal outputs at one state."""
-    if G.dim_in != rho.dim:
-        raise DimensionMismatchError(
-            f"ideal channel expects dim {G.dim_in}, state has dim {rho.dim}"
-        )
-    if P.dim_in != rho.dim:
-        raise DimensionMismatchError(
-            f"implemented channel expects dim {P.dim_in}, state has dim {rho.dim}"
-        )
-    actual = apply(P, rho)
-    ideal = apply(G, rho)
-    return trace_norm(actual.entries - ideal.entries)
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if trials > SEARCH_TRIAL_CAP:
+        raise DomainError(f"trials = {trials} exceeds the cap of {SEARCH_TRIAL_CAP}")
 
 
 def alpha_random_search(
@@ -138,20 +127,25 @@ def alpha_random_search(
     alpha, never used in the certified bound.  Counter-based generator keyed
     by (seed, trial) so serial and parallel evaluation orders agree.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if trials > SEARCH_TRIAL_CAP:
-        raise DomainError(f"trials = {trials} exceeds the cap of {SEARCH_TRIAL_CAP}")
+    _check_trials(trials)
     dim = G.dim_in
+    if P.dim_in != dim:
+        raise DimensionMismatchError(
+            f"implemented channel expects dim {P.dim_in}, ideal channel dim {dim}"
+        )
     key_hi = int(seed) % (2 ** 64)
     worst = 0.0
-    for t in range(trials):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([key_hi, t], dtype=np.uint64))
-        )
-        v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-        v = v / np.linalg.norm(v)
-        worst = max(worst, implementation_inaccuracy(P, G, link, pure_state(v)))
+    for start in range(0, trials, SEARCH_BLOCK):
+        block = range(start, min(start + SEARCH_BLOCK, trials))
+        vectors = np.empty((len(block), dim), dtype=complex)
+        for row, t in enumerate(block):
+            gen = np.random.Generator(np.random.Philox(key=np.array([key_hi, t], dtype=np.uint64)))
+            v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+            vectors[row] = v / np.linalg.norm(v)
+        actual, ideal = _pure_outputs(P, vectors), _pure_outputs(G, vectors)
+        for outputs in (actual, ideal):
+            _check_states(outputs)
+        worst = max(worst, float(_trace_norms(actual - ideal).max()))
     return worst
 
 
@@ -162,61 +156,42 @@ def implemented_channel(
     return compile_noisy(circ, noise)
 
 
-def _evolve_inputs(
+def certify_combined_bound(
     circ: Circuit, noise: NoiseModel, comp: OverallComputation
-) -> dict[str, DensityMatrix]:
-    """Every input state pushed through the noisy circuit in one batch."""
+) -> QccReport:
+    """Run the full certification for one computation under one noise model.
+
+    The input states are evolved as one stack through the ideal circuit and
+    once through the noisy one.  p comes from the ideal outcome distributions,
+    alpha from the trace distance between the two outputs of every input,
+    and each input's actual failure probability is checked against p + alpha.
+    The inequality holds by theorem; a violation beyond the 1e-9 slack raises
+    TheoremViolationError instead of returning a report.
+    """
     if circ.dim != comp.dim:
         raise DimensionMismatchError(
             f"circuit dim {circ.dim} does not match computation dim {comp.dim}"
         )
-    outs = evolve(circ, noise, np.stack([comp.init[x].entries for x in comp.inputs]))
-    return {x: DensityMatrix(out) for x, out in zip(comp.inputs, outs)}
-
-
-def _success_probabilities(
-    outputs: dict[str, DensityMatrix], comp: OverallComputation
-) -> dict[str, float]:
-    """Pr_x(F(x)) for every input, read through the full outcome distribution."""
-    return {
-        x: OutcomeDistribution(
-            {y: effect_probability(outputs[x], comp.povm[y]) for y in comp.outputs}
-        ).probabilities[comp.truth_table[x]]
-        for x in comp.inputs
-    }
-
-
-def certify_combined_bound(
-    circ: Circuit,
-    noise: NoiseModel,
-    comp: OverallComputation,
-    link: LinkingMaps = LinkingMaps(),
-) -> QccReport:
-    """Run the full certification for one computation under one noise model.
-
-    The input states are evolved once through the ideal circuit and once
-    through the noisy one.  p comes from the ideal outputs, alpha from the
-    trace distance between the two outputs of every input, and each input's
-    actual failure probability is checked against p + alpha.  The
-    inequality holds by theorem; a violation beyond the 1e-9 slack raises
-    TheoremViolationError instead of returning a report.
-    """
-    ideal_outs = _evolve_inputs(circ, NoiseModel(kind="none"), comp)
-    actual_outs = _evolve_inputs(circ, noise, comp)
-    ideal_success = _success_probabilities(ideal_outs, comp)
-    p = max(1.0 - s for s in ideal_success.values())
-    records = []
-    for x in comp.inputs:
-        effect = comp.povm[comp.truth_table[x]]
-        ideal_out, actual_out = ideal_outs[x], actual_outs[x]
-        records.append(
-            InputRecord(
-                x=x,
-                ideal_success=ideal_success[x],
-                actual_success=effect_probability(actual_out, effect),
-                inaccuracy_x=trace_norm(actual_out.entries - ideal_out.entries),
-            )
-        )
+    inputs = np.stack([comp.init[x].entries for x in comp.inputs])
+    ideal = evolve(circ, NoiseModel(kind="none"), inputs)
+    _check_states(ideal)
+    actual = evolve(circ, noise, inputs)
+    _check_states(actual)
+    effects = np.stack([comp.povm[y].entries for y in comp.outputs])
+    _check_effects(effects)
+    ideal_probs = _readout(ideal, effects)
+    totals = ideal_probs.sum(axis=1)
+    i = np.argmax(np.abs(totals - 1.0))
+    if abs(totals[i] - 1.0) > VALIDATION_TOL:
+        raise BadProbabilityError(f"outcome probabilities sum to {totals[i]:.12g}, expected 1")
+    # each input succeeds with the probability of its truth-table outcome
+    want = [comp.outputs.index(comp.truth_table[x]) for x in comp.inputs]
+    cells = (np.arange(len(want)), want)
+    ideal_success = ideal_probs[cells].tolist()
+    actual_success = _readout(actual, effects)[cells].tolist()
+    inaccuracy = _trace_norms(actual - ideal).tolist()
+    records = [InputRecord(*row) for row in zip(comp.inputs, ideal_success, actual_success, inaccuracy)]
+    p = max(1.0 - r.ideal_success for r in records)
     alpha = max(r.inaccuracy_x for r in records)
     for r in records:
         failure = 1.0 - r.actual_success

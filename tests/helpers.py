@@ -110,6 +110,24 @@ def loop_apply(kraus_ops, mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def random_search_oracle(P, G, trials: int, seed: int) -> float:
+    """alpha_random_search one trial at a time: the same Philox draw keyed by
+    (seed, trial), the pure state through both channels' Kraus operators by
+    loop_apply, and the gap measured by the SVD trace norm."""
+    dim = G.dim_in
+    worst = 0.0
+    for t in range(trials):
+        gen = np.random.Generator(
+            np.random.Philox(key=np.array([int(seed) % 2 ** 64, t], dtype=np.uint64))
+        )
+        v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+        v = v / np.linalg.norm(v)
+        rho = np.outer(v, v.conj())
+        gap = loop_apply(P.kraus_ops, rho) - loop_apply(G.kraus_ops, rho)
+        worst = max(worst, svd_trace_norm(gap))
+    return worst
+
+
 def embed_oracle(g: np.ndarray, targets, n: int) -> np.ndarray:
     """Expand a k-qubit operator to n qubits by explicit bit manipulation."""
     targets = tuple(targets)

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -54,6 +55,24 @@ VOTE_GOLDEN_JSON = """\
   "success_probability": 0.93925
 }
 """
+
+
+def ladder_verify_cfg(n, **extra):
+    """verify on an n-qubit H + CNOT ladder, one basis input, full readout."""
+    gates = [{"name": "H", "targets": [0]}]
+    gates += [{"name": "CNOT", "targets": [q, q + 1]} for q in range(n - 1)]
+    labels = [format(i, f"0{n}b") for i in range(2 ** n)]
+    return {
+        "circuit": {"num_qubits": n, "gates": gates},
+        "computation": {
+            "inputs": [labels[0]],
+            "outputs": labels,
+            "truth_table": {labels[0]: labels[0]},
+            "povm": "computational_basis",
+        },
+        "noise": {"kind": "depolarizing", "strength": 0.01},
+        **extra,
+    }
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -122,6 +141,14 @@ class TestPlan:
         assert code == 1
         assert "threshold" in err
 
+    def test_within_rounding_of_threshold_exits_one(self, tmp_path, capsys):
+        argv = ["plan", "--config", write_cfg(tmp_path, PLAN_CFG), "--eps0", "9.999999999999999e-10"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: eps0 9.999999999999999e-10 is within float rounding")
+        assert err.count("\n") == 1
+
     def test_out_flag_writes_file_and_keeps_stdout_quiet(self, tmp_path, capsys):
         dest = tmp_path / "result.json"
         code, out, _ = run_cli(
@@ -175,6 +202,12 @@ class TestTradeoff:
         code, _, err = run_cli(capsys, ["tradeoff", "--config", write_cfg(tmp_path, cfg)])
         assert code == 1
         assert "threshold" in err
+
+    def test_grid_within_rounding_of_threshold_gets_sentinel_rows(self, tmp_path, capsys):
+        cfg = dict(self.CFG, eps0_min=9.999999999999999e-10, points=2)
+        code, out, _ = run_cli(capsys, ["tradeoff", "--config", write_cfg(tmp_path, cfg)])
+        assert code == 0
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["-1", "-1"]
 
     def test_oversized_grid_exits_one(self, tmp_path, capsys):
         cfg = dict(self.CFG, points=10 ** 15)
@@ -230,6 +263,35 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == "error: trials = 1000000000 exceeds the cap of 100000\n"
+
+    def test_oversized_search_on_five_qubits_exits_before_certifying(self, tmp_path, capsys):
+        cfg = ladder_verify_cfg(5, random_search_trials=10 ** 9)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert time.perf_counter() - started < 0.5
+        assert (code, out) == (1, "")
+        assert err == "error: trials = 1000000000 exceeds the cap of 100000\n"
+
+    def test_search_too_wide_to_compile_exits_one(self, tmp_path):
+        # a refusal that went missing would allocate the 4.3 GB stack; the
+        # address-space limit turns that into a quick MemoryError instead
+        cfg = write_cfg(tmp_path, ladder_verify_cfg(7, random_search_trials=10))
+        code = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
+sys.path.insert(0, {str(ROOT / "src")!r})
+from ftqc import cli
+sys.exit(cli.main(["verify", "--config", {cfg!r}]))
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert (done.returncode, done.stdout) == (1, ""), done.stderr
+        assert done.stderr == (
+            "error: compiling 7 noisy qubits needs a 4294967296 byte matrix-unit stack, "
+            "above the cap of 1073741824 bytes\n"
+        )
 
     def test_seed_flag_beats_config_and_env(self, tmp_path, capsys, monkeypatch):
         cfg = dict(VERIFY_CFG, random_search_trials=5, seed=1)

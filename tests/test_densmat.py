@@ -9,7 +9,6 @@ from ftqc import (
     HermitianOperator,
     effect_probability,
     make_state,
-    pure_state,
     trace_norm,
 )
 from ftqc.errors import (
@@ -77,10 +76,6 @@ class TestValidation:
         m[1, 1] = bad
         with pytest.raises(DomainError, match="non-finite"):
             build(m)
-
-    def test_pure_state_needs_unit_norm(self):
-        with pytest.raises(NotUnitTraceError):
-            pure_state([1.0, 1.0])
 
 
 class TestTraceNorm:

@@ -184,6 +184,13 @@ class TestRequiredLevels:
         with pytest.raises(AboveThresholdError):
             plan(1e-9)
 
+    def test_within_rounding_of_threshold_rejected(self):
+        # a few ulps below eps_th the logarithms agree, so no level helps
+        eps0 = 9.999999999999999e-10
+        assert eps0 < 1e-9 and math.log(eps0) == math.log(1e-9)
+        with pytest.raises(AboveThresholdError, match="within float rounding"):
+            plan(eps0)
+
     def test_at_threshold_fine_when_level_zero_suffices(self):
         result = required_levels(
             FtParams(eps0=1e-9, eps_th=1e-9, gate_count=100, p=0.2, p_hat=0.4)
@@ -288,6 +295,11 @@ class TestTradeoffCurve:
         assert len(curve) == 2
         assert curve[0].eps0 == pytest.approx(1e-11, rel=1e-12)
         assert curve[1].levels >= curve[0].levels
+
+    def test_grid_within_rounding_of_threshold_marks_rows(self):
+        curve = tradeoff_curve(9.999999999999999e-10, 1e-9, 3, **CAPTION)
+        assert [r.levels for r in curve] == [-1, -1, -1]
+        assert all(math.isnan(r.eps_qc) for r in curve)
 
     def test_grid_is_deterministic(self):
         a = tradeoff_curve(1e-13, 1e-9, 25, **CAPTION)

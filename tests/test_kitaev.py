@@ -4,8 +4,8 @@ import pytest
 from ftqc import (
     Circuit,
     Gate,
+    HermitianOperator,
     NoiseModel,
-    OutcomeDistribution,
     OverallComputation,
     basis_encoding,
     basis_readout,
@@ -122,10 +122,14 @@ class TestOverallComputation:
 
 class TestOutcomeDistribution:
     def test_probabilities_sum_to_one(self):
-        dist = OutcomeDistribution({"0": 0.25, "1": 0.75})
-        assert dist.probabilities == {"0": 0.25, "1": 0.75}
-        with pytest.raises(BadProbabilityError):
-            OutcomeDistribution({"0": 0.25, "1": 0.5})
+        # certification reads every input's whole outcome distribution and
+        # refuses one that does not sum to 1; the POVM is emptied of one
+        # effect after the computation has validated it
+        comp = parity_computation()
+        assert report([]).per_input[1].ideal_success == 1.0
+        comp.povm["1"] = HermitianOperator(np.zeros((2, 2)))
+        with pytest.raises(BadProbabilityError, match="sum to 0, expected 1"):
+            certify_combined_bound(Circuit(num_qubits=1), NoiseModel(kind="none"), comp)
 
 
 def report(gates, noise=NoiseModel(kind="none")):

@@ -14,23 +14,22 @@ from ftqc import (
     NoiseModel,
     QccReport,
     alpha_random_search,
-    apply,
     basis_encoding,
     basis_readout,
     certify_combined_bound,
     compile_ideal,
     compile_noisy,
-    implementation_inaccuracy,
     implemented_channel,
     make_state,
     mix_error_state,
     mixing_inaccuracy_bound_check,
-    pure_state,
 )
 from ftqc.errors import (
     BadProbabilityError,
     DimensionMismatchError,
     DomainError,
+    NotHermitianError,
+    NotUnitTraceError,
     TheoremViolationError,
 )
 from ftqc.kitaev import OverallComputation
@@ -54,15 +53,24 @@ def identity_circuit(n=1):
     return Circuit(num_qubits=n, gates=[Gate(name="I", targets=(0,))])
 
 
+def ladder(n):
+    """H on qubit 0, a CNOT ladder down the register, then T on every qubit."""
+    gates = [Gate(name="H", targets=(0,))]
+    gates += [Gate(name="CNOT", targets=(q, q + 1)) for q in range(n - 1)]
+    gates += [Gate(name="T", targets=(q,)) for q in range(n)]
+    return Circuit(num_qubits=n, gates=gates)
+
+
 class TestLinkingMaps:
     def test_trivial_link_is_identity_both_ways(self):
         # the implemented channel acts on the logical register itself
         noise = NoiseModel(kind="depolarizing", strength=0.3)
         P = implemented_channel(identity_circuit(), noise, LinkingMaps())
         assert P.dim_in == P.dim_out == 2
-        rho = make_state(helpers.ginibre_density(2, np.random.default_rng(31)))
+        rho = helpers.ginibre_density(2, np.random.default_rng(31))
         np.testing.assert_array_equal(
-            apply(P, rho).entries, apply(compile_noisy(identity_circuit(), noise), rho).entries
+            helpers.loop_apply(P.kraus_ops, rho),
+            helpers.loop_apply(compile_noisy(identity_circuit(), noise).kraus_ops, rho),
         )
 
     def test_rejects_bad_ancilla_dim(self):
@@ -73,31 +81,37 @@ class TestLinkingMaps:
 class TestImplementationInaccuracy:
     def test_depolarized_identity_on_basis_state(self):
         # frozen: ||dep_0.3(|0><0|) - |0><0|||_1 = 0.3
-        P = implemented_channel(identity_circuit(), NoiseModel(kind="depolarizing", strength=0.3))
-        G = compile_ideal(identity_circuit())
-        gap = implementation_inaccuracy(P, G, LinkingMaps(), GROUND)
-        assert gap == pytest.approx(0.3, abs=1e-12)
+        comp = OverallComputation(
+            inputs=("0",),
+            outputs=("0", "1"),
+            truth_table={"0": "0"},
+            init=basis_encoding(1, ["0"]),
+            povm=basis_readout(1),
+        )
+        report = certify_combined_bound(
+            identity_circuit(), NoiseModel(kind="depolarizing", strength=0.3), comp
+        )
+        assert report.per_input[0].inaccuracy_x == pytest.approx(0.3, abs=1e-12)
 
     def test_noiseless_channel_has_zero_gap(self):
         P = implemented_channel(identity_circuit(), NoiseModel(kind="none"))
         G = compile_ideal(identity_circuit())
-        assert implementation_inaccuracy(P, G, LinkingMaps(), GROUND) <= 1e-12
+        assert alpha_random_search(P, G, LinkingMaps(), trials=10, seed=0) <= 1e-12
 
     def test_dimension_checks(self):
-        P = implemented_channel(identity_circuit(), NoiseModel(kind="none"))
+        P = implemented_channel(identity_circuit(2), NoiseModel(kind="none"))
         G = compile_ideal(identity_circuit())
         with pytest.raises(DimensionMismatchError):
-            implementation_inaccuracy(P, G, LinkingMaps(), make_state(np.eye(4) / 4.0))
+            alpha_random_search(P, G, LinkingMaps(), trials=1, seed=0)
 
     def test_every_pure_state_sees_the_same_depolarizing_gap(self):
-        # for the identity circuit, dep(lam) shifts any pure state by exactly lam
+        # for the identity circuit, dep(lam) shifts any pure state by exactly
+        # lam; one trial per seed measures one Haar-random state
         lam = 0.4
         P = implemented_channel(identity_circuit(), NoiseModel(kind="depolarizing", strength=lam))
         G = compile_ideal(identity_circuit())
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            psi = pure_state(helpers.haar_pure_vector(2, rng))
-            gap = implementation_inaccuracy(P, G, LinkingMaps(), psi)
+        for seed in range(10):
+            gap = alpha_random_search(P, G, LinkingMaps(), trials=1, seed=seed)
             assert gap == pytest.approx(lam, abs=1e-12)
 
 
@@ -141,6 +155,28 @@ class TestAlpha:
         b = alpha_random_search(P, G, LinkingMaps(), trials=20, seed=2)
         assert a == pytest.approx(b, abs=1e-9)
         assert a == pytest.approx(0.3, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_search_matches_per_trial_oracle(self, n):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(3):
+            while True:
+                circ, noise, _ = helpers.random_instance(rng)
+                if circ.num_qubits == n:
+                    break
+            P, G = implemented_channel(circ, noise), compile_ideal(circ)
+            seed = int(rng.integers(0, 2 ** 32))
+            want = helpers.random_search_oracle(P, G, 37, seed)
+            got = alpha_random_search(P, G, LinkingMaps(), trials=37, seed=seed)
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_random_search_on_four_qubit_ladder_is_fast(self):
+        circ = ladder(4)
+        start = time.perf_counter()
+        P = implemented_channel(circ, NoiseModel(kind="depolarizing", strength=0.01))
+        alpha = alpha_random_search(P, compile_ideal(circ), LinkingMaps(), trials=200, seed=0)
+        assert time.perf_counter() - start < 2.0
+        assert 0.0 < alpha <= 2.0
 
     def test_random_search_rejects_zero_trials(self):
         P = implemented_channel(identity_circuit(), NoiseModel(kind="none"))
@@ -193,26 +229,17 @@ class TestCertify:
 
     def test_nontrivial_ancilla_matches_trivial_one(self):
         # widening by an ancilla the circuit ignores must not change the physics
+        noise = NoiseModel(kind="depolarizing", strength=0.3)
+        G = compile_ideal(identity_circuit())
         link = LinkingMaps(ancilla_dim=2)
-        base = certify_combined_bound(
-            identity_circuit(), NoiseModel(kind="depolarizing", strength=0.3), identity_parity()
-        )
-        wide = certify_combined_bound(
-            identity_circuit(),
-            NoiseModel(kind="depolarizing", strength=0.3),
-            identity_parity(),
-            link,
-        )
-        assert wide.alpha == pytest.approx(base.alpha, abs=1e-12)
-        assert wide.worst_margin == pytest.approx(base.worst_margin, abs=1e-12)
+        base = alpha_random_search(implemented_channel(identity_circuit(), noise), G, LinkingMaps(), 20, 7)
+        wide = alpha_random_search(implemented_channel(identity_circuit(), noise, link), G, link, 20, 7)
+        assert wide == pytest.approx(base, abs=1e-12)
 
     def test_six_qubit_ladder_all_basis_inputs(self):
         # H + CNOT ladder and a T layer on 6 qubits, every basis input
         n, lam = 6, 0.01
-        gates = [Gate(name="H", targets=(0,))]
-        gates += [Gate(name="CNOT", targets=(q, q + 1)) for q in range(n - 1)]
-        gates += [Gate(name="T", targets=(q,)) for q in range(n)]
-        circ = Circuit(num_qubits=n, gates=gates)
+        circ = ladder(n)
         inputs = [format(i, f"0{n}b") for i in range(2 ** n)]
         comp = OverallComputation(
             inputs=tuple(inputs),
@@ -257,15 +284,45 @@ class TestCertify:
         eigvalsh = np.linalg.eigvalsh
 
         def counting_eigvalsh(a, *args, **kwargs):
-            for i, e in enumerate(effects):
-                checks[i] += a is e
+            # a stack of matrices; output states have trace 1, these effects 4
+            for m in np.reshape(a, (-1,) + effects[0].shape):
+                for i, e in enumerate(effects):
+                    checks[i] += np.array_equal(m, e)
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         circ = Circuit(num_qubits=n, gates=gates)
-        for _ in range(2):
+        for runs in (1, 2):
             certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=0.05), comp)
-        assert checks == [1, 1]
+            assert checks == [runs, runs]
+
+    @pytest.mark.parametrize(
+        "corrupt, error, message",
+        [
+            (lambda m: m.__setitem__((0, 0), np.nan), DomainError, "non-finite"),
+            (lambda m: m.__setitem__((0, 1), m[0, 1] + 0.5), NotHermitianError, "Hermiticity"),
+            (lambda m: m.__imul__(2.0), NotUnitTraceError, "trace is 2"),
+        ],
+        ids=["nan", "non_hermitian", "trace_two"],
+    )
+    def test_evolved_outputs_are_checked_as_states(self, monkeypatch, corrupt, error, message):
+        # one output of the noisy stack goes bad; certification must refuse
+        # it with the error class a one-matrix DensityMatrix raises
+        import ftqc.qcc
+
+        evolve = ftqc.qcc.evolve
+
+        def corrupted_evolve(circ, noise, states):
+            out = evolve(circ, noise, states)
+            if noise.kind != "none":
+                corrupt(out[1])
+            return out
+
+        monkeypatch.setattr(ftqc.qcc, "evolve", corrupted_evolve)
+        with pytest.raises(error, match=message):
+            certify_combined_bound(
+                identity_circuit(2), NoiseModel(kind="depolarizing", strength=0.1), identity_parity(2)
+            )
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)

@@ -1,7 +1,6 @@
 """Resource planner and empirical verifier for fault-tolerant quantum
-computations: density-operator simulation, channel compilation, combined
-failure-bound certification, concatenation-level planning, and
-majority-vote analysis.
+computations: density-operator simulation, combined failure-bound
+certification, concatenation-level planning, and majority-vote analysis.
 
 Every public name is imported from its home module on first use (PEP 562),
 so `import ftqc` loads no submodule, and the planner (`ftcalc`, `vote`)
@@ -19,8 +18,7 @@ _EXPORTS = {
     for home, names in (
         ("errors", "errors"),
         ("densmat", "DensityMatrix HermitianOperator effect_probability make_state trace_norm"),
-        ("channels", "Circuit Gate KrausChannel NoiseModel circuit_from_json"
-                     " compile_ideal compile_noisy evolve unitary_channel"),
+        ("channels", "Circuit Gate NoiseModel circuit_from_json compile_ideal evolve"),
         ("kitaev", "OverallComputation basis_encoding basis_readout computation_from_json"),
         ("qcc", "InputRecord LinkingMaps MixingCheck QccReport alpha_random_search"
                 " certify_combined_bound implemented_channel"

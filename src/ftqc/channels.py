@@ -1,4 +1,4 @@
-"""Quantum channels in Kraus form, gates, circuits and noisy evolution.
+"""Gates, circuits, noise models and noisy evolution.
 
 Tensor conventions match densmat: qubit 0 is the leftmost, most significant
 factor, so the basis index of a bitstring is int(bits, 2).
@@ -6,11 +6,8 @@ factor, so the basis index of a bitstring is int(bits, 2).
 ``evolve`` is the one path that pushes operators through a noisy circuit.
 Each gate acts by a tensordot on its own target axes, so no full-register
 unitary is built, and depolarizing noise after it acts through its closed
-form.  ``compile_noisy`` evolves the full matrix-unit basis that way and
-reads the channel off its Choi matrix.  Any channel on dimension d has a
-Kraus representation with at most d**2 operators, and that is what the
-eigendecomposition of the Choi matrix returns.  The random search applies
-such a channel to blocks of pure vectors through ``_pure_outputs``.
+form.  ``compile_ideal`` multiplies the gates into the one unitary of the
+noiseless circuit, which the random search applies to pure vectors.
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densmat import (
-    EIGENVALUE_ZERO_TOL,
-    MAX_DIM,
     VALIDATION_TOL,
     _as_square_matrix,
     _freeze,
@@ -38,10 +33,6 @@ from .errors import (
 )
 
 MAX_QUBITS = 8
-
-# Largest d**4 complex matrix-unit stack compile_noisy builds: 268 MB at 6
-# qubits passes; 7 qubits (4.3 GB) and 8 (69 GB) are refused.
-COMPILE_STACK_CAP_BYTES = 2 ** 30
 
 _GATE_TABLE: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -60,50 +51,6 @@ _GATE_TABLE: dict[str, np.ndarray] = {
 
 def _unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """A completely positive trace-preserving map given by Kraus operators.
-
-    Completeness sum(K+ K) = I must hold within Frobenius norm 1e-9 on the
-    input dimension.  Operators may be rectangular (dim_out x dim_in) but
-    must all share one shape; they are kept as one read-only
-    (K, dim_out, dim_in) array.
-    """
-
-    kraus_ops: np.ndarray
-
-    def __post_init__(self):
-        ops = [np.asarray(k, dtype=complex) for k in self.kraus_ops]
-        if not ops:
-            raise DimensionMismatchError("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        for m in ops:
-            if m.ndim != 2:
-                raise DimensionMismatchError("Kraus operators must be 2-d matrices")
-            if m.shape != shape:
-                raise DimensionMismatchError(f"Kraus shapes differ: {m.shape} vs {shape}")
-        if max(shape) > MAX_DIM:
-            raise DimensionMismatchError(
-                f"Kraus dimension {max(shape)} exceeds the cap {MAX_DIM}"
-            )
-        total = sum(m.conj().T @ m for m in ops)
-        defect = float(np.linalg.norm(total - np.eye(shape[1])))
-        if defect > VALIDATION_TOL:
-            raise NotUnitaryError(
-                f"completeness defect {defect:.3e} exceeds {VALIDATION_TOL:.0e} "
-                "(sum K+K != I)"
-            )
-        object.__setattr__(self, "kraus_ops", _freeze(np.stack(ops)))
-
-    @property
-    def dim_in(self) -> int:
-        return self.kraus_ops.shape[2]
-
-    @property
-    def dim_out(self) -> int:
-        return self.kraus_ops.shape[1]
 
 
 @dataclass(frozen=True)
@@ -199,22 +146,6 @@ class NoiseModel:
         object.__setattr__(self, "strength", s)
 
 
-def unitary_channel(u) -> KrausChannel:
-    """The channel rho -> U rho U+ for a unitary U."""
-    m = _as_square_matrix(u)
-    defect = _unitarity_defect(m)
-    if defect > VALIDATION_TOL:
-        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}")
-    return KrausChannel((m,))
-
-
-def _pure_outputs(chan: KrausChannel, vectors: np.ndarray) -> np.ndarray:
-    """sum_k K |v><v| K+ for every row v of a (B, dim_in) block, as W W+
-    with the vectors K v for columns of W: K * d**2 work per state, not K * d**3."""
-    w = np.einsum("kab,tb->tak", chan.kraus_ops, vectors, optimize=True)
-    return w @ w.conj().swapaxes(1, 2)
-
-
 def _act(
     stack: np.ndarray, g: np.ndarray, targets: tuple[int, ...], num_qubits: int, side: int
 ) -> np.ndarray:
@@ -290,37 +221,12 @@ def evolve(circ: Circuit, noise: NoiseModel, states) -> np.ndarray:
     return stack
 
 
-def compile_ideal(circ: Circuit) -> KrausChannel:
-    """Compose the circuit's gates into one unitary channel on the register."""
+def compile_ideal(circ: Circuit) -> np.ndarray:
+    """The noiseless circuit as one read-only d x d unitary on the register."""
     u = np.eye(circ.dim, dtype=complex)[np.newaxis]
     for g in circ.gates:
         u = _act(u, g.unitary(), g.targets, circ.num_qubits, 0)
-    return unitary_channel(u[0])
-
-
-def compile_noisy(circ: Circuit, noise: NoiseModel) -> KrausChannel:
-    """Compile the circuit with per-gate noise into a compact Kraus channel.
-
-    After every gate the noise channel acts on that gate's targets.  The
-    result carries at most dim**2 Kraus operators regardless of gate count.
-    With noise kind 'none' (or zero strength) this is exactly compile_ideal.
-    """
-    if noise.kind == "none" or noise.strength == 0.0 or not circ.gates:
-        return compile_ideal(circ)
-    d = circ.dim
-    if d ** 4 * 16 > COMPILE_STACK_CAP_BYTES:
-        raise DimensionMismatchError(
-            f"compiling {circ.num_qubits} noisy qubits needs a {d ** 4 * 16} byte "
-            f"matrix-unit stack, above the cap of {COMPILE_STACK_CAP_BYTES} bytes")
-    # evolve the matrix units E_ij; row m = i*d + j of the identity
-    stack = evolve(circ, noise, np.eye(d * d, dtype=complex).reshape(d * d, d, d))
-    # Choi matrix with row index (i, a), column index (j, b)
-    choi = stack.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    choi = (choi + choi.conj().T) / 2.0
-    w, v = np.linalg.eigh(choi)
-    keep = w > EIGENVALUE_ZERO_TOL
-    # eigenvector column c, reshaped to (d, d) and transposed, is one operator
-    return KrausChannel((v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, d, d).swapaxes(1, 2))
+    return _freeze(u[0])
 
 
 def circuit_from_json(obj: dict) -> Circuit:

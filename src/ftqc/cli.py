@@ -226,17 +226,18 @@ def _cmd_verify(run: RunConfig):
     link = qcc.LinkingMaps(ancilla_dim=_integer(prm, "ancilla_dim")) if "ancilla_dim" in prm else qcc.LinkingMaps()
     search = prm.get("random_search_trials") is not None
     if search:
-        # refuse an oversized search before certifying or compiling anything
+        # refuse an oversized search before certifying anything
         trials = _integer(prm, "random_search_trials")
         qcc._check_trials(trials)
-        channels = (qcc.implemented_channel(circ, noise, link), compile_ideal(circ))
     payload = qcc.certify_combined_bound(circ, noise, comp).to_dict()
     # CSV: one row per input, the report-wide fields repeated on each row
     summary = {key: v for key, v in payload.items() if key != "per_input"}
     header = [*payload["per_input"][0], *summary]
     rows = [[*rec.values(), *summary.values()] for rec in payload["per_input"]]
     if search:
-        payload["alpha_random_search"] = qcc.alpha_random_search(*channels, link, trials, run.seed)
+        payload["alpha_random_search"] = qcc.alpha_random_search(
+            qcc.implemented_channel(circ, noise, link), compile_ideal(circ), link, trials, run.seed
+        )
     return payload, header, rows
 
 

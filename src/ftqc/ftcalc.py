@@ -123,7 +123,10 @@ def logical_gate_error(eps0: float, eps_th: float, levels: int) -> float:
     eth = _check_unit_interval("eps_th", eps_th)
     if not isinstance(levels, int) or levels < 0:
         raise DomainError(f"levels must be a nonnegative integer, got {levels!r}")
-    return _level_error(e0, eth, levels)
+    # 2.0 ** 1024 overflows.  By level 1023 every eps0 != eps_th has flushed
+    # to 0.0 or inf, and an eps0 whose log rounds to log(eps_th) is a fixed
+    # point, so level 1023 gives the value of every higher level.
+    return _level_error(e0, eth, min(levels, 1023))
 
 
 def _level_error(e0: float, eth: float, levels: int) -> float:

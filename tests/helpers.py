@@ -110,11 +110,15 @@ def loop_apply(kraus_ops, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_search_oracle(P, G, trials: int, seed: int) -> float:
+def random_search_oracle(circ: Circuit, noise: NoiseModel, trials: int, seed: int) -> float:
     """alpha_random_search one trial at a time: the same Philox draw keyed by
-    (seed, trial), the pure state through both channels' Kraus operators by
-    loop_apply, and the gap measured by the SVD trace norm."""
-    dim = G.dim_in
+    (seed, trial), the ideal output through the product of embed_oracle
+    unitaries, the noisy one through sequential_noisy_oracle, and the gap
+    measured by the SVD trace norm."""
+    dim = circ.dim
+    u = np.eye(dim, dtype=complex)
+    for gate in circ.gates:
+        u = embed_oracle(gate.unitary(), gate.targets, circ.num_qubits) @ u
     worst = 0.0
     for t in range(trials):
         gen = np.random.Generator(
@@ -123,7 +127,7 @@ def random_search_oracle(P, G, trials: int, seed: int) -> float:
         v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
         v = v / np.linalg.norm(v)
         rho = np.outer(v, v.conj())
-        gap = loop_apply(P.kraus_ops, rho) - loop_apply(G.kraus_ops, rho)
+        gap = sequential_noisy_oracle(circ, noise.strength, rho) - u @ rho @ u.conj().T
         worst = max(worst, svd_trace_norm(gap))
     return worst
 

@@ -4,19 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from ftqc import channels
 from ftqc import (
     Circuit,
     Gate,
-    KrausChannel,
     NoiseModel,
     circuit_from_json,
     compile_ideal,
-    compile_noisy,
     evolve,
     make_state,
     trace_norm,
-    unitary_channel,
 )
 from ftqc.errors import (
     BadStrengthError,
@@ -30,9 +26,9 @@ from ftqc.errors import (
 GROUND = make_state([[1, 0], [0, 0]])
 
 
-def apply(chan, state):
-    """A compiled channel on a state, by the loop oracle; the output is validated."""
-    return make_state(helpers.loop_apply(chan.kraus_ops, state.entries))
+def run(circ, noise, rho):
+    """One state through the noisy circuit by `evolve`; the output is validated."""
+    return make_state(evolve(circ, noise, np.asarray(rho, dtype=complex)[np.newaxis])[0])
 
 
 def depolarize(rho, strength):
@@ -46,24 +42,6 @@ def depolarize(rho, strength):
 
 def bell_circuit():
     return Circuit(num_qubits=2, gates=[Gate(name="H", targets=(0,)), Gate(name="CNOT", targets=(0, 1))])
-
-
-class TestKrausChannel:
-    def test_accepts_complete_set(self):
-        ch = KrausChannel([np.eye(2)])
-        assert ch.dim_in == 2 and ch.dim_out == 2
-
-    def test_rejects_incomplete_set(self):
-        with pytest.raises(NotUnitaryError):
-            KrausChannel([0.5 * np.eye(2)])
-
-    def test_rejects_mixed_shapes(self):
-        with pytest.raises(DimensionMismatchError):
-            KrausChannel([np.eye(2), np.eye(3)])
-
-    def test_unitary_channel_rejects_nonunitary(self):
-        with pytest.raises(NotUnitaryError):
-            unitary_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestDepolarizing:
@@ -121,43 +99,30 @@ class TestDepolarizing:
 
 
 class TestComposeAndApply:
-    def test_apply_matches_loop_oracle(self):
-        # the random search applies a channel to a block of pure vectors
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            dim = int(rng.integers(2, 5))
-            ops = helpers.random_cptp_kraus(dim, int(rng.integers(1, 5)), rng)
-            vectors = np.stack([helpers.haar_pure_vector(dim, rng) for _ in range(3)])
-            got = channels._pure_outputs(KrausChannel(ops), vectors)
-            for v, out in zip(vectors, got):
-                want = helpers.loop_apply(ops, np.outer(v, v.conj()))
-                np.testing.assert_allclose(out, want, atol=1e-12)
-
     def test_compose_matches_sequential_apply(self):
-        # a two-gate circuit compiled as one channel equals its single-gate
-        # channels applied one after the other
+        # a two-gate circuit evolved as one equals its single-gate circuits
+        # evolved one after the other
         rng = np.random.default_rng(22)
         noise = NoiseModel(kind="depolarizing", strength=0.25)
         first = Gate(matrix=helpers.haar_unitary(4, rng), targets=(1, 0))
         second = Gate(matrix=helpers.haar_unitary(2, rng), targets=(1,))
-        whole = compile_noisy(Circuit(num_qubits=2, gates=[first, second]), noise)
-        rho = make_state(helpers.ginibre_density(4, rng))
-        step = rho
+        rho = helpers.ginibre_density(4, rng)
+        whole = run(Circuit(num_qubits=2, gates=[first, second]), noise, rho)
+        step = make_state(rho)
         for g in (first, second):
-            step = apply(compile_noisy(Circuit(num_qubits=2, gates=[g]), noise), step)
-        np.testing.assert_allclose(apply(whole, rho).entries, step.entries, atol=1e-12)
+            step = run(Circuit(num_qubits=2, gates=[g]), noise, step.entries)
+        np.testing.assert_allclose(whole.entries, step.entries, atol=1e-12)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_channels_are_trace_preserving_contractions(self, seed):
         rng = np.random.default_rng(seed)
-        dim = int(rng.integers(2, 5))
-        ch = KrausChannel(helpers.random_cptp_kraus(dim, int(rng.integers(1, 4)), rng))
-        a = make_state(helpers.ginibre_density(dim, rng))
-        b = make_state(helpers.ginibre_density(dim, rng))
-        fa, fb = apply(ch, a), apply(ch, b)
+        circ, noise, _ = helpers.random_instance(rng)
+        a = helpers.ginibre_density(circ.dim, rng)
+        b = helpers.ginibre_density(circ.dim, rng)
+        fa, fb = run(circ, noise, a), run(circ, noise, b)
         # outputs are valid states (constructor re-validates) and the map is 1-norm contractive
-        assert trace_norm(fa.entries - fb.entries) <= trace_norm(a.entries - b.entries) + 1e-10
+        assert trace_norm(fa.entries - fb.entries) <= trace_norm(a - b) + 1e-10
 
 
 class TestGateAndCircuit:
@@ -205,8 +170,7 @@ class TestGateAndCircuit:
 
 def embedded(u, targets, n):
     """The full-register unitary that compile_ideal builds for one gate."""
-    circ = Circuit(num_qubits=n, gates=[Gate(matrix=u, targets=targets)])
-    return compile_ideal(circ).kraus_ops[0]
+    return compile_ideal(Circuit(num_qubits=n, gates=[Gate(matrix=u, targets=targets)]))
 
 
 class TestEmbedding:
@@ -235,63 +199,56 @@ class TestEmbedding:
 
 class TestCompile:
     def test_ideal_bell_state(self):
-        ch = compile_ideal(bell_circuit())
-        rho = apply(ch, make_state(np.diag([1.0, 0, 0, 0])))
+        u = compile_ideal(bell_circuit())
+        rho = np.diag([1.0, 0, 0, 0])
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
-        np.testing.assert_allclose(rho.entries, expected, atol=1e-12)
+        np.testing.assert_allclose(u @ rho @ u.conj().T, expected, atol=1e-12)
 
     def test_ideal_empty_circuit_is_identity(self):
-        ch = compile_ideal(Circuit(num_qubits=1, gates=[]))
-        assert len(ch.kraus_ops) == 1
-        np.testing.assert_allclose(ch.kraus_ops[0], np.eye(2), atol=1e-15)
+        u = compile_ideal(Circuit(num_qubits=1, gates=[]))
+        np.testing.assert_allclose(u, np.eye(2), atol=1e-15)
+        assert not u.flags.writeable
 
     def test_noisy_with_zero_strength_equals_ideal(self):
         circ = bell_circuit()
-        ideal = compile_ideal(circ)
-        noisy = compile_noisy(circ, NoiseModel(kind="depolarizing", strength=0.0))
+        u = compile_ideal(circ)
         rng = np.random.default_rng(13)
         for _ in range(5):
-            rho = make_state(helpers.ginibre_density(4, rng))
+            rho = helpers.ginibre_density(4, rng)
             np.testing.assert_allclose(
-                apply(noisy, rho).entries, apply(ideal, rho).entries, atol=1e-12
+                run(circ, NoiseModel(kind="depolarizing", strength=0.0), rho).entries,
+                u @ rho @ u.conj().T,
+                atol=1e-12,
             )
 
     def test_noise_kind_none_equals_ideal(self):
         circ = bell_circuit()
-        noisy = compile_noisy(circ, NoiseModel(kind="none", strength=0.0))
-        rho = make_state(np.diag([1.0, 0, 0, 0]))
+        u = compile_ideal(circ)
+        rho = np.diag([1.0, 0, 0, 0])
         np.testing.assert_allclose(
-            apply(noisy, rho).entries,
-            apply(compile_ideal(circ), rho).entries,
+            run(circ, NoiseModel(kind="none", strength=0.0), rho).entries,
+            u @ rho @ u.conj().T,
             atol=1e-12,
         )
 
-    def test_kraus_count_stays_bounded(self):
-        # 6 noisy gates on 2 qubits still compile to at most dim^2 = 16 operators
-        gates = [Gate(name="H", targets=(i % 2,)) for i in range(6)]
-        ch = compile_noisy(Circuit(num_qubits=2, gates=gates), NoiseModel(kind="depolarizing", strength=0.2))
-        assert len(ch.kraus_ops) <= 16
-
     def test_single_gate_noisy_matches_direct_composition(self):
         circ = Circuit(num_qubits=1, gates=[Gate(name="H", targets=(0,))])
-        ch = compile_noisy(circ, NoiseModel(kind="depolarizing", strength=0.3))
+        noise = NoiseModel(kind="depolarizing", strength=0.3)
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
         rng = np.random.default_rng(17)
         for _ in range(5):
-            rho = make_state(helpers.ginibre_density(2, rng))
-            want = 0.7 * h @ rho.entries @ h + 0.3 * np.eye(2) / 2.0
-            np.testing.assert_allclose(apply(ch, rho).entries, want, atol=1e-12)
+            rho = helpers.ginibre_density(2, rng)
+            want = 0.7 * h @ rho @ h + 0.3 * np.eye(2) / 2.0
+            np.testing.assert_allclose(run(circ, noise, rho).entries, want, atol=1e-12)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_noisy_matches_sequential_oracle(self, seed):
         rng = np.random.default_rng(seed)
         circ, noise, _ = helpers.random_instance(rng)
-        ch = compile_noisy(circ, noise)
         rho = helpers.ginibre_density(2 ** circ.num_qubits, rng)
         want = helpers.sequential_noisy_oracle(circ, noise.strength, rho)
-        assert trace_norm(apply(ch, make_state(rho)).entries - want) < 1e-9
         assert trace_norm(evolve(circ, noise, rho[np.newaxis])[0] - want) < 1e-9
 
     def test_evolve_rejects_wrong_stack_shape(self):

@@ -97,6 +97,21 @@ class TestLogicalGateError:
     def test_above_threshold_overflows_to_inf(self):
         assert logical_gate_error(0.5, 1e-9, 6) == math.inf
 
+    @pytest.mark.parametrize("levels", [1024, 10 ** 6])
+    def test_levels_past_float_exponent_range(self, levels):
+        # 2.0 ** levels overflows from 1024 on; the value is already settled
+        assert logical_gate_error(1e-10, 1e-9, levels) == 0.0
+        assert logical_gate_error(0.5, 1e-9, levels) == math.inf
+        assert logical_gate_error(1e-9, 1e-9, levels) == 1e-9
+        # within one rounding of the threshold: either the logs differ and
+        # the value has flushed by level 1023, or they round equal and every
+        # level gives the same value
+        for eth in (1e-300, 1e-9, 0.5):
+            for e0 in (math.nextafter(eth, 0.0), math.nextafter(eth, 1.0)):
+                got = logical_gate_error(e0, eth, levels)
+                assert got == logical_gate_error(e0, eth, 1023)
+                assert got in (0.0, math.inf) or got == logical_gate_error(e0, eth, 1)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             logical_gate_error(0.0, 1e-4, 1)

@@ -11,8 +11,7 @@ import ftqc
 EXPORTED = [
     "errors",
     "DensityMatrix", "HermitianOperator", "effect_probability", "make_state", "trace_norm",
-    "Circuit", "Gate", "KrausChannel", "NoiseModel", "circuit_from_json",
-    "compile_ideal", "compile_noisy", "evolve", "unitary_channel",
+    "Circuit", "Gate", "NoiseModel", "circuit_from_json", "compile_ideal", "evolve",
     "OverallComputation", "basis_encoding", "basis_readout", "computation_from_json",
     "InputRecord", "LinkingMaps", "MixingCheck", "QccReport", "alpha_random_search",
     "certify_combined_bound", "implemented_channel",
@@ -26,7 +25,7 @@ EXPORTED = [
 
 def test_all_keeps_names_and_order():
     assert ftqc.__all__ == EXPORTED
-    assert len(EXPORTED) == 40
+    assert len(EXPORTED) == 37
 
 
 @pytest.mark.parametrize("name", EXPORTED[1:])

@@ -18,7 +18,7 @@ from ftqc import (
     basis_readout,
     certify_combined_bound,
     compile_ideal,
-    compile_noisy,
+    evolve,
     implemented_channel,
     make_state,
     mix_error_state,
@@ -66,12 +66,8 @@ class TestLinkingMaps:
         # the implemented channel acts on the logical register itself
         noise = NoiseModel(kind="depolarizing", strength=0.3)
         P = implemented_channel(identity_circuit(), noise, LinkingMaps())
-        assert P.dim_in == P.dim_out == 2
-        rho = helpers.ginibre_density(2, np.random.default_rng(31))
-        np.testing.assert_array_equal(
-            helpers.loop_apply(P.kraus_ops, rho),
-            helpers.loop_apply(compile_noisy(identity_circuit(), noise).kraus_ops, rho),
-        )
+        rho = helpers.ginibre_density(2, np.random.default_rng(31))[np.newaxis]
+        np.testing.assert_array_equal(P(rho), evolve(identity_circuit(), noise, rho))
 
     def test_rejects_bad_ancilla_dim(self):
         with pytest.raises(DimensionMismatchError):
@@ -166,7 +162,7 @@ class TestAlpha:
                     break
             P, G = implemented_channel(circ, noise), compile_ideal(circ)
             seed = int(rng.integers(0, 2 ** 32))
-            want = helpers.random_search_oracle(P, G, 37, seed)
+            want = helpers.random_search_oracle(circ, noise, 37, seed)
             got = alpha_random_search(P, G, LinkingMaps(), trials=37, seed=seed)
             assert got == pytest.approx(want, abs=1e-12)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densmat import (
+    MAX_QUBITS,
     VALIDATION_TOL,
     _as_square_matrix,
     _freeze,
@@ -31,8 +32,6 @@ from .errors import (
     DimensionMismatchError,
     NotUnitaryError,
 )
-
-MAX_QUBITS = 8
 
 _GATE_TABLE: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),

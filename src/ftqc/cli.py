@@ -185,9 +185,7 @@ def _cmd_tradeoff(run: RunConfig):
         p=_number(prm, "p"),
         p_hat=_p_hat(prm),
     )
-    header = ["eps0", "levels", "eps_qc", "closed_form"]
-    rows = [[r.eps0, r.levels, r.eps_qc, r.closed_form] for r in points]
-    return {"points": [dict(zip(header, row)) for row in rows]}, header, rows
+    return {"points": [r._asdict() for r in points]}, list(ftcalc.TradeoffPoint._fields), points
 
 
 def _parse_noise(obj):

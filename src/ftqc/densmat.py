@@ -37,8 +37,9 @@ VALIDATION_TOL = 1e-9
 # when summing trace norms.
 EIGENVALUE_ZERO_TOL = 1e-12
 
-# Dense simulation cap: 2**8 = 256, i.e. at most 8 qubits.
-MAX_DIM = 256
+# Dense simulation cap: at most 8 qubits, dimension 2**8 = 256.
+MAX_QUBITS = 8
+MAX_DIM = 2 ** MAX_QUBITS
 
 
 def _as_square_matrix(entries) -> np.ndarray:

@@ -7,9 +7,11 @@ The per-gate logical error after N levels of concatenation is
 treated as exact, and a circuit of gate_count gates fails with probability
 at most min(1, gate_count * eps_N).  The planner finds the minimal N whose
 circuit failure fits inside the budget (p_hat - p) / 2, by ascending
-search, which a tradeoff curve resumes at the previous grid point's level;
-the closed-form level estimate is reported alongside for comparison but is
-never authoritative (it comes from a sufficient, not tight, bound).
+search.  A tradeoff curve evaluates each grid point's failure once, at the
+level carried over from the previous point, and searches upward only when
+that level misses the budget.  The closed-form level estimate is reported
+alongside for comparison but is never authoritative (it comes from a
+sufficient, not tight, bound).
 
 All powers are evaluated in log-space.  Values below 1e-300 flush to zero,
 which makes the budget test trivially pass; values beyond the float range
@@ -19,7 +21,8 @@ report as inf and are clamped by circuit_failure.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
     AboveThresholdError,
@@ -56,6 +59,12 @@ def _check_unit_interval(name: str, value: float, lo_open=True, hi_open=True) ->
     return v
 
 
+def _check_gate_count(gate_count) -> int:
+    if not isinstance(gate_count, int) or gate_count < 1:
+        raise DomainError(f"gate_count must be a positive integer, got {gate_count!r}")
+    return gate_count
+
+
 @dataclass(frozen=True)
 class FtParams:
     """Scalar planning inputs: gate errors, circuit size, failure bounds."""
@@ -69,8 +78,7 @@ class FtParams:
     def __post_init__(self):
         object.__setattr__(self, "eps0", _check_unit_interval("eps0", self.eps0))
         object.__setattr__(self, "eps_th", _check_unit_interval("eps_th", self.eps_th))
-        if not isinstance(self.gate_count, int) or self.gate_count < 1:
-            raise DomainError(f"gate_count must be a positive integer, got {self.gate_count!r}")
+        _check_gate_count(self.gate_count)
         object.__setattr__(self, "p", _check_unit_interval("p", self.p, lo_open=False))
         object.__setattr__(self, "p_hat", _check_unit_interval("p_hat", self.p_hat, hi_open=False))
         if self.p_hat <= self.p:
@@ -90,15 +98,25 @@ class PlanResult:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class TradeoffPoint(namedtuple("TradeoffPoint", "eps0 levels eps_qc closed_form")):
     """One grid point of the levels-vs-gate-error curve; levels = -1 marks
-    an infeasible point (sentinel, kept so the grid stays rectangular)."""
+    a point at or above the threshold (sentinel, kept so the grid stays
+    rectangular).
 
-    eps0: float
-    levels: int
-    eps_qc: float
-    closed_form: float
+    A named tuple, since a curve builds one per grid point and a tuple is
+    built in a fraction of a frozen dataclass's time.  It keeps the tuple's
+    constructor, repr and equality, and is declared a dataclass as well, so
+    dataclasses.replace, fields and asdict still work on it.
+    """
+
+    __slots__ = ()
+    # field() keeps the fields free of defaults; dataclass then deletes these
+    # class attributes, so the tuple's accessors stay in use
+    eps0: float = field()
+    levels: int = field()
+    eps_qc: float = field()
+    closed_form: float = field()
 
 
 def required_alpha(p_hat: float, p: float) -> float:
@@ -126,17 +144,17 @@ def logical_gate_error(eps0: float, eps_th: float, levels: int) -> float:
     # 2.0 ** 1024 overflows.  By level 1023 every eps0 != eps_th has flushed
     # to 0.0 or inf, and an eps0 whose log rounds to log(eps_th) is a fixed
     # point, so level 1023 gives the value of every higher level.
-    return _level_error(e0, eth, min(levels, 1023))
+    return _level_error(e0, eth, math.log(eth), min(levels, 1023))
 
 
-def _level_error(e0: float, eth: float, levels: int) -> float:
+def _level_error(e0: float, eth: float, log_eth: float, levels: int) -> float:
+    """The scaling law on validated inputs; log_eth = math.log(eth)."""
     # exact short-circuits: exponent 2^0 = 1 returns the input, and the
     # threshold is a fixed point at every level
     if levels == 0:
         return e0
     if e0 == eth:
         return eth
-    log_eth = math.log(eth)
     log_val = log_eth + 2.0 ** levels * (math.log(e0) - log_eth)
     if log_val < _LOG_FLUSH:
         return 0.0
@@ -154,14 +172,19 @@ def circuit_failure(eps_n: float, gate_count: int) -> float:
     return min(1.0, gate_count * eps_n)
 
 
-def _closed_form_levels(eps0: float, eps_th: float, gate_count: int, budget: float) -> float:
-    """Un-ceiled level estimate log2(ln(N*eps_th/budget) / ln(eps_th/eps0)).
+def _closed_form_numerator(eps_th: float, gate_count: int, budget: float) -> float:
+    """ln(gate_count * eps_th / budget), the eps0-free part of the closed form."""
+    return math.log(gate_count * eps_th / budget)
+
+
+def _closed_form_levels(eps0: float, eps_th: float, num: float) -> float:
+    """Un-ceiled level estimate log2(num / ln(eps_th/eps0)), where num is
+    _closed_form_numerator(eps_th, gate_count, budget).
 
     Returns -inf when the budget already covers gate_count * eps_th (no
-    concatenation regime) or when eps0 >= eps_th while still feasible at
-    level 0; the iterative planner is authoritative either way.
+    concatenation regime, num <= 0) or when eps0 >= eps_th while still
+    feasible at level 0; the iterative planner is authoritative either way.
     """
-    num = math.log(gate_count * eps_th / budget)
     if num <= 0.0:
         return -math.inf
     den = math.log(eps_th / eps0)
@@ -182,7 +205,8 @@ def required_levels(params: FtParams) -> PlanResult:
     return PlanResult(
         levels=n, eps_n=eps_n, eps_qc=eps_qc, budget=budget,
         alpha_required=required_alpha(params.p_hat, params.p),
-        closed_form_levels=_closed_form_levels(params.eps0, params.eps_th, params.gate_count, budget),
+        closed_form_levels=_closed_form_levels(
+            params.eps0, params.eps_th, _closed_form_numerator(params.eps_th, params.gate_count, budget)),
     )
 
 
@@ -191,8 +215,9 @@ def _min_level(eps0: float, eps_th: float, gate_count: int, budget: float,
     """(N, eps_N, eps_qc) at the first feasible level N >= start, on
     validated inputs; below start the caller knows every level fails."""
     limit = budget * (1.0 + FEASIBILITY_SLACK)
+    log_eth = math.log(eps_th)
     for n in range(start, LEVEL_CAP + 1):
-        eps_n = _level_error(eps0, eps_th, n)
+        eps_n = _level_error(eps0, eps_th, log_eth, n)
         eps_qc = circuit_failure(eps_n, gate_count)
         if eps_qc <= limit:
             return n, eps_n, eps_qc
@@ -201,7 +226,7 @@ def _min_level(eps0: float, eps_th: float, gate_count: int, budget: float,
                 f"eps0 {eps0:.6g} is at or above threshold {eps_th:.6g} "
                 "and level 0 misses the budget; concatenation cannot reduce the error"
             )
-    if math.log(eps0) == math.log(eps_th):  # tested here only, off the loop
+    if math.log(eps0) == log_eth:  # tested here only, off the loop
         raise AboveThresholdError(
             f"eps0 {eps0!r} is within float rounding of the threshold {eps_th!r}: their "
             "logarithms are equal, so no level of concatenation lowers the error")
@@ -220,8 +245,9 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
     if not isinstance(levels, int) or levels < 0:
         raise DomainError(f"levels must be a nonnegative integer, got {levels!r}")
     eth = _check_unit_interval("eps_th", eps_th)
-    if gate_count < 1:
-        raise DomainError(f"gate_count must be >= 1, got {gate_count}")
+    _check_gate_count(gate_count)
+    p = _check_unit_interval("p", p, lo_open=False)
+    p_hat = _check_unit_interval("p_hat", p_hat, hi_open=False)
     budget = epsilon_budget(p_hat, p)
     if budget >= gate_count * eth:
         return eth
@@ -236,19 +262,24 @@ def tradeoff_curve(
     eps0_min: float, eps0_max: float, points: int, *,
     eps_th: float, gate_count: int, p: float, p_hat: float,
 ) -> list[TradeoffPoint]:
-    """required_levels along a log-spaced eps0 grid over [eps0_min, eps0_max).
+    """required_levels along a log-spaced eps0 grid over [eps0_min, eps0_max),
+    as one TradeoffPoint(eps0, levels, eps_qc, closed_form) per grid point.
 
     The right endpoint is excluded, so eps0_max may sit exactly at the
     threshold.  The resulting staircase is monotone: levels never decrease
     as eps0 grows.  A point that rounding puts at or above the threshold,
-    where level 0 misses the budget, is emitted with levels = -1.
+    where level 0 misses the budget, is emitted with levels = -1 and NaN
+    eps_qc and closed_form.
 
-    The scalars are validated once, and each point's search resumes at the
-    previous point's level.  That is exact: below the threshold the failure
-    at a fixed level is a chain of monotone float steps in eps0 (log, a
-    product with 2**N > 0, exp, the product with gate_count), so a level
-    that fails at one eps0 fails at every larger one.  A point at or above
-    the threshold, or below its predecessor, searches from level 0.
+    The scalars are validated once, and log(eps_th), the feasibility limit
+    and the closed form's numerator are taken once per grid.  Each point
+    then evaluates its failure once, at the previous point's level, and
+    only when that misses the budget does _min_level search on from the
+    next level up.  That is exact: below the threshold the failure at a
+    fixed level is a chain of monotone float steps in eps0 (log, a product
+    with 2**N > 0, exp, the product with gate_count), so a level that fails
+    at one eps0 fails at every larger one.  A point at or above the
+    threshold, or below its predecessor, searches from level 0.
     """
     if not (0.0 < eps0_min < eps0_max):
         raise DomainError(f"need 0 < eps0_min < eps0_max, got {eps0_min} and {eps0_max}")
@@ -269,17 +300,26 @@ def tradeoff_curve(
     prm = FtParams(eps0=grid[0], eps_th=eps_th, gate_count=gate_count, p=p, p_hat=p_hat)
     eth, n_gates = prm.eps_th, prm.gate_count
     budget = epsilon_budget(prm.p_hat, prm.p)
+    limit = budget * (1.0 + FEASIBILITY_SLACK)
+    log_eth = math.log(eth)
+    cf_num = _closed_form_numerator(eth, n_gates, budget)
     rows = []
     level, prev = 0, 0.0
     for e0 in grid:
-        _check_unit_interval("eps0", e0)
-        start = level if prev <= e0 < eth else 0
+        if not 0.0 < e0 < 1.0:
+            _check_unit_interval("eps0", e0)  # raises
+        if prev <= e0 < eth:
+            # circuit_failure on values that need no checks
+            eps_qc = min(1.0, n_gates * _level_error(e0, eth, log_eth, level))
+            start = level + 1
+        else:
+            eps_qc, start = math.inf, 0
         prev = e0
-        try:
-            level, _, eps_qc = _min_level(e0, eth, n_gates, budget, start)
-        except AboveThresholdError:
-            rows.append(TradeoffPoint(eps0=e0, levels=-1, eps_qc=math.nan, closed_form=math.nan))
-            continue
-        closed = _closed_form_levels(e0, eth, n_gates, budget)
-        rows.append(TradeoffPoint(eps0=e0, levels=level, eps_qc=eps_qc, closed_form=closed))
+        if eps_qc > limit:
+            try:
+                level, _, eps_qc = _min_level(e0, eth, n_gates, budget, start)
+            except AboveThresholdError:
+                rows.append(TradeoffPoint(e0, -1, math.nan, math.nan))
+                continue
+        rows.append(TradeoffPoint(e0, level, eps_qc, _closed_form_levels(e0, eth, cf_num)))
     return rows

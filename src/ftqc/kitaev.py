@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densmat import (
+    MAX_DIM,
+    MAX_QUBITS,
     DensityMatrix,
     HermitianOperator,
     VALIDATION_TOL,
@@ -42,8 +44,18 @@ def _check_bitstring(label: str, num_qubits: int) -> None:
         )
 
 
+def _check_width(num_qubits: int) -> None:
+    # before anything of size 2**num_qubits is allocated or looped over; the
+    # power stays unevaluated, since a long label makes it too big to print
+    if num_qubits > MAX_QUBITS:
+        raise DimensionMismatchError(
+            f"dimension 2**{num_qubits} exceeds the dense-simulation cap {MAX_DIM}"
+        )
+
+
 def basis_encoding(num_qubits: int, inputs) -> dict[str, DensityMatrix]:
     """Map bitstring labels to computational-basis projectors |x><x|."""
+    _check_width(num_qubits)
     labels = list(inputs)
     if len(labels) > 2 ** num_qubits:
         raise TooManyInputsError(
@@ -71,6 +83,7 @@ def basis_readout(
     `measured`, default all qubits).  Unmeasured qubits are traced over,
     i.e. each effect is the projector onto all consistent basis states.
     """
+    _check_width(num_qubits)
     if measured is None:
         measured = tuple(range(num_qubits))
     measured = tuple(int(q) for q in measured)

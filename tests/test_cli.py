@@ -120,6 +120,18 @@ class TestPlan:
         assert payload["max_eps0"] == 1e-10  # 12-significant-digit rounding
         assert payload["budget"] == 0.1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p", float("nan")), ("p", -0.5), ("p", 1.5), ("p_hat", float("nan")), ("p_hat", -0.5), ("p_hat", 7.0)],
+    )
+    def test_inverse_query_range_checks_probabilities(self, tmp_path, capsys, key, value):
+        path = write_cfg(tmp_path, dict(PLAN_CFG, **{key: value}))
+        inverse = run_cli(capsys, ["plan", "--config", path, "--levels", "2"])
+        assert inverse == run_cli(capsys, ["plan", "--config", path])
+        code, out, err = inverse
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {key} = {value} outside ") and err.count("\n") == 1
+
     def test_success_target_matches_p_hat_byte_for_byte(self, tmp_path, capsys):
         cfg_failure = dict(PLAN_CFG)
         cfg_success = {k: v for k, v in PLAN_CFG.items() if k != "p_hat"}
@@ -358,6 +370,15 @@ sys.exit(cli.main(["verify", "--config", {cfg!r}]))
         assert code == 2
         assert out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("width", [9, 30])
+    def test_over_wide_input_label_exits_one(self, tmp_path, capsys, width):
+        label = "0" * width
+        comp = dict(VERIFY_CFG["computation"], inputs=[label], truth_table={label: "0"})
+        cfg = dict(VERIFY_CFG, computation=comp)
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert (code, out) == (1, "")
+        assert err == f"error: dimension 2**{width} exceeds the dense-simulation cap 256\n"
 
     def test_non_finite_matrix_entry_exits_one(self, tmp_path, capsys):
         # json writes and reads the NaN literal

@@ -8,6 +8,7 @@ from ftqc import (
     FtParams,
     circuit_failure,
     epsilon_budget,
+    ftcalc,
     logical_gate_error,
     max_gate_error,
     required_alpha,
@@ -16,6 +17,7 @@ from ftqc import (
 )
 from ftqc.errors import (
     AboveThresholdError,
+    BadProbabilityError,
     DomainError,
     FtqcError,
     InfeasibleError,
@@ -286,6 +288,24 @@ class TestMaxGateError:
         with pytest.raises(InfeasibleError):
             max_gate_error(2, 1e-9, 10 ** 12, 0.2, 0.4)
 
+    @pytest.mark.parametrize(
+        "p, p_hat", [(math.nan, 0.4), (0.2, math.nan), (-0.5, 0.4), (0.2, 7.0), (1.0, 1.0), (0.0, 0.0)]
+    )
+    def test_probabilities_range_checked_like_the_forward_query(self, p, p_hat):
+        with pytest.raises(BadProbabilityError) as forward:
+            FtParams(eps0=1e-10, eps_th=1e-9, gate_count=10 ** 12, p=p, p_hat=p_hat)
+        with pytest.raises(BadProbabilityError) as inverse:
+            max_gate_error(2, 1e-9, 10 ** 12, p_hat, p)
+        assert str(inverse.value) == str(forward.value)
+
+    @pytest.mark.parametrize("gate_count", [0, 1.5, math.nan])
+    def test_gate_count_checked_like_the_forward_query(self, gate_count):
+        with pytest.raises(DomainError) as forward:
+            FtParams(eps0=1e-10, eps_th=1e-9, gate_count=gate_count, p=0.2, p_hat=0.4)
+        with pytest.raises(DomainError) as inverse:
+            max_gate_error(2, 1e-9, gate_count, 0.4, 0.2)
+        assert str(inverse.value) == str(forward.value)
+
 
 class TestTradeoffCurve:
     def test_caption_grid_anchors(self):
@@ -317,9 +337,26 @@ class TestTradeoffCurve:
         assert all(math.isnan(r.eps_qc) for r in curve)
 
     def test_grid_is_deterministic(self):
-        a = tradeoff_curve(1e-13, 1e-9, 25, **CAPTION)
-        b = tradeoff_curve(1e-13, 1e-9, 25, **CAPTION)
-        assert a == b
+        for lo in (1e-13, 9.999999999999999e-10):
+            a = tradeoff_curve(lo, 1e-9, 25, **CAPTION)
+            b = tradeoff_curve(lo, 1e-9, 25, **CAPTION)
+            assert a == b
+        # the sentinel rows hold NaN and still compare equal
+        assert all(math.isnan(r.eps_qc) for r in a)
+
+    def test_point_is_an_immutable_named_tuple(self):
+        import dataclasses
+
+        assert TradeoffPoint._fields == ("eps0", "levels", "eps_qc", "closed_form")
+        row = TradeoffPoint(1e-10, 2, 0.1, 2.0)
+        assert isinstance(row, tuple) and tuple(row) == (1e-10, 2, 0.1, 2.0)
+        assert (row.eps0, row.levels, row.eps_qc, row.closed_form) == (1e-10, 2, 0.1, 2.0)
+        with pytest.raises(AttributeError):
+            row.levels = 3
+        # the dataclass interface of the rows still works
+        assert dataclasses.replace(row, levels=3) == TradeoffPoint(1e-10, 3, 0.1, 2.0)
+        assert dataclasses.asdict(row) == row._asdict()
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(row))
 
     def test_max_above_threshold_rejected(self):
         with pytest.raises(AboveThresholdError):
@@ -359,6 +396,38 @@ class TestTradeoffCurve:
         levels = [r[1] for r in rows]
         assert levels[1] == -1
         assert levels[2] > levels[0] > levels[3] > 0
+
+    def test_matches_per_point_on_a_ten_level_grid(self):
+        # 500 points from 1e-4 * eps_th up to eps_th with
+        # gate_count * eps_th / budget = 1e8: the staircase climbs 1 to 10
+        eps_th, budget, p = 3e-3, 0.04, 0.1
+        kw = dict(eps_th=eps_th, gate_count=round(1e8 * budget / eps_th), p=p, p_hat=p + 2 * budget)
+        rows = [_row_key(r) for r in tradeoff_curve(eps_th * 1e-4, eps_th, 500, **kw)]
+        assert rows == _per_point_curve(eps_th * 1e-4, eps_th, 500, **kw)
+        assert sorted({r[1] for r in rows}) == list(range(1, 11))
+
+    def test_search_continues_above_a_failed_carried_level(self, monkeypatch):
+        # each pinned point needs several levels more than the one before,
+        # so the single test at the carried-over level fails and the search
+        # goes on from the next level up
+        import numpy as np
+
+        eps_th = 1e-3
+        grid = [eps_th * 1e-6, eps_th * 0.5, eps_th * 0.99]
+        monkeypatch.setattr(np, "geomspace", lambda *args, **kwargs: np.array(grid))
+        starts = []
+        search = ftcalc._min_level
+
+        def spy(eps0, eps_th, gate_count, budget, start):
+            starts.append(start)
+            return search(eps0, eps_th, gate_count, budget, start)
+
+        monkeypatch.setattr(ftcalc, "_min_level", spy)
+        kw = dict(eps_th=eps_th, gate_count=round(1e8 * 0.1 / eps_th), p=0.2, p_hat=0.4)
+        rows = [_row_key(r) for r in tradeoff_curve(grid[0], eps_th, len(grid), **kw)]
+        assert [r[1] for r in rows] == [1, 5, 11]
+        assert starts == [1, 2, 6]
+        assert rows == _per_point_curve(grid[0], eps_th, len(grid), **kw)
 
     @given(st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)

@@ -52,6 +52,17 @@ class TestBasisEncoding:
         with pytest.raises(TooManyInputsError):
             basis_encoding(1, ["0", "1", "0"])
 
+    @pytest.mark.parametrize("width", [9, 30])
+    def test_rejects_over_wide_register_before_allocating(self, width, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated a register past the cap")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(DimensionMismatchError, match=rf"^dimension 2\*\*{width} exceeds the dense-simulation cap 256$"):
+            basis_encoding(width, ["0" * width])
+        with pytest.raises(DimensionMismatchError, match="dense-simulation cap"):
+            basis_readout(width)
+
     def test_rejects_bad_bitstring(self):
         with pytest.raises(BadBitstringError):
             basis_encoding(2, ["02"])

@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-# the planner commands need no numpy; verify imports the simulator itself
-from . import ftcalc, vote
 from .errors import BadProbabilityError, ConfigError, FtqcError, TheoremViolationError
 
 _DEFAULT_FORMATS = {"plan": "json", "tradeoff": "csv", "verify": "json", "vote": "json"}
@@ -142,13 +140,16 @@ def _emit_csv(header: list[str], rows: list[list]) -> str:
 
 
 # --- subcommands --------------------------------------------------------------
-# Each returns (payload, header, rows): the JSON report and its CSV form.
+# Each returns (payload, header, rows): the JSON report and its CSV form.  Each
+# imports the modules it runs, so a process loads no other command's module.
 
 def _one_row(payload: dict):
     return payload, list(payload), [list(payload.values())]
 
 
 def _cmd_plan(run: RunConfig):
+    from . import ftcalc
+
     prm = run.parameters
     eps_th = _number(prm, "eps_th")
     n_gates = _integer(prm, "gate_count")
@@ -175,6 +176,8 @@ def _cmd_plan(run: RunConfig):
 
 
 def _cmd_tradeoff(run: RunConfig):
+    from . import ftcalc
+
     prm = run.parameters
     points = ftcalc.tradeoff_curve(
         _number(prm, "eps0_min"),
@@ -185,7 +188,9 @@ def _cmd_tradeoff(run: RunConfig):
         p=_number(prm, "p"),
         p_hat=_p_hat(prm),
     )
-    return {"points": [r._asdict() for r in points]}, list(ftcalc.TradeoffPoint._fields), points
+    # CSV prints the rows as they are; only JSON needs one dict per row
+    payload = {"points": [r._asdict() for r in points]} if run.output_format == "json" else None
+    return payload, list(ftcalc.TradeoffPoint._fields), points
 
 
 def _parse_noise(obj):
@@ -240,6 +245,8 @@ def _cmd_verify(run: RunConfig):
 
 
 def _cmd_vote(run: RunConfig):
+    from . import vote
+
     prm = run.parameters
     p_prime = _number(prm, "p_prime")
     has_k = prm.get("k") is not None

@@ -60,7 +60,7 @@ def _check_unit_interval(name: str, value: float, lo_open=True, hi_open=True) ->
 
 
 def _check_gate_count(gate_count) -> int:
-    if not isinstance(gate_count, int) or gate_count < 1:
+    if isinstance(gate_count, bool) or not isinstance(gate_count, int) or gate_count < 1:
         raise DomainError(f"gate_count must be a positive integer, got {gate_count!r}")
     return gate_count
 
@@ -167,9 +167,7 @@ def circuit_failure(eps_n: float, gate_count: int) -> float:
     """min(1, gate_count * eps_n): whole-circuit failure probability bound."""
     if eps_n < 0.0 or math.isnan(eps_n):
         raise DomainError(f"eps_n must be nonnegative, got {eps_n}")
-    if gate_count < 1:
-        raise DomainError(f"gate_count must be >= 1, got {gate_count}")
-    return min(1.0, gate_count * eps_n)
+    return min(1.0, _check_gate_count(gate_count) * eps_n)
 
 
 def _closed_form_numerator(eps_th: float, gate_count: int, budget: float) -> float:
@@ -218,7 +216,7 @@ def _min_level(eps0: float, eps_th: float, gate_count: int, budget: float,
     log_eth = math.log(eps_th)
     for n in range(start, LEVEL_CAP + 1):
         eps_n = _level_error(eps0, eps_th, log_eth, n)
-        eps_qc = circuit_failure(eps_n, gate_count)
+        eps_qc = min(1.0, gate_count * eps_n)  # circuit_failure, inputs validated
         if eps_qc <= limit:
             return n, eps_n, eps_qc
         if n == 0 and eps0 >= eps_th:
@@ -258,6 +256,13 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
     return math.exp(math.log(eth) + log_ratio)
 
 
+def _log_grid(lo: float, hi: float, points: int) -> list[float]:
+    """tradeoff_curve's grid: points log-spaced values from lo towards hi."""
+    log_lo = math.log10(lo)
+    step = (math.log10(hi) - log_lo) / points
+    return [lo] + [10.0 ** (i * step + log_lo) for i in range(1, points)]
+
+
 def tradeoff_curve(
     eps0_min: float, eps0_max: float, points: int, *,
     eps_th: float, gate_count: int, p: float, p_hat: float,
@@ -265,6 +270,10 @@ def tradeoff_curve(
     """required_levels along a log-spaced eps0 grid over [eps0_min, eps0_max),
     as one TradeoffPoint(eps0, levels, eps_qc, closed_form) per grid point.
 
+    Grid point i is 10 ** (i * step + log10(eps0_min)) with
+    step = (log10(eps0_max) - log10(eps0_min)) / points, and point 0 is
+    eps0_min exactly: numpy.geomspace's recipe with endpoint=False, in
+    Python floats, so a point can differ from geomspace's by a few ulps.
     The right endpoint is excluded, so eps0_max may sit exactly at the
     threshold.  The resulting staircase is monotone: levels never decrease
     as eps0 grows.  A point that rounding puts at or above the threshold,
@@ -292,11 +301,7 @@ def tradeoff_curve(
         raise DomainError(f"points must be an integer >= 2, got {points!r}")
     if points > TRADEOFF_POINT_CAP:
         raise DomainError(f"points = {points} exceeds the cap of {TRADEOFF_POINT_CAP}")
-    # numpy only here, so the rest of the planner starts without it; a pure
-    # Python grid differs from geomspace in the last bit of some points
-    import numpy as np
-
-    grid = np.geomspace(eps0_min, eps0_max, points, endpoint=False).tolist()
+    grid = _log_grid(eps0_min, eps0_max, points)
     prm = FtParams(eps0=grid[0], eps_th=eps_th, gate_count=gate_count, p=p, p_hat=p_hat)
     eth, n_gates = prm.eps_th, prm.gate_count
     budget = epsilon_budget(prm.p_hat, prm.p)

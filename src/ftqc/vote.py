@@ -6,16 +6,16 @@ times and taking the majority answer succeeds with probability
     sum_{j = (k+1)/2}^{k} C(k, j) (1 - p')**j p'**(k - j)
 
 Small k (up to 64, so every odd k through 63) is evaluated in exact
-rational arithmetic over the binary value of p' and converted to float
-once at the end.  Larger k sums the binomial terms in log space over a
-window of about 40 standard deviations around the mean, so the cost grows
-as sqrt(k), not k; a window above TAIL_TERM_CAP terms is refused up front.
+integer arithmetic over the binary value of p' and converted to float by
+one correctly rounded division at the end.  Larger k sums the binomial
+terms in log space over a window of about 40 standard deviations around
+the mean, so the cost grows as sqrt(k), not k; a window above
+TAIL_TERM_CAP terms is refused up front.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import (
     BadProbabilityError,
@@ -44,15 +44,15 @@ def _check_repetitions(k: int) -> int:
 
 
 def _majority_success_exact(p_prime: float, k: int) -> float:
-    # exact dyadic arithmetic over the binary value of p_prime
-    frac = Fraction(p_prime)
-    num, den = frac.numerator, frac.denominator
+    # exact dyadic arithmetic over the binary value p_prime = num / den;
+    # int / int rounds the exact quotient once, as Fraction.__float__ does
+    num, den = p_prime.as_integer_ratio()
     good = den - num
     m = (k + 1) // 2
     total = sum(
         math.comb(k, j) * good ** j * num ** (k - j) for j in range(m, k + 1)
     )
-    return float(Fraction(total, den ** k))
+    return total / den ** k
 
 
 def _majority_success_tail(p_prime: float, k: int) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 from ftqc import cli
 from ftqc.errors import TheoremViolationError
+from ftqc.ftcalc import TradeoffPoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -220,6 +221,17 @@ class TestTradeoff:
         code, out, _ = run_cli(capsys, ["tradeoff", "--config", write_cfg(tmp_path, cfg)])
         assert code == 0
         assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["-1", "-1"]
+
+    def test_csv_builds_no_row_dicts(self, tmp_path, capsys, monkeypatch):
+        path = write_cfg(tmp_path, self.CFG)
+        want = run_cli(capsys, ["tradeoff", "--config", path])
+        calls = []
+        asdict = TradeoffPoint._asdict
+        monkeypatch.setattr(TradeoffPoint, "_asdict", lambda row: calls.append(row) or asdict(row))
+        assert run_cli(capsys, ["tradeoff", "--config", path]) == want
+        assert calls == []
+        assert run_cli(capsys, ["tradeoff", "--config", path, "--format", "json"])[0] == 0
+        assert len(calls) == 40
 
     def test_oversized_grid_exits_one(self, tmp_path, capsys):
         cfg = dict(self.CFG, points=10 ** 15)
@@ -507,9 +519,14 @@ class TestConfigHandling:
 
 class TestStartup:
     def test_planner_runs_without_numpy(self, tmp_path, capsys):
-        # a fresh interpreter: import the CLI, then make any import of numpy fail
+        # a fresh interpreter: import the CLI, then make any import of numpy
+        # fail; the CLI alone loads no command's module, and no command
+        # here loads fractions
         no_eps0 = {k: v for k, v in PLAN_CFG.items() if k != "eps0"}
+        tradeoff = write_cfg(tmp_path, TestTradeoff.CFG, "tradeoff.json")
         argvs = [
+            ["tradeoff", "--config", tradeoff],
+            ["tradeoff", "--config", tradeoff, "--format", "json"],
             ["plan", "--config", write_cfg(tmp_path, PLAN_CFG, "plan.json"), "--eps0", "1e-11"],
             ["plan", "--config", write_cfg(tmp_path, no_eps0, "inverse.json"), "--levels", "3"],
             ["vote", "--config", write_cfg(tmp_path, {"p_prime": 0.2, "target": 0.99}, "t.json")],
@@ -521,22 +538,23 @@ class TestStartup:
 import contextlib, io, json, sys
 sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
 import ftqc.cli
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "ftqc"))
 sys.modules["numpy"] = None
 runs = []
 for argv in {argvs!r}:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runs.append([ftqc.cli.main(argv), out.getvalue()])
-print(json.dumps({{"numpy_modules": loaded, "runs": runs}}))
+print(json.dumps({{"loaded": loaded, "fractions": "fractions" in sys.modules, "runs": runs}}))
 """
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
         assert done.returncode == 0, done.stderr.decode()
         result = json.loads(done.stdout)
-        assert result["numpy_modules"] == []
+        assert result["loaded"] == ["ftqc", "ftqc.cli", "ftqc.errors"]
+        assert not result["fractions"]
         expected = [list(run_cli(capsys, argv)[:2]) for argv in argvs]
         assert result["runs"] == expected
-        assert [c for c, _ in expected] == [0, 0, 0, 0, 1]
+        assert [c for c, _ in expected] == [0, 0, 0, 0, 0, 0, 1]
 
 
 def test_recorded_outputs_replay_byte_identical(tmp_path, capsys, monkeypatch):

@@ -169,6 +169,11 @@ class TestCircuitFailure:
         with pytest.raises(DomainError):
             circuit_failure(1e-9, 0)
 
+    @pytest.mark.parametrize("gate_count", [math.nan, 1.5, 2.0, True])
+    def test_gate_count_must_be_a_positive_integer(self, gate_count):
+        with pytest.raises(DomainError, match="gate_count must be a positive integer"):
+            circuit_failure(1e-9, gate_count)
+
 
 class TestRequiredLevels:
     def test_caption_anchor_two_levels(self):
@@ -380,16 +385,14 @@ class TestTradeoffCurve:
             tradeoff_curve(1e-13, 1e-9, 10 ** 15, **CAPTION)
 
     def test_resume_restarts_at_threshold_and_after_a_dip(self, monkeypatch):
-        # geomspace can round a point onto the threshold, or below the point
+        # the grid can round a point onto the threshold, or below the point
         # before it, when eps0_min and eps0_max are a few ulps apart; which
         # points it does that to depends on the platform's libm, so the
         # grid is pinned here: a deep level, the threshold (level 0 misses
         # the budget, so -1), then two points each below their predecessor
-        import numpy as np
-
         eps_th = 1e-3
         grid = [eps_th * (1 - 1e-6), eps_th, eps_th * (1 - 1e-9), eps_th * (1 - 1e-3)]
-        monkeypatch.setattr(np, "geomspace", lambda *args, **kwargs: np.array(grid))
+        monkeypatch.setattr(ftcalc, "_log_grid", lambda *args: list(grid))
         kw = dict(eps_th=eps_th, gate_count=10 ** 4, p=0.2, p_hat=0.4)
         rows = [_row_key(r) for r in tradeoff_curve(grid[0], eps_th, len(grid), **kw)]
         assert rows == _per_point_curve(grid[0], eps_th, len(grid), **kw)
@@ -410,11 +413,9 @@ class TestTradeoffCurve:
         # each pinned point needs several levels more than the one before,
         # so the single test at the carried-over level fails and the search
         # goes on from the next level up
-        import numpy as np
-
         eps_th = 1e-3
         grid = [eps_th * 1e-6, eps_th * 0.5, eps_th * 0.99]
-        monkeypatch.setattr(np, "geomspace", lambda *args, **kwargs: np.array(grid))
+        monkeypatch.setattr(ftcalc, "_log_grid", lambda *args: list(grid))
         starts = []
         search = ftcalc._min_level
 
@@ -428,6 +429,24 @@ class TestTradeoffCurve:
         assert [r[1] for r in rows] == [1, 5, 11]
         assert starts == [1, 2, 6]
         assert rows == _per_point_curve(grid[0], eps_th, len(grid), **kw)
+
+    def test_grid_follows_geomspace(self):
+        # the grid is numpy.geomspace's recipe in Python floats: libm and
+        # numpy's SIMD log10 and power round differently in the last bit
+        import numpy as np
+
+        rng = np.random.default_rng(11)
+        for _ in range(5000):
+            hi = 10.0 ** rng.uniform(-12.0, -0.3)
+            # one draw in ten has the endpoints one ulp apart
+            lo = math.nextafter(hi, 0.0) if rng.random() < 0.1 else hi * 10.0 ** -rng.uniform(0.0, 8.0)
+            points = int(rng.integers(2, 301))
+            grid = ftcalc._log_grid(lo, hi, points)
+            want = np.geomspace(lo, hi, points, endpoint=False)
+            assert len(grid) == points
+            assert grid[0] == lo
+            assert all(type(x) is float for x in grid)
+            np.testing.assert_allclose(grid, want, rtol=1e-13, atol=0.0)
 
     @given(st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -463,10 +482,8 @@ def _row_key(row):
 
 def _per_point_curve(eps0_min, eps0_max, points, **kw):
     """The curve from one independent required_levels call per grid point."""
-    import numpy as np
-
     rows = []
-    for e0 in np.geomspace(eps0_min, eps0_max, points, endpoint=False).tolist():
+    for e0 in ftcalc._log_grid(eps0_min, eps0_max, points):
         try:
             r = required_levels(FtParams(eps0=e0, **kw))
         except AboveThresholdError:

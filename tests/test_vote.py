@@ -1,3 +1,5 @@
+import math
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ftqc
-from ftqc import majority_success, min_repetitions
+from ftqc import majority_success, min_repetitions, vote
 from ftqc.errors import (
     BadProbabilityError,
     CapExceededError,
@@ -54,6 +56,23 @@ class TestMajoritySuccess:
                 assert majority_success(p, k) == pytest.approx(
                     binomial_tail_oracle(p, k), abs=1e-14
                 )
+
+    def test_exact_path_rounds_like_the_fraction_conversion(self):
+        # total / den**k is one correctly rounded int division, as is
+        # float(Fraction(total, den**k)), the conversion it replaced
+        def fraction_exact(p_prime, k):
+            frac = Fraction(p_prime)
+            num, den = frac.numerator, frac.denominator
+            total = sum(comb(k, j) * (den - num) ** j * num ** (k - j) for j in range((k + 1) // 2, k + 1))
+            return float(Fraction(total, den ** k))
+
+        rng = random.Random(5)
+        draws = [(p, k) for p in (0.0, 5e-324, 2.0 ** -1022, 0.15, 0.5, math.nextafter(0.5, 0.0), 1.0)
+                 for k in range(1, EXACT_K_LIMIT, 2)]
+        while len(draws) < 5000:
+            p = rng.random() if rng.random() < 0.5 else 10.0 ** -rng.uniform(0.0, 20.0)
+            draws.append((p, rng.randrange(1, EXACT_K_LIMIT, 2)))
+        assert [vote._majority_success_exact(p, k) for p, k in draws] == [fraction_exact(p, k) for p, k in draws]
 
     def test_exact_and_tail_paths_agree_at_seam(self):
         # k=63 uses integer arithmetic, k >= 65 the windowed log-space tail sum

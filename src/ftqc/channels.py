@@ -4,15 +4,17 @@ Tensor conventions match densmat: qubit 0 is the leftmost, most significant
 factor, so the basis index of a bitstring is int(bits, 2).
 
 ``evolve`` is the one path that pushes operators through a noisy circuit.
-Each gate acts by a tensordot on its own target axes, so no full-register
-unitary is built, and depolarizing noise after it acts through its closed
-form.  ``compile_ideal`` multiplies the gates into the one unitary of the
-noiseless circuit, which the random search applies to pure vectors.
+It holds a stack of d x d operators as one qubit tensor, a row axis and a
+column axis per qubit, so each gate of any width acts by a tensordot on
+its own target axes and no full-register unitary is built.  Depolarizing
+noise after a gate acts through its closed form: a partial trace over the
+targets and an in-place update of the target diagonal.  ``compile_ideal``
+multiplies the gates into the one unitary of the noiseless circuit, which
+the random search applies to pure vectors.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,7 @@ from .densmat import (
     VALIDATION_TOL,
     _as_square_matrix,
     _freeze,
+    _is_index,
     _is_json_number,
     _matrix_from_json,
 )
@@ -65,7 +68,10 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        targets = tuple(int(t) for t in self.targets)
+        targets = tuple(self.targets)
+        if not all(map(_is_index, targets)):
+            raise CircuitError(f"gate targets must be integers, got {targets!r}")
+        targets = tuple(int(t) for t in targets)
         object.__setattr__(self, "targets", targets)
         if len(targets) == 0:
             raise CircuitError("gate needs at least one target")
@@ -109,6 +115,8 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not _is_index(self.num_qubits):
+            raise CircuitError(f"num_qubits must be an integer, got {self.num_qubits!r}")
         if not (1 <= self.num_qubits <= MAX_QUBITS):
             raise CircuitError(
                 f"num_qubits {self.num_qubits} outside [1, {MAX_QUBITS}]"
@@ -145,87 +153,60 @@ class NoiseModel:
         object.__setattr__(self, "strength", s)
 
 
-def _act(
-    stack: np.ndarray, g: np.ndarray, targets: tuple[int, ...], num_qubits: int, side: int
-) -> np.ndarray:
-    """Multiply a k-qubit matrix into a batch of operators at `targets`.
+def _act(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:
+    """Multiply a k-qubit matrix into tensor t along k of its qubit axes.
 
-    side 0 acts on the row index (M -> g M); side num_qubits acts on the
-    column index (M -> M g^T).  Factor order inside g follows the order of
-    `targets`, so CNOT on targets (1, 0) has its control on qubit 1.
+    Factor order inside g follows the order of `axes`, so CNOT on row axes
+    of qubits (1, 0) has its control on qubit 1.  Returns a view of the
+    fresh tensordot output with the k gate outputs moved back to `axes`.
     """
-    k = len(targets)
-    m, d = stack.shape[0], stack.shape[1]
-    t = stack.reshape((m,) + (2,) * (2 * num_qubits))
-    axes = [1 + side + q for q in targets]
-    out = np.tensordot(g.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
-    # the k gate outputs come first; move them back to the target axes
-    return np.moveaxis(out, list(range(k)), axes).reshape(m, d, d)
-
-
-def _depolarize_stack(
-    stack: np.ndarray, targets: tuple[int, ...], num_qubits: int, strength: float
-) -> np.ndarray:
-    """Apply depolarizing noise on `targets` to a batch of operators.
-
-    Uses the closed form (1-s) M + s (tr_T M) (x) I_T / d_T on each matrix
-    of the batch, with the identity re-inserted at the target positions.
-    """
-    if strength == 0.0:
-        return stack
-    n = num_qubits
-    k = len(targets)
-    m = stack.shape[0]
-    d = 2 ** n
-    letters = string.ascii_letters
-    batch = letters[2 * n]
-    rows = [letters[q] for q in range(n)]
-    cols = [letters[n + q] for q in range(n)]
-    t = np.asarray(stack).reshape((m,) + (2,) * n + (2,) * n)
-    # trace over target row/col pairs by repeating the row letter
-    in_sub = batch + "".join(rows) + "".join(
-        rows[q] if q in targets else cols[q] for q in range(n)
-    )
-    kept_rows = [rows[q] for q in range(n) if q not in targets]
-    kept_cols = [cols[q] for q in range(n) if q not in targets]
-    out_sub = batch + "".join(kept_rows) + "".join(kept_cols)
-    reduced = np.einsum(f"{in_sub}->{out_sub}", t)
-    # re-insert I/2 on each traced qubit
-    eye_half = np.eye(2) / 2.0
-    id_subs = [f"{rows[q]}{cols[q]}" for q in targets]
-    expand_sub = (
-        out_sub + "," + ",".join(id_subs) + "->" + batch + "".join(rows) + "".join(cols)
-    )
-    expanded = np.einsum(expand_sub, reduced, *([eye_half] * k)).reshape(m, d, d)
-    return (1.0 - strength) * stack + strength * expanded
+    k = len(axes)
+    out = np.tensordot(g.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, range(k), axes)
 
 
 def evolve(circ: Circuit, noise: NoiseModel, states) -> np.ndarray:
     """Push a (B, d, d) stack of operators through the noisy circuit.
 
-    Each gate conjugates every operator (M -> U M U+); the noise channel
-    then acts on that gate's targets.  Returns the evolved stack as a raw
-    array; callers validate what they read as states.
+    The stack is held as one (B, 2, ..., 2) tensor with a row axis and a
+    column axis per qubit.  Each gate conjugates every operator
+    (M -> U M U+) by one tensordot on its row axes and one on its column
+    axes.  Depolarizing noise of strength s on the targets T then acts by
+    its closed form (1-s) M + s tr_T(M) (x) I_T / d_T: the partial trace is
+    taken first, the gate output is scaled in place, and s/d_T tr_T(M) is
+    added onto the diagonal view of the target axes.  Returns the evolved
+    stack as a raw array; callers validate what they read as states.
     """
     stack = np.asarray(states, dtype=complex)
     if stack.ndim != 3 or stack.shape[1:] != (circ.dim, circ.dim):
         raise DimensionMismatchError(
             f"expected a (B, {circ.dim}, {circ.dim}) stack, got shape {stack.shape}"
         )
-    n = circ.num_qubits
+    n, s = circ.num_qubits, noise.strength
+    t = stack.reshape((stack.shape[0],) + (2,) * (2 * n))
     for g in circ.gates:
         u = g.unitary()
-        stack = _act(_act(stack, u, g.targets, n, 0), u.conj(), g.targets, n, n)
-        stack = _depolarize_stack(stack, g.targets, n, noise.strength)
-    return stack
+        rows = [1 + q for q in g.targets]
+        t = _act(t, u, rows)
+        t = _act(t, u.conj(), [n + r for r in rows])
+        if s:
+            # einsum sublists: each target column axis reuses its row label
+            labels = [0, *range(1, n + 1), *(r if r in rows else n + r for r in range(1, n + 1))]
+            kept = [a for a in labels[1:] if a not in rows]
+            traced = np.einsum(t, labels, [0, *kept])
+            t *= 1.0 - s
+            diagonal = np.einsum(t, labels, [0, *kept, *rows])
+            diagonal += (s / 2 ** len(rows)) * traced.reshape(traced.shape + (1,) * len(rows))
+            del diagonal, traced  # a live view would keep this output through the next gate
+    return t.reshape(stack.shape)
 
 
 def compile_ideal(circ: Circuit) -> np.ndarray:
     """The noiseless circuit as one read-only d x d unitary on the register."""
-    u = np.eye(circ.dim, dtype=complex)[np.newaxis]
+    u = np.eye(circ.dim, dtype=complex).reshape((2,) * (2 * circ.num_qubits))
     for g in circ.gates:
-        u = _act(u, g.unitary(), g.targets, circ.num_qubits, 0)
-    return _freeze(u[0])
+        u = _act(u, g.unitary(), g.targets)
+    return _freeze(u.reshape(circ.dim, circ.dim))
 
 
 def circuit_from_json(obj: dict) -> Circuit:

@@ -200,6 +200,9 @@ def _parse_noise(obj):
         return NoiseModel(kind="none")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError('"noise" must be "none" or an object with a "kind"')
+    for key in obj:
+        if key not in ("kind", "strength"):
+            raise ConfigError(f'unknown key "{key}" in "noise"; known keys: "kind", "strength"')
     if not isinstance(obj["kind"], str):
         raise ConfigError('"noise.kind" must be a string')
     if obj["kind"] not in ("none", "depolarizing"):

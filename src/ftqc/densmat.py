@@ -62,6 +62,11 @@ def _is_json_number(x, kinds=(int, float)) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
+def _is_index(x) -> bool:
+    """A Python or NumPy integer usable as a count or qubit index; not a bool."""
+    return _is_json_number(x, (int, np.integer))
+
+
 def _complex_from_json(entry) -> complex:
     try:
         if _is_json_number(entry):

@@ -59,6 +59,12 @@ def _check_unit_interval(name: str, value: float, lo_open=True, hi_open=True) ->
     return v
 
 
+def _check_levels(levels) -> int:
+    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 0:
+        raise DomainError(f"levels must be a nonnegative integer, got {levels!r}")
+    return levels
+
+
 def _check_gate_count(gate_count) -> int:
     if isinstance(gate_count, bool) or not isinstance(gate_count, int) or gate_count < 1:
         raise DomainError(f"gate_count must be a positive integer, got {gate_count!r}")
@@ -139,8 +145,7 @@ def logical_gate_error(eps0: float, eps_th: float, levels: int) -> float:
     """
     e0 = _check_unit_interval("eps0", eps0)
     eth = _check_unit_interval("eps_th", eps_th)
-    if not isinstance(levels, int) or levels < 0:
-        raise DomainError(f"levels must be a nonnegative integer, got {levels!r}")
+    _check_levels(levels)
     # 2.0 ** 1024 overflows.  By level 1023 every eps0 != eps_th has flushed
     # to 0.0 or inf, and an eps0 whose log rounds to log(eps_th) is a fixed
     # point, so level 1023 gives the value of every higher level.
@@ -240,8 +245,7 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
     eps_th * (budget / (gate_count * eps_th)) ** (1 / 2**levels), clamped at
     eps_th when the budget already covers gate_count * eps_th.
     """
-    if not isinstance(levels, int) or levels < 0:
-        raise DomainError(f"levels must be a nonnegative integer, got {levels!r}")
+    _check_levels(levels)
     eth = _check_unit_interval("eps_th", eps_th)
     _check_gate_count(gate_count)
     p = _check_unit_interval("p", p, lo_open=False)
@@ -257,10 +261,14 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
 
 
 def _log_grid(lo: float, hi: float, points: int) -> list[float]:
-    """tradeoff_curve's grid: points log-spaced values from lo towards hi."""
+    """tradeoff_curve's grid: points log-spaced values from lo towards hi,
+    each clamped below hi (near hi the logarithms can round onto hi's)."""
     log_lo = math.log10(lo)
     step = (math.log10(hi) - log_lo) / points
-    return [lo] + [10.0 ** (i * step + log_lo) for i in range(1, points)]
+    below = math.nextafter(hi, 0.0)
+    return [lo] + [
+        x if (x := 10.0 ** (i * step + log_lo)) < hi else below for i in range(1, points)
+    ]
 
 
 def tradeoff_curve(
@@ -274,11 +282,12 @@ def tradeoff_curve(
     step = (log10(eps0_max) - log10(eps0_min)) / points, and point 0 is
     eps0_min exactly: numpy.geomspace's recipe with endpoint=False, in
     Python floats, so a point can differ from geomspace's by a few ulps.
-    The right endpoint is excluded, so eps0_max may sit exactly at the
-    threshold.  The resulting staircase is monotone: levels never decrease
-    as eps0 grows.  A point that rounding puts at or above the threshold,
-    where level 0 misses the budget, is emitted with levels = -1 and NaN
-    eps_qc and closed_form.
+    The right endpoint is excluded: a point that rounding would put at or
+    above eps0_max is clamped to the float just below it, so eps0_max may
+    sit exactly at the threshold.  The resulting staircase is monotone:
+    levels never decrease as eps0 grows.  A point within float rounding of
+    the threshold, where no level meets the budget, is emitted with
+    levels = -1 and NaN eps_qc and closed_form.
 
     The scalars are validated once, and log(eps_th), the feasibility limit
     and the closed form's numerator are taken once per grid.  Each point

@@ -21,6 +21,7 @@ from .densmat import (
     DensityMatrix,
     HermitianOperator,
     VALIDATION_TOL,
+    _is_index,
     _matrix_from_json,
 )
 from .errors import (
@@ -45,6 +46,8 @@ def _check_bitstring(label: str, num_qubits: int) -> None:
 
 
 def _check_width(num_qubits: int) -> None:
+    if not _is_index(num_qubits):
+        raise DimensionMismatchError(f"num_qubits must be an integer, got {num_qubits!r}")
     # before anything of size 2**num_qubits is allocated or looped over; the
     # power stays unevaluated, since a long label makes it too big to print
     if num_qubits > MAX_QUBITS:
@@ -86,6 +89,9 @@ def basis_readout(
     _check_width(num_qubits)
     if measured is None:
         measured = tuple(range(num_qubits))
+    measured = tuple(measured)
+    if not all(map(_is_index, measured)):
+        raise DimensionMismatchError(f"measured qubits must be integers, got {measured!r}")
     measured = tuple(int(q) for q in measured)
     if len(measured) == 0:
         raise DimensionMismatchError("measure at least one qubit")

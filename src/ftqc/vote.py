@@ -36,7 +36,7 @@ TAIL_TERM_CAP = 2 ** 24
 
 
 def _check_repetitions(k: int) -> int:
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError(f"repetitions must be a positive integer, got {k!r}")
     if k % 2 == 0:
         raise EvenRepetitionsError(f"repetitions must be odd, got {k}")

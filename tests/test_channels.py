@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,20 @@ class TestGateAndCircuit:
         with pytest.raises(CircuitError):
             Gate(name="CZ", targets=(1, 1))
 
+    @pytest.mark.parametrize("target", [0.7, 1.0, True, False, np.float64(0.0), np.bool_(True)])
+    def test_rejects_bool_and_non_integer_targets(self, target):
+        with pytest.raises(CircuitError, match="gate targets must be integers"):
+            Gate(name="H", targets=(target,))
+
+    def test_numpy_integer_targets_become_ints(self):
+        g = Gate(name="CNOT", targets=(np.int64(1), np.uint8(0)))
+        assert g.targets == (1, 0) and all(type(t) is int for t in g.targets)
+
+    @pytest.mark.parametrize("num_qubits", [True, 2.0])
+    def test_circuit_rejects_bool_and_non_integer_width(self, num_qubits):
+        with pytest.raises(CircuitError, match="num_qubits must be an integer"):
+            Circuit(num_qubits=num_qubits, gates=[])
+
     def test_rejects_nonunitary_matrix(self):
         with pytest.raises(NotUnitaryError):
             Gate(matrix=np.array([[1.0, 0.0], [0.0, 2.0]]), targets=(0,))
@@ -250,6 +266,56 @@ class TestCompile:
         rho = helpers.ginibre_density(2 ** circ.num_qubits, rng)
         want = helpers.sequential_noisy_oracle(circ, noise.strength, rho)
         assert trace_norm(evolve(circ, noise, rho[np.newaxis])[0] - want) < 1e-9
+
+    @pytest.mark.parametrize("strength", [0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("targets", [(4, 1, 3), (5, 0, 3, 1), (2, 5, 0, 4, 1)])
+    def test_wide_matrix_gates_match_sequential_oracle(self, targets, strength):
+        # random_instance draws gates on at most 2 targets; here 3 to 5, in
+        # unsorted and non-adjacent orders, then a CNOT on two of them
+        rng = np.random.default_rng(len(targets))
+        wide = Gate(matrix=helpers.haar_unitary(2 ** len(targets), rng), targets=targets)
+        cnot = Gate(name="CNOT", targets=(targets[-1], targets[0]))
+        circ = Circuit(num_qubits=6, gates=[wide, cnot])
+        rho = np.stack([helpers.ginibre_density(circ.dim, rng) for _ in range(2)])
+        got = evolve(circ, NoiseModel(kind="depolarizing", strength=strength), rho)
+        for out, r in zip(got, rho):
+            np.testing.assert_allclose(out, helpers.sequential_noisy_oracle(circ, strength, r), atol=1e-12)
+
+    def test_compile_ideal_matches_oracle_on_three_targets(self):
+        rng = np.random.default_rng(3)
+        u = helpers.haar_unitary(8, rng)
+        got = compile_ideal(Circuit(num_qubits=4, gates=[Gate(matrix=u, targets=(3, 0, 2))]))
+        np.testing.assert_allclose(got, helpers.embed_oracle(u, (3, 0, 2), 4), atol=1e-12)
+
+    def test_evolve_leaves_input_unchanged_and_takes_read_only_stacks(self):
+        # the noise step scales the gate output in place; never the input
+        rng = np.random.default_rng(5)
+        rho = np.stack([helpers.ginibre_density(8, rng) for _ in range(3)])
+        before = rho.copy()
+        rho.flags.writeable = False
+        gates = [Gate(name="H", targets=(1,)), Gate(name="CZ", targets=(2, 0))]
+        circ = Circuit(num_qubits=3, gates=gates)
+        got = evolve(circ, NoiseModel(kind="depolarizing", strength=0.3), rho)
+        np.testing.assert_array_equal(rho, before)
+        for out, r in zip(got, before):
+            np.testing.assert_allclose(out, helpers.sequential_noisy_oracle(circ, 0.3, r), atol=1e-12)
+
+    def test_evolve_holds_at_most_three_stacks(self):
+        # a gate's product holds its input, tensordot's copy of it and its
+        # output; nothing from the gate before may stay alive beside them
+        n = 5
+        stack = np.zeros((16, 2 ** n, 2 ** n), dtype=complex)
+        gates = [Gate(name="H", targets=(q,)) for q in range(n)]
+        gates += [Gate(name="CNOT", targets=(q, q + 1)) for q in range(n - 1)]
+        circ = Circuit(num_qubits=n, gates=gates)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evolve(circ, NoiseModel(kind="depolarizing", strength=0.1), stack)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * stack.nbytes
 
     def test_evolve_rejects_wrong_stack_shape(self):
         noise = NoiseModel(kind="depolarizing", strength=0.1)

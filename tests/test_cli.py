@@ -367,6 +367,15 @@ sys.exit(cli.main(["verify", "--config", {cfg!r}]))
         assert code == 2
         assert "noise.kind" in err
 
+    def test_unknown_noise_key_exits_two(self, tmp_path, capsys):
+        # a misspelled "strength" would otherwise certify the noiseless circuit
+        cfg = dict(VERIFY_CFG, noise={"kind": "depolarizing", "strenght": 0.1})
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert (code, out) == (2, "")
+        assert err == (
+            'config error: unknown key "strenght" in "noise"; known keys: "kind", "strength"\n'
+        )
+
     @pytest.mark.parametrize(
         "section, value",
         [

@@ -122,6 +122,14 @@ class TestLogicalGateError:
         with pytest.raises(DomainError):
             logical_gate_error(1e-5, 1e-4, -1)
 
+    @pytest.mark.parametrize("levels", [-1, True, False, 1.0, 1.5])
+    def test_levels_must_be_a_nonnegative_integer(self, levels):
+        # a bool is not a level count, though bool subclasses int
+        with pytest.raises(DomainError, match="levels must be a nonnegative integer"):
+            logical_gate_error(1e-10, 1e-9, levels)
+        with pytest.raises(DomainError, match="levels must be a nonnegative integer"):
+            max_gate_error(levels, 1e-9, 10 ** 12, 0.4, 0.2)
+
     @given(st.integers(1, 8), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_strictly_decreasing_below_threshold(self, levels, seed):
@@ -429,6 +437,17 @@ class TestTradeoffCurve:
         assert [r[1] for r in rows] == [1, 5, 11]
         assert starts == [1, 2, 6]
         assert rows == _per_point_curve(grid[0], eps_th, len(grid), **kw)
+
+    @pytest.mark.parametrize("hi", [1e-300, 1e-9, 1e-3, 0.5])
+    def test_grid_excludes_right_endpoint_one_ulp_away(self, hi):
+        # the logarithms of endpoints one ulp apart can round to one value,
+        # which put every point after the first on hi before the clamp
+        lo = math.nextafter(hi, 0.0)
+        grid = ftcalc._log_grid(lo, hi, 6)
+        assert grid[0] == lo and len(grid) == 6
+        assert all(x < hi and math.isclose(x, hi, rel_tol=1e-15) for x in grid)
+        rows = tradeoff_curve(lo, hi, 6, eps_th=hi, gate_count=10, p=0.2, p_hat=0.4)
+        assert [r.eps0 for r in rows] == grid
 
     def test_grid_follows_geomspace(self):
         # the grid is numpy.geomspace's recipe in Python floats: libm and

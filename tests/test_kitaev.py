@@ -83,6 +83,18 @@ class TestBasisReadout:
         np.testing.assert_allclose(povm["0"].entries, np.diag([1.0, 1.0, 0, 0]), atol=1e-15)
         np.testing.assert_allclose(povm["1"].entries, np.diag([0, 0, 1.0, 1.0]), atol=1e-15)
 
+    @pytest.mark.parametrize("measured", [(0.9,), (True,), (0, 1.0)])
+    def test_rejects_bool_and_non_integer_qubits(self, measured):
+        with pytest.raises(DimensionMismatchError, match="measured qubits must be integers"):
+            basis_readout(2, measured=measured)
+
+    @pytest.mark.parametrize("width", [True, 2.0])
+    def test_rejects_bool_and_non_integer_width(self, width):
+        with pytest.raises(DimensionMismatchError, match="num_qubits must be an integer"):
+            basis_readout(width)
+        with pytest.raises(DimensionMismatchError, match="num_qubits must be an integer"):
+            basis_encoding(width, ["0"])
+
     def test_effects_resolve_identity(self):
         povm = basis_readout(3, measured=(0, 2))
         total = sum(e.entries for e in povm.values())

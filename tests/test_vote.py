@@ -128,6 +128,11 @@ class TestMajoritySuccess:
         with pytest.raises(DomainError):
             majority_success(0.15, 0)
 
+    @pytest.mark.parametrize("k", [True, 3.0, 2.5])
+    def test_rejects_bool_and_non_integer_repetitions(self, k):
+        with pytest.raises(DomainError, match="repetitions must be a positive integer"):
+            majority_success(0.15, k)
+
     def test_rejects_bad_probability(self):
         with pytest.raises(BadProbabilityError):
             majority_success(-0.1, 3)

@@ -18,8 +18,8 @@ _EXPORTS = {
     for home, names in (
         ("errors", "errors"),
         ("densmat", "DensityMatrix HermitianOperator effect_probability make_state trace_norm"),
-        ("channels", "Circuit Gate NoiseModel circuit_from_json compile_ideal evolve"),
-        ("kitaev", "OverallComputation basis_encoding basis_readout computation_from_json"),
+        ("channels", "Circuit Gate NoiseModel compile_ideal evolve"),
+        ("kitaev", "OverallComputation basis_encoding basis_readout"),
         ("qcc", "InputRecord LinkingMaps MixingCheck QccReport alpha_random_search"
                 " certify_combined_bound implemented_channel"
                 " mix_error_state mixing_inaccuracy_bound_check"),

@@ -25,13 +25,10 @@ from .densmat import (
     _as_square_matrix,
     _freeze,
     _is_index,
-    _is_json_number,
-    _matrix_from_json,
 )
 from .errors import (
     BadStrengthError,
     CircuitError,
-    ConfigError,
     DimensionMismatchError,
     NotUnitaryError,
 )
@@ -207,40 +204,3 @@ def compile_ideal(circ: Circuit) -> np.ndarray:
     for g in circ.gates:
         u = _act(u, g.unitary(), g.targets)
     return _freeze(u.reshape(circ.dim, circ.dim))
-
-
-def circuit_from_json(obj: dict) -> Circuit:
-    """Build a Circuit from its JSON object form.
-
-    Schema: {"num_qubits": n, "gates": [{"name": "H", "targets": [0]} or
-    {"matrix": [[...]], "targets": [0, 1]}, ...]}.  Matrix entries are
-    numbers or [re, im] pairs.
-    """
-    if not isinstance(obj, dict):
-        raise ConfigError("circuit must be a JSON object")
-    if "num_qubits" not in obj or not _is_json_number(obj["num_qubits"], int):
-        raise ConfigError('circuit needs an integer "num_qubits" field')
-    raw_gates = obj.get("gates", [])
-    if not isinstance(raw_gates, list):
-        raise ConfigError('"gates" must be a list')
-    gates = []
-    for i, g in enumerate(raw_gates):
-        if not isinstance(g, dict):
-            raise ConfigError(f"gate {i} must be an object")
-        if "targets" not in g or not isinstance(g["targets"], list):
-            raise ConfigError(f'gate {i} needs a "targets" list')
-        targets = tuple(g["targets"])
-        if not all(_is_json_number(t, int) for t in targets):
-            raise ConfigError(f"gate {i} targets must be integers")
-        has_name = "name" in g
-        has_matrix = "matrix" in g
-        if has_name == has_matrix:
-            raise ConfigError(f'gate {i} needs exactly one of "name" or "matrix"')
-        if has_name:
-            if not isinstance(g["name"], str):
-                raise ConfigError(f"gate {i} name must be a string")
-            gates.append(Gate(targets=targets, name=g["name"]))
-        else:
-            mat = _matrix_from_json(g["matrix"], f"gate {i} matrix")
-            gates.append(Gate(targets=targets, matrix=mat))
-    return Circuit(num_qubits=obj["num_qubits"], gates=tuple(gates))

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 infeasible or domain error, 2 config error,
 3 internal theorem violation.  Numbers are emitted with 12 significant
 digits so repeated runs produce byte-identical files.  JSON renders
 non-finite floats as null; CSV prints them as inf/-inf/nan.
+
+Every JSON object of a config is read once, here, through its own key
+table: a key outside the table, a missing required key and a value of the
+wrong JSON type are config errors, and null reads as an absent key.
 """
 
 from __future__ import annotations
@@ -13,23 +17,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import BadProbabilityError, ConfigError, FtqcError, TheoremViolationError
 
 _DEFAULT_FORMATS = {"plan": "json", "tradeoff": "csv", "verify": "json", "vote": "json"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    parameters: dict
-    output_format: str
-    output_path: str | None
-    seed: int
-
-
 # --- config plumbing --------------------------------------------------------
+# A table maps each key of one JSON object to (reader, required).  A reader
+# takes a present, non-null value and its dotted path, and returns the value
+# decoded or raises ConfigError.  Range checks are left to the library
+# (exit 1); the circuit and computation readers build their library
+# objects, so those checks run as each is read.
+
+_q = json.dumps  # a key, path or label in a message: double-quoted, on one line
+
 
 def _load_json_file(path: str) -> dict:
     try:
@@ -37,8 +39,8 @@ def _load_json_file(path: str) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
+        raise ConfigError(f"malformed JSON in {path!r}: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path!r} must contain a JSON object")
     return obj
@@ -54,51 +56,192 @@ def _env_seed() -> int | None:
         raise ConfigError(f"FTQC_SEED = {raw!r} is not an integer") from exc
 
 
-def _number(prm: dict, key: str) -> float:
-    if key not in prm:
-        raise ConfigError(f'missing config key "{key}"')
-    v = prm[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f'config key "{key}" must be a number, got {v!r}')
+def _read(obj, table: dict, path: str) -> dict:
+    """obj's value for each key of table, decoded in table order, or None
+    where the key is absent or null.  A key outside the table, and a
+    required key that is absent or null, are config errors."""
+    where = _q(path) if path else "the config"
+    for key in _object(obj, path):
+        if key not in table:
+            known = ", ".join(map(_q, table))
+            raise ConfigError(f"unknown key {_q(key)} in {where}; known keys: {known}")
+    out = {}
+    for key, (reader, required) in table.items():
+        value = obj.get(key)
+        if value is not None:
+            value = reader(value, f"{path}.{key}" if path else key)
+        elif required:
+            raise ConfigError(f"missing key {_q(key)} in {where}")
+        out[key] = value
+    return out
+
+
+def _of(kind, what: str):
+    """A reader that checks the JSON type and keeps the value as it is."""
+    def read(v, name: str):
+        # bool is a subclass of int, but JSON true/false are not numbers
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ConfigError(f"{_q(name)} must be {what}, got {v!r}")
+        return v
+    return read
+
+
+_string = _of(str, "a string")
+_object = _of(dict, "an object")
+_array = _of(list, "a list")
+_index = _of(int, "an integer")  # a qubit count or index, kept exact
+_real = _of((int, float), "a number")
+
+
+def _number(v, name: str) -> float:
     try:
-        return float(v)
+        return float(_real(v, name))
     except OverflowError:  # JSON integers are unbounded
-        raise ConfigError(f'config key "{key}" is beyond the float range') from None
+        raise ConfigError(f"{_q(name)} is beyond the float range") from None
 
 
-def _integer(prm: dict, key: str) -> int:
-    if key not in prm:
-        raise ConfigError(f'missing config key "{key}"')
-    v = prm[key]
+def _integer(v, name: str) -> int:
+    """A count: a JSON integer within the float range, or an integral float."""
     if isinstance(v, float) and v.is_integer():
         return int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f'config key "{key}" must be an integer, got {v!r}')
-    _number(prm, key)  # refuses an integer beyond the float range
+    _number(_index(v, name), name)
     return v
 
 
-def _p_hat(prm: dict) -> float:
-    # the failure-bound form and the success-target form are both accepted
-    has_ph = "p_hat" in prm
-    has_st = "success_target" in prm
-    if has_ph == has_st:
-        raise ConfigError('give exactly one of "p_hat" or "success_target"')
-    if has_ph:
-        return _number(prm, "p_hat")
-    return 1.0 - _number(prm, "success_target")
-
-
-def _sub_object(prm: dict, key: str) -> dict:
-    """A config section given inline as an object or as a path to a JSON file."""
-    if key not in prm:
-        raise ConfigError(f'missing config key "{key}"')
-    v = prm[key]
-    if isinstance(v, str):
-        return _load_json_file(v)
-    if isinstance(v, dict):
+def _one_of(*choices):
+    def read(v, name: str):
+        if v not in choices:
+            raise ConfigError(f"{_q(name)} must be one of {', '.join(map(_q, choices))}, got {v!r}")
         return v
-    raise ConfigError(f'config key "{key}" must be an object or a file path')
+    return read
+
+
+def _list(item):
+    def read(v, name: str) -> list:
+        return [item(x, f"{name}[{i}]") for i, x in enumerate(_array(v, name))]
+    return read
+
+
+_strings = _list(_string)
+
+
+def _labels(v, name: str) -> list:
+    labels = _strings(v, name)
+    if not labels or "" in labels:
+        raise ConfigError(f"{_q(name)} must be a nonempty list of nonempty labels")
+    return labels
+
+
+def _complex(e, name: str) -> complex:
+    """A matrix entry: a number or an [re, im] pair."""
+    if isinstance(e, list) and len(e) == 2:
+        return complex(_number(e[0], name), _number(e[1], name))
+    return complex(_number(e, name))
+
+
+def _matrix(rows, name: str) -> list:
+    rows = _list(_list(_complex))(rows, name)
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
+        raise ConfigError(f"{_q(name)} must be a nonempty list of equal-length rows")
+    return rows
+
+
+def _section(v) -> dict:
+    """A circuit or computation, inline or as the path of a JSON file."""
+    return _load_json_file(v) if isinstance(v, str) else v
+
+
+def _gate(v, name: str):
+    from .channels import Gate
+
+    gate = _read(v, _GATE, name)
+    if (gate["name"] is None) == (gate["matrix"] is None):
+        raise ConfigError(f'{_q(name)} needs exactly one of "name" or "matrix"')
+    return Gate(**gate)
+
+
+def _circuit(v, name: str):
+    from .channels import Circuit
+
+    circ = _read(_section(v), _CIRCUIT, name)
+    return Circuit(circ["num_qubits"], circ["gates"] or ())
+
+
+def _povm(v, name: str):
+    if v == "computational_basis":
+        return v
+    if not isinstance(v, dict):
+        raise ConfigError(f'{_q(name)} must be "computational_basis" or an object of matrices')
+    # the labels are data, not keys of a table
+    return {label: _matrix(rows, f"{name}.{label}") for label, rows in v.items()}
+
+
+def _computation(v, name: str):
+    from .densmat import HermitianOperator
+    from .kitaev import OverallComputation, basis_encoding, basis_readout
+
+    comp = _read(_section(v), _COMPUTATION, name)
+    inputs, povm = comp["inputs"], comp["povm"]
+    num_qubits = len(inputs[0])  # the register size is the labels' common length
+    init = basis_encoding(num_qubits, inputs)
+    if povm == "computational_basis":
+        povm = basis_readout(num_qubits)
+    else:
+        povm = {label: HermitianOperator(rows) for label, rows in povm.items()}
+    return OverallComputation(inputs, comp["outputs"], comp["truth_table"], init, povm)
+
+
+def _noise(v, name: str) -> tuple:
+    """NoiseModel's arguments, from "none" or a {"kind", "strength"} object."""
+    if v == "none":
+        return "none", 0.0
+    noise = _read(v, _NOISE, name)
+    return noise["kind"], 0.0 if noise["strength"] is None else noise["strength"]
+
+
+_GATE = {"targets": (_list(_index), True), "name": (_string, False), "matrix": (_matrix, False)}
+_CIRCUIT = {"num_qubits": (_index, True), "gates": (_list(_gate), False)}
+_COMPUTATION = {
+    "inputs": (_labels, True),
+    "outputs": (_strings, True),
+    "truth_table": (_object, True),
+    "povm": (_povm, True),
+}
+_NOISE = {"kind": (_one_of("none", "depolarizing"), True), "strength": (_number, False)}
+
+# the command level; the first three keys mirror the flags of the same name,
+# and "" for "format" picks the command's default
+_RESERVED = {
+    "seed": (_integer, False),
+    "format": (_one_of("json", "csv", ""), False),
+    "output_path": (_string, False),
+}
+_BUDGET = {
+    "eps_th": (_number, True),
+    "gate_count": (_integer, True),
+    "p": (_number, True),
+    "p_hat": (_number, False),
+    "success_target": (_number, False),
+}
+_COMMANDS = {
+    "plan": {**_RESERVED, "eps0": (_number, False), **_BUDGET, "levels": (_integer, False)},
+    "tradeoff": {
+        **_RESERVED,
+        "eps0_min": (_number, True),
+        "eps0_max": (_number, True),
+        "points": (_integer, True),
+        **_BUDGET,
+    },
+    "verify": {
+        **_RESERVED,
+        "circuit": (_circuit, True),
+        "computation": (_computation, True),
+        "noise": (_noise, True),
+        "ancilla_dim": (_integer, False),
+        "random_search_trials": (_integer, False),
+    },
+    "vote": {**_RESERVED, "p_prime": (_number, True), "k": (_integer, False), "target": (_number, False)},
+}
 
 
 # --- deterministic emission --------------------------------------------------
@@ -140,126 +283,90 @@ def _emit_csv(header: list[str], rows: list[list]) -> str:
 
 
 # --- subcommands --------------------------------------------------------------
-# Each returns (payload, header, rows): the JSON report and its CSV form.  Each
-# imports the modules it runs, so a process loads no other command's module.
+# Each takes the decoded config and returns (payload, header, rows): the JSON
+# report and its CSV form.  Each imports the modules it runs, so a process
+# loads no other command's module.
 
 def _one_row(payload: dict):
     return payload, list(payload), [list(payload.values())]
 
 
-def _cmd_plan(run: RunConfig):
+def _budget(cfg: dict) -> dict:
+    """The planner's eps_th, gate_count, p and p_hat, where p_hat may be
+    given as its complement, success_target."""
+    from .ftcalc import _check_unit_interval
+
+    p_hat, target = cfg["p_hat"], cfg["success_target"]
+    if (p_hat is None) == (target is None):
+        raise ConfigError('give exactly one of "p_hat" or "success_target"')
+    if p_hat is None:
+        p_hat = 1.0 - _check_unit_interval("success_target", target, lo_open=False)
+    return {"eps_th": cfg["eps_th"], "gate_count": cfg["gate_count"], "p": cfg["p"], "p_hat": p_hat}
+
+
+def _cmd_plan(cfg: dict):
     from . import ftcalc
 
-    prm = run.parameters
-    eps_th = _number(prm, "eps_th")
-    n_gates = _integer(prm, "gate_count")
-    p = _number(prm, "p")
-    p_hat = _p_hat(prm)
-    if prm.get("levels") is not None:
-        # inverse query: admissible gate error at a fixed level
-        levels = _integer(prm, "levels")
-        eps0_max = ftcalc.max_gate_error(levels, eps_th, n_gates, p_hat, p)
-        return _one_row({
-            "levels": levels,
-            "max_eps0": eps0_max,
-            "budget": ftcalc.epsilon_budget(p_hat, p),
-            "alpha_required": ftcalc.required_alpha(p_hat, p),
-        })
-    params = ftcalc.FtParams(
-        eps0=_number(prm, "eps0"),
-        eps_th=eps_th,
-        gate_count=n_gates,
-        p=p,
-        p_hat=p_hat,
-    )
-    return _one_row(ftcalc.required_levels(params).to_dict())
+    levels = cfg["levels"]
+    if levels is None and cfg["eps0"] is None:
+        raise ConfigError('missing key "eps0" in the config')
+    budget = _budget(cfg)
+    if levels is None:
+        return _one_row(ftcalc.required_levels(ftcalc.FtParams(eps0=cfg["eps0"], **budget)).to_dict())
+    # inverse query: admissible gate error at a fixed level
+    p_hat, p = budget["p_hat"], budget["p"]
+    return _one_row({
+        "levels": levels,
+        "max_eps0": ftcalc.max_gate_error(levels, **budget),
+        "budget": ftcalc.epsilon_budget(p_hat, p),
+        "alpha_required": ftcalc.required_alpha(p_hat, p),
+    })
 
 
-def _cmd_tradeoff(run: RunConfig):
+def _cmd_tradeoff(cfg: dict):
     from . import ftcalc
 
-    prm = run.parameters
-    points = ftcalc.tradeoff_curve(
-        _number(prm, "eps0_min"),
-        _number(prm, "eps0_max"),
-        _integer(prm, "points"),
-        eps_th=_number(prm, "eps_th"),
-        gate_count=_integer(prm, "gate_count"),
-        p=_number(prm, "p"),
-        p_hat=_p_hat(prm),
-    )
+    points = ftcalc.tradeoff_curve(cfg["eps0_min"], cfg["eps0_max"], cfg["points"], **_budget(cfg))
     # CSV prints the rows as they are; only JSON needs one dict per row
-    payload = {"points": [r._asdict() for r in points]} if run.output_format == "json" else None
+    payload = {"points": [r._asdict() for r in points]} if cfg["format"] == "json" else None
     return payload, list(ftcalc.TradeoffPoint._fields), points
 
 
-def _parse_noise(obj):
-    from .channels import NoiseModel
-
-    if obj == "none":
-        return NoiseModel(kind="none")
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError('"noise" must be "none" or an object with a "kind"')
-    for key in obj:
-        if key not in ("kind", "strength"):
-            raise ConfigError(f'unknown key "{key}" in "noise"; known keys: "kind", "strength"')
-    if not isinstance(obj["kind"], str):
-        raise ConfigError('"noise.kind" must be a string')
-    if obj["kind"] not in ("none", "depolarizing"):
-        raise ConfigError(f'"noise.kind" must be "none" or "depolarizing", got {obj["kind"]!r}')
-    strength = obj.get("strength", 0.0)
-    if isinstance(strength, bool) or not isinstance(strength, (int, float)):
-        raise ConfigError('"noise.strength" must be a number')
-    return NoiseModel(kind=obj["kind"], strength=float(strength))
-
-
-def _cmd_verify(run: RunConfig):
+def _cmd_verify(cfg: dict):
     from . import qcc
-    from .channels import circuit_from_json, compile_ideal
-    from .kitaev import computation_from_json
+    from .channels import NoiseModel, compile_ideal
 
-    prm = run.parameters
-    circ = circuit_from_json(_sub_object(prm, "circuit"))
-    comp = computation_from_json(_sub_object(prm, "computation"))
+    circ, comp, trials = cfg["circuit"], cfg["computation"], cfg["random_search_trials"]
     if circ.dim != comp.dim:
         raise ConfigError(
             f"circuit has {circ.num_qubits} qubit(s) but the computation has "
             f"{comp.dim.bit_length() - 1} qubit(s)"
         )
-    if "noise" not in prm:
-        raise ConfigError('missing config key "noise"')
-    noise = _parse_noise(prm["noise"])
-    link = qcc.LinkingMaps(ancilla_dim=_integer(prm, "ancilla_dim")) if "ancilla_dim" in prm else qcc.LinkingMaps()
-    search = prm.get("random_search_trials") is not None
-    if search:
+    noise = NoiseModel(*cfg["noise"])
+    link = qcc.LinkingMaps() if cfg["ancilla_dim"] is None else qcc.LinkingMaps(cfg["ancilla_dim"])
+    if trials is not None:
         # refuse an oversized search before certifying anything
-        trials = _integer(prm, "random_search_trials")
         qcc._check_trials(trials)
     payload = qcc.certify_combined_bound(circ, noise, comp).to_dict()
     # CSV: one row per input, the report-wide fields repeated on each row
     summary = {key: v for key, v in payload.items() if key != "per_input"}
     header = [*payload["per_input"][0], *summary]
     rows = [[*rec.values(), *summary.values()] for rec in payload["per_input"]]
-    if search:
+    if trials is not None:
         payload["alpha_random_search"] = qcc.alpha_random_search(
-            qcc.implemented_channel(circ, noise, link), compile_ideal(circ), link, trials, run.seed
+            qcc.implemented_channel(circ, noise, link), compile_ideal(circ), link, trials, cfg["seed"]
         )
     return payload, header, rows
 
 
-def _cmd_vote(run: RunConfig):
+def _cmd_vote(cfg: dict):
     from . import vote
 
-    prm = run.parameters
-    p_prime = _number(prm, "p_prime")
-    has_k = prm.get("k") is not None
-    has_target = prm.get("target") is not None
-    if has_k == has_target:
+    p_prime, k, target = cfg["p_prime"], cfg["k"], cfg["target"]
+    if (k is None) == (target is None):
         raise ConfigError('give exactly one of "k" or "target"')
-    if has_k:
-        k = _integer(prm, "k")
-    else:
-        k = vote.min_repetitions(p_prime, _number(prm, "target"))
+    if k is None:
+        k = vote.min_repetitions(p_prime, target)
     success = vote.majority_success(p_prime, k)
     if p_prime == 1.0:
         raise BadProbabilityError(f"per_run_failure = {p_prime} outside [0, 1)")
@@ -268,8 +375,8 @@ def _cmd_vote(run: RunConfig):
         "repetitions": k,
         "success_probability": success,
     })
-    if has_target:
-        payload["target"] = float(prm["target"])
+    if target is not None:
+        payload["target"] = target
     return payload, header, rows
 
 
@@ -301,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in subcommands.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="FILE", help="JSON configuration file")
-        sp.add_argument("--out", metavar="FILE", help="output path (default stdout)")
+        sp.add_argument(
+            "--out", dest="output_path", metavar="FILE", help="output path (default stdout)"
+        )
         sp.add_argument("--seed", type=int, help="seed for randomized reporting")
         sp.add_argument("--format", choices=("json", "csv"), help="output format")
         if name == "plan":
@@ -312,41 +421,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _assemble(args: argparse.Namespace) -> RunConfig:
+def _assemble(args: argparse.Namespace) -> dict:
+    """The decoded config of the command, flags applied, seed and format resolved."""
     prm = _load_json_file(args.config) if args.config else {}
-    if getattr(args, "eps0", None) is not None:
-        prm["eps0"] = args.eps0
-    if getattr(args, "levels", None) is not None:
-        prm["levels"] = args.levels
-    seed = args.seed
-    if seed is None and "seed" in prm:
-        seed = _integer(prm, "seed")
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = 0
-    fmt = args.format or prm.get("format") or _DEFAULT_FORMATS[args.command]
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f'config key "format" must be json or csv, got {fmt!r}')
-    out = args.out if args.out is not None else prm.get("output_path")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError('config key "output_path" must be a string')
-    for reserved in ("seed", "format", "output_path"):
-        prm.pop(reserved, None)
-    return RunConfig(
-        command=args.command,
-        parameters=prm,
-        output_format=fmt,
-        output_path=out,
-        seed=seed,
-    )
+    # a flag overrides the config key of the same name
+    for key in ("seed", "format", "output_path", "eps0", "levels"):
+        if getattr(args, key, None) is not None:
+            prm[key] = getattr(args, key)
+    # checked first, so a bad FTQC_SEED exits 2 before the verify readers build anything
+    env_seed = _env_seed() if prm.get("seed") is None else None
+    cfg = _read(prm, _COMMANDS[args.command], "")
+    cfg["seed"] = next(s for s in (cfg["seed"], env_seed, 0) if s is not None)
+    cfg["format"] = cfg["format"] or _DEFAULT_FORMATS[args.command]
+    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run = _assemble(args)
-        payload, header, rows = _DISPATCH[run.command](run)
+        cfg = _assemble(args)
+        payload, header, rows = _DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -356,15 +450,16 @@ def main(argv=None) -> int:
     except FtqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _emit_csv(header, rows) if run.output_format == "csv" else _emit_json(payload)
-    if run.output_path is None:
+    text = _emit_csv(header, rows) if cfg["format"] == "csv" else _emit_json(payload)
+    path = cfg["output_path"]
+    if path is None:
         sys.stdout.write(text)
         return 0
     try:
-        with open(run.output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"config error: cannot write {run.output_path!r}: {exc}", file=sys.stderr)
+        print(f"config error: cannot write {path!r}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -5,8 +5,7 @@ each check takes a (B, d, d) stack: certification and the random search
 check whole stacks of evolved outputs, the two wrapper types, ``trace_norm``
 and ``effect_probability`` a stack of one.  No silent repair is performed:
 a matrix either passes validation as given or is rejected.  Every matrix
-given to the package passes ``_as_square_matrix``, and every matrix read
-from a JSON config passes ``_matrix_from_json``.
+given to the package passes ``_as_square_matrix``.
 
 Norm convention: ``trace_norm`` is the plain Schatten 1-norm, the sum of
 absolute eigenvalues, with no factor 1/2.  Two orthogonal pure states are
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatchError,
     DomainError,
     NotAnEffectError,
@@ -57,37 +55,9 @@ def _as_square_matrix(entries) -> np.ndarray:
     return m
 
 
-def _is_json_number(x, kinds=(int, float)) -> bool:
-    # bool is a subclass of int, but JSON true/false are not numbers
-    return isinstance(x, kinds) and not isinstance(x, bool)
-
-
 def _is_index(x) -> bool:
     """A Python or NumPy integer usable as a count or qubit index; not a bool."""
-    return _is_json_number(x, (int, np.integer))
-
-
-def _complex_from_json(entry) -> complex:
-    try:
-        if _is_json_number(entry):
-            return complex(entry)
-        if isinstance(entry, list) and len(entry) == 2 and all(map(_is_json_number, entry)):
-            return complex(entry[0], entry[1])
-    except OverflowError:
-        raise ConfigError("matrix entry is beyond the float range") from None
-    raise ConfigError(f"matrix entry {entry!r} is neither a number nor [re, im]")
-
-
-def _matrix_from_json(rows, what: str) -> np.ndarray:
-    """Decode a JSON matrix: a nonempty list of equal-length rows whose
-    entries are numbers or [re, im] pairs.  `what` names it in errors."""
-    if (
-        not isinstance(rows, list)
-        or not rows
-        or not all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
-    ):
-        raise ConfigError(f"{what} must be a nonempty list of equal-length rows")
-    return np.array([[_complex_from_json(e) for e in row] for row in rows], dtype=complex)
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:

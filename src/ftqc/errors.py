@@ -21,7 +21,7 @@ class DomainError(FtqcError):
 
 
 class ConfigError(FtqcError):
-    """A run configuration is malformed (parse error, missing key, wrong type)."""
+    """A run configuration is malformed (parse error, unknown or missing key, wrong type)."""
 
 
 class TheoremViolationError(FtqcError):

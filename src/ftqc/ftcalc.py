@@ -185,13 +185,14 @@ def _closed_form_levels(eps0: float, eps_th: float, num: float) -> float:
     _closed_form_numerator(eps_th, gate_count, budget).
 
     Returns -inf when the budget already covers gate_count * eps_th (no
-    concatenation regime, num <= 0) or when eps0 >= eps_th while still
-    feasible at level 0; the iterative planner is authoritative either way.
+    concatenation regime, num <= 0), when eps0 >= eps_th while still
+    feasible at level 0, and when eps_th / eps0 overflows (the limit there);
+    the iterative planner is authoritative in every case.
     """
     if num <= 0.0:
         return -math.inf
     den = math.log(eps_th / eps0)
-    if den <= 0.0:
+    if not 0.0 < den < math.inf:
         return -math.inf
     return math.log2(num / den)
 

@@ -22,11 +22,9 @@ from .densmat import (
     HermitianOperator,
     VALIDATION_TOL,
     _is_index,
-    _matrix_from_json,
 )
 from .errors import (
     BadBitstringError,
-    ConfigError,
     DimensionMismatchError,
     NotAnEffectError,
     TooManyInputsError,
@@ -172,49 +170,3 @@ class OverallComputation:
     @property
     def dim(self) -> int:
         return next(iter(self.init.values())).dim
-
-
-def computation_from_json(obj: dict) -> OverallComputation:
-    """Build an OverallComputation from its JSON object form.
-
-    Schema: {"inputs": [...], "outputs": [...], "truth_table": {...},
-    "povm": "computational_basis" | {label: matrix}}.  Input labels are
-    bitstrings; the register size is their common length.  Explicit effect
-    matrices use the same entry encoding as circuit gate matrices.
-    """
-    if not isinstance(obj, dict):
-        raise ConfigError("computation must be a JSON object")
-    for key in ("inputs", "outputs", "truth_table", "povm"):
-        if key not in obj:
-            raise ConfigError(f'computation needs a "{key}" field')
-    inputs = obj["inputs"]
-    outputs = obj["outputs"]
-    if not isinstance(inputs, list) or not all(isinstance(x, str) for x in inputs):
-        raise ConfigError('"inputs" must be a list of strings')
-    if not isinstance(outputs, list) or not all(isinstance(y, str) for y in outputs):
-        raise ConfigError('"outputs" must be a list of strings')
-    if not inputs or "" in inputs:
-        raise ConfigError('"inputs" must be a nonempty list of nonempty labels')
-    if not isinstance(obj["truth_table"], dict):
-        raise ConfigError('"truth_table" must be an object')
-    num_qubits = len(inputs[0])
-    init = basis_encoding(num_qubits, inputs)
-    raw_povm = obj["povm"]
-    if raw_povm == "computational_basis":
-        povm = basis_readout(num_qubits)
-    elif isinstance(raw_povm, dict):
-        povm = {
-            label: HermitianOperator(_matrix_from_json(rows, f"povm effect {label!r}"))
-            for label, rows in raw_povm.items()
-        }
-    else:
-        raise ConfigError(
-            '"povm" must be "computational_basis" or an object of matrices'
-        )
-    return OverallComputation(
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        truth_table=dict(obj["truth_table"]),
-        init=init,
-        povm=povm,
-    )

@@ -10,12 +10,12 @@ from ftqc import (
     Circuit,
     Gate,
     NoiseModel,
-    circuit_from_json,
     compile_ideal,
     evolve,
     make_state,
     trace_norm,
 )
+from ftqc import cli
 from ftqc.errors import (
     BadStrengthError,
     CircuitError,
@@ -333,9 +333,13 @@ class TestCompile:
             NoiseModel(kind="none", strength=0.2)
 
 
+def read_circuit(obj):
+    return cli._circuit(obj, "circuit")
+
+
 class TestCircuitJson:
     def test_round_trip_named_gates(self):
-        circ = circuit_from_json(
+        circ = read_circuit(
             {
                 "num_qubits": 2,
                 "gates": [
@@ -349,7 +353,7 @@ class TestCircuitJson:
         assert circ.gates[1].name == "CNOT"
 
     def test_matrix_gate_with_complex_entries(self):
-        circ = circuit_from_json(
+        circ = read_circuit(
             {
                 "num_qubits": 1,
                 "gates": [
@@ -361,12 +365,12 @@ class TestCircuitJson:
 
     def test_rejects_missing_fields(self):
         with pytest.raises(ConfigError):
-            circuit_from_json({"gates": []})
+            read_circuit({"gates": []})
 
     def test_rejects_bad_gate_description(self):
         with pytest.raises(ConfigError):
-            circuit_from_json({"num_qubits": 1, "gates": [{"targets": [0]}]})
+            read_circuit({"num_qubits": 1, "gates": [{"targets": [0]}]})
 
     def test_rejects_non_list_gates(self):
         with pytest.raises(ConfigError):
-            circuit_from_json({"num_qubits": 1, "gates": "H0"})
+            read_circuit({"num_qubits": 1, "gates": "H0"})

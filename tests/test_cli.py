@@ -141,6 +141,14 @@ class TestPlan:
         _, out_b, _ = run_cli(capsys, ["plan", "--config", write_cfg(tmp_path, cfg_success, "b.json")])
         assert out_a == out_b
 
+    @pytest.mark.parametrize("target", [1.5, 1.0, -0.5, float("nan")])
+    def test_out_of_range_success_target_is_named(self, tmp_path, capsys, target):
+        cfg = {k: v for k, v in PLAN_CFG.items() if k != "p_hat"}
+        path = write_cfg(tmp_path, dict(cfg, success_target=target))
+        inverse = run_cli(capsys, ["plan", "--config", path, "--levels", "2"])
+        assert inverse == run_cli(capsys, ["plan", "--config", path])
+        assert inverse == (1, "", f"error: success_target = {target} outside [0, 1)\n")
+
     def test_infeasible_exits_one_with_reason(self, tmp_path, capsys):
         cfg = dict(PLAN_CFG, p_hat=0.2)
         code, out, err = run_cli(capsys, ["plan", "--config", write_cfg(tmp_path, cfg)])
@@ -486,6 +494,18 @@ class TestConfigHandling:
         assert code == 2
         assert "malformed JSON" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100000, b'{"eps0": 1' + b"0" * 5000 + b"}"],
+        ids=["not_utf8", "deeply_nested", "5000_digit_integer"],
+    )
+    def test_unparsable_file_exits_two_on_one_line(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, ["plan", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
     def test_non_object_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -524,6 +544,81 @@ class TestConfigHandling:
         assert code == 0
         assert out == ""
         assert dest.read_text() == PLAN_GOLDEN_JSON
+
+
+class TestSchema:
+    """Each JSON object is read through a table of its keys: an unknown key,
+    or a known one holding a value of the wrong JSON type, exits 2, and null
+    reads as an absent key."""
+
+    def test_misspelt_gates_key_is_not_an_empty_circuit(self, tmp_path, capsys):
+        cfg = dict(VERIFY_CFG, circuit={"num_qubits": 1, "gate": [{"name": "I", "targets": [0]}]})
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert (code, out) == (2, "")
+        assert err == (
+            'config error: unknown key "gate" in "circuit"; known keys: "num_qubits", "gates"\n'
+        )
+
+    def test_misspelt_top_level_key_exits_two(self, tmp_path, capsys):
+        cfg = dict(VERIFY_CFG, random_search_trails=10)
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert (code, out) == (2, "")
+        assert err == (
+            'config error: unknown key "random_search_trails" in the config; known keys: '
+            '"seed", "format", "output_path", "circuit", "computation", "noise", '
+            '"ancilla_dim", "random_search_trials"\n'
+        )
+
+    def test_misspelt_gate_key_names_the_gate(self, tmp_path, capsys):
+        gate = {"matrx": [[0, 1], [1, 0]], "targets": [0]}
+        cfg = dict(VERIFY_CFG, circuit={"num_qubits": 1, "gates": [gate]})
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith('config error: unknown key "matrx" in "circuit.gates[0]"; ')
+
+    def test_a_key_with_a_line_break_stays_on_one_line(self, tmp_path, capsys):
+        cfg = dict(PLAN_CFG, **{"eps\n0": 1})
+        code, _, err = run_cli(capsys, ["plan", "--config", write_cfg(tmp_path, cfg)])
+        assert code == 2
+        assert err.startswith('config error: unknown key "eps\\n0" in the config') and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, cfg, flags",
+        [
+            ("plan", dict(PLAN_CFG, eps0="1e-10"), ["--levels", "2"]),
+            ("vote", {"p_prime": 0.15, "k": 3, "format": 0}, []),
+            ("vote", {"p_prime": 0.15, "k": 3, "format": False}, []),
+            ("vote", {"p_prime": 0.15, "k": 3, "format": {}}, []),
+        ],
+        ids=["eps0_under_levels", "format_0", "format_false", "format_object"],
+    )
+    def test_wrong_type_exits_two_where_the_value_goes_unused(self, tmp_path, capsys, command, cfg, flags):
+        code, out, err = run_cli(capsys, [command, "--config", write_cfg(tmp_path, cfg), *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_null_reads_as_absent(self, tmp_path, capsys):
+        want = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, VERIFY_CFG, "a.json")])
+        gate = {"name": None, "matrix": [[1, 0], [0, 1]], "targets": [0]}
+        cfg = dict(
+            VERIFY_CFG,
+            circuit={"num_qubits": 1, "gates": [gate]},
+            seed=None, format=None, output_path=None, ancilla_dim=None, random_search_trials=None,
+        )
+        assert run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg, "b.json")]) == want
+        assert want[0] == 0
+
+    def test_integer_strength_beyond_the_float_range_exits_two(self, tmp_path, capsys):
+        cfg = dict(VERIFY_CFG, noise={"kind": "depolarizing", "strength": 10 ** 400})
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert (code, out) == (2, "")
+        assert err == 'config error: "noise.strength" is beyond the float range\n'
+
+    def test_noise_given_as_a_path_exits_two(self, tmp_path, capsys):
+        cfg = dict(VERIFY_CFG, noise=write_cfg(tmp_path, VERIFY_CFG["noise"], "noise.json"))
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith('config error: "noise" must be an object, got ')
 
 
 class TestStartup:

@@ -5,7 +5,9 @@ adding keys and replacing values with values of the wrong type: booleans,
 NaN and infinities, huge integers, ragged matrices and bad labels.  Each
 run must end in exit 0, 1 or 2, raise nothing out of `cli.main`, print
 exactly one stderr line when it fails, warn nothing and finish quickly.
-The configs stay within 3 qubits and 50 random-search trials.
+The configs stay within 3 qubits and 50 random-search trials.  Beside
+them, each key of each valid and demo config is misspelt in turn, and each
+such config must exit 2 naming the key.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import os
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -153,3 +156,58 @@ def test_any_config_keeps_the_exit_contract(command, data):
     if code:
         assert err.count("\n") == 1 and err.endswith("\n"), err
     assert elapsed < TIME_CAP_S
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the keys of these objects are labels, data rather than keys of the schema
+LABEL_OBJECTS = ("truth_table", "povm")
+
+
+def schema_keys(value, path=()):
+    """(path, key) for each key of each schema object inside value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        if isinstance(value, dict):
+            yield path, key
+        if isinstance(item, (dict, list)) and key not in LABEL_OBJECTS:
+            yield from schema_keys(item, path + (key,))
+
+
+def rename_cases():
+    """(command, config, file keys, path, key) for every schema key of the
+    VALID configs and of the demo configs, with the circuit and computation
+    files that demo/verify.json names read in; a file key's object is
+    written back to a file of its own when the case runs."""
+    configs = [(f"valid-{cmd}", cmd, cfg, ()) for cmd, cfg in VALID.items()]
+    for cmd in sorted(VALID):
+        cfg = json.loads((ROOT / "demo" / f"{cmd}.json").read_text())
+        files = tuple(key for key, v in cfg.items() if isinstance(v, str) and v.endswith(".json"))
+        cfg.update({key: json.loads((ROOT / cfg[key]).read_text()) for key in files})
+        configs.append((f"demo-{cmd}", cmd, cfg, files))
+    for name, cmd, cfg, files in configs:
+        for path, key in schema_keys(cfg):
+            where = ".".join(map(str, (*path, key)))
+            yield pytest.param(cmd, cfg, files, path, key, id=f"{name}-{where}")
+
+
+@pytest.mark.parametrize("command, cfg, files, path, key", rename_cases())
+def test_misspelt_key_exits_two_naming_it(command, cfg, files, path, key, tmp_path, monkeypatch):
+    cfg = copy.deepcopy(cfg)
+    obj = cfg
+    for step in path:
+        obj = obj[step]
+    typo = key[:-1]  # "gates" -> "gate"
+    obj[typo] = obj.pop(key)
+    monkeypatch.chdir(tmp_path)
+    for file_key in files:
+        if file_key in cfg:
+            Path(f"{file_key}.json").write_text(json.dumps(cfg[file_key]))
+            cfg[file_key] = f"{file_key}.json"
+    Path("cfg.json").write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", "cfg.json"])
+    err = err.getvalue()
+    assert (code, out.getvalue()) == (2, "")
+    assert err.startswith(f"config error: unknown key {json.dumps(typo)} in ")
+    assert json.dumps(key) in err and err.count("\n") == 1, err

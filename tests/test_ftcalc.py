@@ -194,6 +194,14 @@ class TestRequiredLevels:
         assert circuit_failure(logical_gate_error(1e-10, 1e-9, 2), 10 ** 12) <= result.budget * (1 + FEASIBILITY_SLACK)
         assert circuit_failure(logical_gate_error(1e-10, 1e-9, 1), 10 ** 12) > result.budget
 
+    @pytest.mark.parametrize("eps0", [5e-324, 1e-320])
+    def test_subnormal_eps0_reports_minus_inf_closed_form(self, eps0):
+        # eps_th / eps0 overflows, so the estimate sits at its limit
+        result = plan(eps0)
+        assert (result.levels, result.closed_form_levels) == (0, -math.inf)
+        row = tradeoff_curve(eps0, 1e-9, 4, **CAPTION)[0]
+        assert (row.eps0, row.levels, row.closed_form) == (eps0, 0, -math.inf)
+
     def test_caption_anchor_one_level(self):
         result = plan(1e-11)
         assert result.levels == 1

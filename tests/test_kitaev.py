@@ -10,8 +10,8 @@ from ftqc import (
     basis_encoding,
     basis_readout,
     certify_combined_bound,
-    computation_from_json,
 )
+from ftqc import cli
 from ftqc.errors import (
     BadBitstringError,
     BadProbabilityError,
@@ -183,9 +183,13 @@ class TestFailureProbabilities:
             assert 1.0 - rec.actual_success == pytest.approx(0.15, abs=1e-12)
 
 
+def read_computation(obj):
+    return cli._computation(obj, "computation")
+
+
 class TestComputationJson:
     def test_computational_basis_shortcut(self):
-        comp = computation_from_json(
+        comp = read_computation(
             {
                 "inputs": ["0", "1"],
                 "outputs": ["0", "1"],
@@ -197,7 +201,7 @@ class TestComputationJson:
         np.testing.assert_allclose(comp.povm["1"].entries, np.diag([0, 1.0]), atol=1e-15)
 
     def test_explicit_effect_matrices(self):
-        comp = computation_from_json(
+        comp = read_computation(
             {
                 "inputs": ["0"],
                 "outputs": ["even", "odd"],
@@ -209,10 +213,10 @@ class TestComputationJson:
 
     def test_missing_field_rejected(self):
         with pytest.raises(ConfigError):
-            computation_from_json({"inputs": ["0"], "outputs": ["0"], "truth_table": {"0": "0"}})
+            read_computation({"inputs": ["0"], "outputs": ["0"], "truth_table": {"0": "0"}})
 
     def test_non_string_inputs_rejected(self):
         with pytest.raises(ConfigError):
-            computation_from_json(
+            read_computation(
                 {"inputs": [0], "outputs": ["0"], "truth_table": {}, "povm": "computational_basis"}
             )

@@ -11,8 +11,8 @@ import ftqc
 EXPORTED = [
     "errors",
     "DensityMatrix", "HermitianOperator", "effect_probability", "make_state", "trace_norm",
-    "Circuit", "Gate", "NoiseModel", "circuit_from_json", "compile_ideal", "evolve",
-    "OverallComputation", "basis_encoding", "basis_readout", "computation_from_json",
+    "Circuit", "Gate", "NoiseModel", "compile_ideal", "evolve",
+    "OverallComputation", "basis_encoding", "basis_readout",
     "InputRecord", "LinkingMaps", "MixingCheck", "QccReport", "alpha_random_search",
     "certify_combined_bound", "implemented_channel",
     "mix_error_state", "mixing_inaccuracy_bound_check",
@@ -25,7 +25,7 @@ EXPORTED = [
 
 def test_all_keeps_names_and_order():
     assert ftqc.__all__ == EXPORTED
-    assert len(EXPORTED) == 37
+    assert len(EXPORTED) == 35
 
 
 @pytest.mark.parametrize("name", EXPORTED[1:])

@@ -122,6 +122,13 @@ def _list(item):
     return read
 
 
+def _map(item):
+    """A reader of an object whose keys are data (labels), not a table's keys."""
+    def read(v, name: str) -> dict:
+        return {key: item(x, f"{name}.{key}") for key, x in _object(v, name).items()}
+    return read
+
+
 _strings = _list(_string)
 
 
@@ -172,8 +179,7 @@ def _povm(v, name: str):
         return v
     if not isinstance(v, dict):
         raise ConfigError(f'{_q(name)} must be "computational_basis" or an object of matrices')
-    # the labels are data, not keys of a table
-    return {label: _matrix(rows, f"{name}.{label}") for label, rows in v.items()}
+    return _map(_matrix)(v, name)
 
 
 def _computation(v, name: str):
@@ -204,7 +210,7 @@ _CIRCUIT = {"num_qubits": (_index, True), "gates": (_list(_gate), False)}
 _COMPUTATION = {
     "inputs": (_labels, True),
     "outputs": (_strings, True),
-    "truth_table": (_object, True),
+    "truth_table": (_map(_string), True),
     "povm": (_povm, True),
 }
 _NOISE = {"kind": (_one_of("none", "depolarizing"), True), "strength": (_number, False)}
@@ -264,21 +270,25 @@ def _json_ready(obj):
     return obj
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
-
-
 def _emit_json(payload: dict) -> str:
     return json.dumps(_json_ready(payload), indent=2) + "\n"
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> str:
+def _emit_csv(header: list[str], rows: list) -> str:
+    # one %-template per row shape: floats as %.12g (which prints inf and
+    # nan as they are), bools as true/false, everything else as str()
     lines = [",".join(header)]
-    lines += [",".join(_csv_cell(c) for c in row) for row in rows]
+    templates = {}
+    for row in rows:
+        shape = tuple(map(type, row))
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = ",".join(
+                "%.12g" if issubclass(t, float) else "%s" for t in shape
+            )
+        if bool in shape:
+            row = [("true" if c else "false") if type(c) is bool else c for c in row]
+        lines.append(template % tuple(row))
     return "\n".join(lines) + "\n"
 
 

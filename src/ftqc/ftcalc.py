@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 from .errors import (
     AboveThresholdError,
@@ -133,8 +134,15 @@ def required_alpha(p_hat: float, p: float) -> float:
 
 
 def epsilon_budget(p_hat: float, p: float) -> float:
-    """Circuit-failure budget (p_hat - p) / 2."""
-    return required_alpha(p_hat, p) / 2.0
+    """Circuit-failure budget (p_hat - p) / 2; a budget that rounds to 0
+    (p_hat - p is the smallest subnormal) is refused, as no failure bound
+    can be planned against it."""
+    budget = required_alpha(p_hat, p) / 2.0
+    if budget == 0.0:
+        raise InfeasibleError(
+            f"infeasible: the budget (p_hat - p) / 2 rounds to 0 at p_hat {p_hat!r}, p {p!r}"
+        )
+    return budget
 
 
 def logical_gate_error(eps0: float, eps_th: float, levels: int) -> float:
@@ -298,7 +306,9 @@ def tradeoff_curve(
     fixed level is a chain of monotone float steps in eps0 (log, a product
     with 2**N > 0, exp, the product with gate_count), so a level that fails
     at one eps0 fails at every larger one.  A point at or above the
-    threshold, or below its predecessor, searches from level 0.
+    threshold, or below its predecessor, searches from level 0.  The rows
+    are built from columns: the grid, the levels and eps_qc of that loop,
+    and the closed form over the whole grid.
     """
     if not (0.0 < eps0_min < eps0_max):
         raise DomainError(f"need 0 < eps0_min < eps0_max, got {eps0_min} and {eps0_max}")
@@ -318,7 +328,7 @@ def tradeoff_curve(
     limit = budget * (1.0 + FEASIBILITY_SLACK)
     log_eth = math.log(eth)
     cf_num = _closed_form_numerator(eth, n_gates, budget)
-    rows = []
+    levels, eps_qcs = [], []
     level, prev = 0, 0.0
     for e0 in grid:
         if not 0.0 < e0 < 1.0:
@@ -334,7 +344,13 @@ def tradeoff_curve(
             try:
                 level, _, eps_qc = _min_level(e0, eth, n_gates, budget, start)
             except AboveThresholdError:
-                rows.append(TradeoffPoint(e0, -1, math.nan, math.nan))
+                levels.append(-1)
+                eps_qcs.append(math.nan)
                 continue
-        rows.append(TradeoffPoint(e0, level, eps_qc, _closed_form_levels(e0, eth, cf_num)))
-    return rows
+        levels.append(level)
+        eps_qcs.append(eps_qc)
+    closed = [
+        math.nan if n < 0 else _closed_form_levels(e0, eth, cf_num) for e0, n in zip(grid, levels)
+    ]
+    # tuple.__new__ skips the named tuple's Python-level constructor
+    return list(map(tuple.__new__, repeat(TradeoffPoint), zip(grid, levels, eps_qcs, closed)))

@@ -6,8 +6,14 @@ times and taking the majority answer succeeds with probability
     sum_{j = (k+1)/2}^{k} C(k, j) (1 - p')**j p'**(k - j)
 
 Small k (up to 64, so every odd k through 63) is evaluated in exact
-integer arithmetic over the binary value of p' and converted to float by
-one correctly rounded division at the end.  Larger k sums the binomial
+integer arithmetic over the binary value p' = num / den.  With good =
+den - num and m = (k+1)/2 the sum is taken in homogeneous Horner form,
+
+    good**m * (((C(k,k) good + C(k,k-1) num) good + C(k,k-2) num**2) good
+               + ... + C(k,m) num**(k-m)) / den**k
+
+so each big-integer product has one small factor, and converted to float
+by one correctly rounded division at the end.  Larger k sums the binomial
 terms in log space over a window of about 40 standard deviations around
 the mean, so the cost grows as sqrt(k), not k; a window above
 TAIL_TERM_CAP terms is refused up front.
@@ -44,15 +50,16 @@ def _check_repetitions(k: int) -> int:
 
 
 def _majority_success_exact(p_prime: float, k: int) -> float:
-    # exact dyadic arithmetic over the binary value p_prime = num / den;
-    # int / int rounds the exact quotient once, as Fraction.__float__ does
+    # the Horner form of the module docstring; int / int rounds the exact
+    # quotient once, as Fraction.__float__ does
     num, den = p_prime.as_integer_ratio()
     good = den - num
     m = (k + 1) // 2
-    total = sum(
-        math.comb(k, j) * good ** j * num ** (k - j) for j in range(m, k + 1)
-    )
-    return total / den ** k
+    acc, npow = 1, 1  # C(k, k)
+    for j in range(k - 1, m - 1, -1):
+        npow *= num
+        acc = acc * good + math.comb(k, j) * npow
+    return good ** m * acc / den ** k
 
 
 def _majority_success_tail(p_prime: float, k: int) -> float:
@@ -114,19 +121,47 @@ def min_repetitions(p_prime: float, target: float) -> int:
     t = float(target)
     if not (0.0 < t < 1.0):
         raise BadProbabilityError(f"target = {target} outside (0, 1)")
-    # success is nondecreasing in odd k below 1/2: double, then bisect
+    # success is nondecreasing in odd k below 1/2: double until a k reaches
+    # the target, then narrow the bracket s(miss) < t <= s(k) on odd k
     top = (REPETITION_CAP - 1) | 1
-    miss, k = 0, 1
-    while majority_success(p, k) < t:
+    miss, low, k = 0, 0.0, 1  # zero runs have no majority
+    hit = majority_success(p, k)
+    while hit < t:
         if k == top:
             raise CapExceededError(
                 f"no odd k <= {REPETITION_CAP} reaches target {target} at p_prime {p_prime}"
             )
-        miss, k = k, min(2 * k + 1, top)
+        miss, low = k, hit
+        k = min(2 * k + 1, top)
+        hit = majority_success(p, k)
+    return _narrow(p, t, miss, low, k, hit)
+
+
+def _narrow(p: float, t: float, miss: int, low: float, k: int, hit: float) -> int:
+    """Smallest odd k in (miss, k], given s(miss) = low < t <= hit = s(k).
+
+    log(1 - s) falls almost linearly in k, so each split interpolates
+    log1p(-s) linearly between the ends and takes the odd k at or below the
+    crossing (the curve is convex, so the chord's crossing lies past the
+    true one).  The split is the odd midpoint instead when the upper end
+    reads 1.0, which has no logarithm, or when the last three splits left
+    more than half of the bracket they started from, so at least every
+    fourth split halves the bracket (up to the rounding to odd k).
+    """
+    goal = math.log1p(-t)
+    widths = [k - miss]
     while k - miss > 2:
         mid = (miss + k) // 2 | 1
-        if majority_success(p, mid) >= t:
-            k = mid
+        if hit < 1.0 and not (len(widths) > 3 and 2 * widths[-1] > widths[-4]):
+            f_miss = math.log1p(-low) - goal  # >= 0
+            f_hit = math.log1p(-hit) - goal  # <= 0
+            if f_miss > f_hit:
+                x = miss + (k - miss) * f_miss / (f_miss - f_hit)
+                mid = min(max((math.floor(x) - 1) | 1, miss + 2), k - 2)
+        s = majority_success(p, mid)
+        if s >= t:
+            k, hit = mid, s
         else:
-            miss = mid
+            miss, low = mid, s
+        widths.append(k - miss)
     return k

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the implementation's code paths: embedding
 by explicit bit manipulation instead of tensordot, noise by Pauli twirl
 instead of partial trace, norms by SVD instead of eigvalsh, channel
-application by plain Python loops instead of einsum.
+application by plain Python loops instead of einsum, the minimal vote
+repetition count by plain bisection instead of interpolation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from ftqc import (
     OverallComputation,
     basis_encoding,
     basis_readout,
+    vote,
 )
+from ftqc.errors import CapExceededError
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -108,6 +111,27 @@ def loop_apply(kraus_ops, mat: np.ndarray) -> np.ndarray:
         k = np.asarray(k)
         out = out + k @ mat @ k.conj().T
     return out
+
+
+def _bisect_min_repetitions(p_prime: float, target: float) -> int:
+    """min_repetitions by doubling, then bisection on odd k, each evaluation
+    through vote.majority_success (so a spy on it counts them); for
+    0 <= p' < 1/2 and 0 < target < 1."""
+    top = (vote.REPETITION_CAP - 1) | 1
+    miss, k = 0, 1
+    while vote.majority_success(p_prime, k) < target:
+        if k == top:
+            raise CapExceededError(
+                f"no odd k <= {vote.REPETITION_CAP} reaches target {target} at p_prime {p_prime}"
+            )
+        miss, k = k, min(2 * k + 1, top)
+    while k - miss > 2:
+        mid = (miss + k) // 2 | 1
+        if vote.majority_success(p_prime, mid) >= target:
+            k = mid
+        else:
+            miss = mid
+    return k
 
 
 def random_search_oracle(circ: Circuit, noise: NoiseModel, trials: int, seed: int) -> float:

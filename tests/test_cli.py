@@ -156,6 +156,14 @@ class TestPlan:
         assert out == ""
         assert "infeasible: p_hat must exceed p" in err
 
+    def test_budget_that_rounds_to_zero_exits_one(self, tmp_path, capsys):
+        # a zero budget reaches no division or logarithm: one line, exit 1
+        cfg = dict(PLAN_CFG, p=0.0, p_hat=5e-324)
+        path = write_cfg(tmp_path, cfg)
+        want = (1, "", "error: infeasible: the budget (p_hat - p) / 2 rounds to 0 at p_hat 5e-324, p 0.0\n")
+        assert run_cli(capsys, ["plan", "--config", path]) == want
+        assert run_cli(capsys, ["plan", "--config", path, "--levels", "2"]) == want
+
     def test_above_threshold_exits_one(self, tmp_path, capsys):
         cfg = dict(PLAN_CFG, eps0=1e-8)
         code, _, err = run_cli(capsys, ["plan", "--config", write_cfg(tmp_path, cfg)])
@@ -607,6 +615,13 @@ class TestSchema:
         )
         assert run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg, "b.json")]) == want
         assert want[0] == 0
+
+    def test_non_string_truth_table_value_exits_two(self, tmp_path, capsys):
+        computation = dict(VERIFY_CFG["computation"], truth_table={"0": 5, "1": "1"})
+        cfg = dict(VERIFY_CFG, computation=computation)
+        code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+        assert (code, out) == (2, "")
+        assert err == 'config error: "computation.truth_table.0" must be a string, got 5\n'
 
     def test_integer_strength_beyond_the_float_range_exits_two(self, tmp_path, capsys):
         cfg = dict(VERIFY_CFG, noise={"kind": "depolarizing", "strength": 10 ** 400})

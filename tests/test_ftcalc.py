@@ -75,6 +75,20 @@ class TestBudgets:
         with pytest.raises(InfeasibleError):
             epsilon_budget(0.2, 0.4)
 
+    def test_budget_that_rounds_to_zero_is_refused(self):
+        # p_hat - p = 5e-324, so the budget rounds to 0, which no division
+        # or logarithm of any planner entry point may see
+        kw = dict(eps_th=0.1, gate_count=1, p=0.0, p_hat=5e-324)
+        calls = [
+            lambda: epsilon_budget(5e-324, 0.0),
+            lambda: required_levels(FtParams(eps0=1e-5, **kw)),
+            lambda: max_gate_error(2, **kw),
+            lambda: tradeoff_curve(1e-5, 1e-3, 3, **kw),
+        ]
+        for call in calls:
+            with pytest.raises(InfeasibleError, match=r"budget \(p_hat - p\) / 2 rounds to 0 at p_hat 5e-324, p 0.0"):
+                call()
+
 
 class TestLogicalGateError:
     def test_zero_levels_is_identity(self):
@@ -499,7 +513,9 @@ class TestTradeoffCurve:
                 tradeoff_curve(eps0_min, eps0_max, points, **kw)
             assert type(got.value) is type(exc) and str(got.value) == str(exc)
             return
-        assert [_row_key(r) for r in tradeoff_curve(eps0_min, eps0_max, points, **kw)] == want
+        curve = tradeoff_curve(eps0_min, eps0_max, points, **kw)
+        assert [_row_key(r) for r in curve] == want
+        assert all(type(r) is TradeoffPoint for r in curve)
 
 
 def _row_key(row):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ftqc
+import helpers
 from ftqc import majority_success, min_repetitions, vote
 from ftqc.errors import (
     BadProbabilityError,
@@ -67,11 +68,11 @@ class TestMajoritySuccess:
             return float(Fraction(total, den ** k))
 
         rng = random.Random(5)
-        draws = [(p, k) for p in (0.0, 5e-324, 2.0 ** -1022, 0.15, 0.5, math.nextafter(0.5, 0.0), 1.0)
-                 for k in range(1, EXACT_K_LIMIT, 2)]
-        while len(draws) < 5000:
-            p = rng.random() if rng.random() < 0.5 else 10.0 ** -rng.uniform(0.0, 20.0)
-            draws.append((p, rng.randrange(1, EXACT_K_LIMIT, 2)))
+        draws = []
+        for k in range(1, EXACT_K_LIMIT, 2):  # every odd k of the exact path
+            draws += [(p, k) for p in (0.0, 5e-324, 2.0 ** -1022, 0.15, 0.5, math.nextafter(0.5, 0.0), 1.0)]
+            draws += [(rng.random() if rng.random() < 0.5 else 10.0 ** -rng.uniform(0.0, 20.0), k)
+                      for _ in range(150)]
         assert [vote._majority_success_exact(p, k) for p, k in draws] == [fraction_exact(p, k) for p, k in draws]
 
     def test_exact_and_tail_paths_agree_at_seam(self):
@@ -154,6 +155,21 @@ class TestMajoritySuccess:
                 assert b >= a - 1e-13
 
 
+def _count_majority_calls(monkeypatch) -> list:
+    """Replace vote.majority_success by a spy that records each call's k;
+    each (p', k) is computed once, so repeated searches stay cheap."""
+    calls, memo, real = [], {}, vote.majority_success
+
+    def spy(p_prime, k):
+        calls.append(k)
+        if (p_prime, k) not in memo:
+            memo[p_prime, k] = real(p_prime, k)
+        return memo[p_prime, k]
+
+    monkeypatch.setattr(vote, "majority_success", spy)
+    return calls
+
+
 class TestMinRepetitions:
     def test_perfect_runs_need_one(self):
         assert min_repetitions(0.0, 0.99) == 1
@@ -193,6 +209,48 @@ class TestMinRepetitions:
             min_repetitions(0.1, 0.0)
         with pytest.raises(BadProbabilityError):
             min_repetitions(0.1, 1.0)
+
+    def test_matches_bisection_with_no_more_evaluations(self, monkeypatch):
+        # doubling then plain bisection as the oracle: the same k, or the
+        # same refusal, and never more evaluations
+        calls = _count_majority_calls(monkeypatch)
+        rng = random.Random(14)
+        pairs = [(p, t) for p in (0.0, 5e-324, 0.4999) for t in (0.3, 0.52, 0.9, 0.999999, 1.0 - 1e-12)]
+        while len(pairs) < 2000:
+            u = rng.random()
+            if u < 0.3:
+                p = 0.5 - 10.0 ** -rng.uniform(1.3, 4.0)  # near 1/2
+            elif u < 0.6:
+                p = rng.uniform(0.0, 0.5)
+            else:
+                p = 0.5 * 10.0 ** -rng.uniform(0.0, 20.0)
+            t = rng.random() if rng.random() < 0.5 else 1.0 - 10.0 ** -rng.uniform(0.3, 12.0)
+            pairs.append((p, min(max(t, 1e-3), 1.0 - 1e-12)))
+        refused = 0
+        for p, t in pairs:
+            calls.clear()
+            try:
+                want = helpers._bisect_min_repetitions(p, t)
+            except CapExceededError as exc:
+                want, refused = str(exc), refused + 1
+            budget = len(calls)
+            calls.clear()
+            try:
+                got = min_repetitions(p, t)
+            except CapExceededError as exc:
+                got = str(exc)
+            assert got == want, (p, t)
+            assert len(calls) <= budget, (p, t)
+        assert refused >= 50
+
+    def test_search_to_8001_takes_at_most_16_evaluations(self, monkeypatch):
+        # 13 doubling steps to k = 8191, then at most 3 splits (bisection: 11)
+        below, at = (majority_success(0.485, k) for k in (7999, 8001))
+        calls = _count_majority_calls(monkeypatch)
+        for u in (0.1, 0.5, 0.9):
+            calls.clear()
+            assert min_repetitions(0.485, below + u * (at - below)) == 8001
+            assert len(calls) <= 16
 
     def test_cap_exceeded_near_half(self):
         # p' this close to 1/2 needs ~1e8 repetitions, beyond the 1e5 cap

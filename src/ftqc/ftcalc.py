@@ -13,14 +13,17 @@ that level misses the budget.  The closed-form level estimate is reported
 alongside for comparison but is never authoritative (it comes from a
 sufficient, not tight, bound).
 
-All powers are evaluated in log-space.  Values below 1e-300 flush to zero,
-which makes the budget test trivially pass; values beyond the float range
+All powers are evaluated in log-space.  Values of eps_N below 1e-300 flush
+to zero; the budget test of a flushed level then takes its failure from
+log(gate_count) + log(eps_N), so a huge gate count still fails it, and the
+eps_qc reported is that failure, not 0.  Values beyond the float range
 report as inf and are clamped by circuit_failure.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
@@ -44,6 +47,7 @@ TRADEOFF_POINT_CAP = 10 ** 5
 FEASIBILITY_SLACK = 1e-9
 
 _LOG_FLUSH = math.log(1e-300)
+_FLUSH = math.exp(_LOG_FLUSH)  # the smallest eps_N that does not flush
 _LOG_MAX = math.log(1.7976931348623157e308)
 
 _INFEASIBLE_MSG = "infeasible: p_hat must exceed p"
@@ -69,6 +73,8 @@ def _check_levels(levels) -> int:
 def _check_gate_count(gate_count) -> int:
     if isinstance(gate_count, bool) or not isinstance(gate_count, int) or gate_count < 1:
         raise DomainError(f"gate_count must be a positive integer, got {gate_count!r}")
+    if gate_count > sys.float_info.max:  # the scaling law multiplies it as a float
+        raise DomainError(f"gate_count must not exceed the largest float {sys.float_info.max!r}")
     return gate_count
 
 
@@ -176,6 +182,14 @@ def _level_error(e0: float, eth: float, log_eth: float, levels: int) -> float:
     return math.exp(log_val)
 
 
+def _flushed_failure(log_val: float, gate_count: int) -> float:
+    """The failure bound gate_count * eps_N of a level whose eps_N flushed
+    (log_val = log(eps_N) < _LOG_FLUSH), taken from the logarithms.  It is
+    capped at the failure of the smallest unflushed eps_N, so failure never
+    falls as eps0 grows across the flush."""
+    return min(1.0, gate_count * _FLUSH, math.exp(math.log(gate_count) + log_val))
+
+
 def circuit_failure(eps_n: float, gate_count: int) -> float:
     """min(1, gate_count * eps_n): whole-circuit failure probability bound."""
     if eps_n < 0.0 or math.isnan(eps_n):
@@ -230,7 +244,10 @@ def _min_level(eps0: float, eps_th: float, gate_count: int, budget: float,
     log_eth = math.log(eps_th)
     for n in range(start, LEVEL_CAP + 1):
         eps_n = _level_error(eps0, eps_th, log_eth, n)
-        eps_qc = min(1.0, gate_count * eps_n)  # circuit_failure, inputs validated
+        if eps_n:
+            eps_qc = min(1.0, gate_count * eps_n)  # circuit_failure, inputs validated
+        else:  # flushed, as eps0 and eps_th are positive
+            eps_qc = _flushed_failure(log_eth + 2.0 ** n * (math.log(eps0) - log_eth), gate_count)
         if eps_qc <= limit:
             return n, eps_n, eps_qc
         if n == 0 and eps0 >= eps_th:
@@ -274,10 +291,11 @@ def _log_grid(lo: float, hi: float, points: int) -> list[float]:
     each clamped below hi (near hi the logarithms can round onto hi's)."""
     log_lo = math.log10(lo)
     step = (math.log10(hi) - log_lo) / points
+    grid = [lo] + [10.0 ** (i * step + log_lo) for i in range(1, points)]
+    if max(grid) < hi:
+        return grid
     below = math.nextafter(hi, 0.0)
-    return [lo] + [
-        x if (x := 10.0 ** (i * step + log_lo)) < hi else below for i in range(1, points)
-    ]
+    return [x if x < hi else below for x in grid]
 
 
 def tradeoff_curve(
@@ -304,11 +322,17 @@ def tradeoff_curve(
     only when that misses the budget does _min_level search on from the
     next level up.  That is exact: below the threshold the failure at a
     fixed level is a chain of monotone float steps in eps0 (log, a product
-    with 2**N > 0, exp, the product with gate_count), so a level that fails
-    at one eps0 fails at every larger one.  A point at or above the
-    threshold, or below its predecessor, searches from level 0.  The rows
-    are built from columns: the grid, the levels and eps_qc of that loop,
-    and the closed form over the whole grid.
+    with 2**N > 0, exp, the product with gate_count, or for a flushed eps_N
+    the capped sum of logarithms of _flushed_failure), so a level that
+    fails at one eps0 fails at every larger one.  A point at or above the
+    threshold, or below its predecessor, searches from level 0.
+
+    The test at the carried level is _level_error and circuit_failure
+    inlined, with 2**N taken only when the level moves, and the closed
+    form is one expression per point when the grid's ends show that
+    _closed_form_levels would take none of its special cases.  Both do the
+    same float operations in the same order as those functions, so every
+    row is identical, bit for bit, to a required_levels call at its point.
     """
     if not (0.0 < eps0_min < eps0_max):
         raise DomainError(f"need 0 < eps0_min < eps0_max, got {eps0_min} and {eps0_max}")
@@ -328,16 +352,25 @@ def tradeoff_curve(
     limit = budget * (1.0 + FEASIBILITY_SLACK)
     log_eth = math.log(eth)
     cf_num = _closed_form_numerator(eth, n_gates, budget)
+    log, exp, n_float = math.log, math.exp, float(n_gates)
     levels, eps_qcs = [], []
-    level, prev = 0, 0.0
+    level, scale, prev = 0, 1.0, 0.0
     for e0 in grid:
-        if not 0.0 < e0 < 1.0:
-            _check_unit_interval("eps0", e0)  # raises
         if prev <= e0 < eth:
-            # circuit_failure on values that need no checks
-            eps_qc = min(1.0, n_gates * _level_error(e0, eth, log_eth, level))
+            # _level_error and circuit_failure inlined, on values that need no
+            # checks; below the threshold log_val <= log_eth, so no overflow
+            if not level:
+                eps_qc = n_float * e0
+            elif (log_val := log_eth + scale * (log(e0) - log_eth)) < _LOG_FLUSH:
+                eps_qc = _flushed_failure(log_val, n_gates)
+            else:
+                eps_qc = n_float * exp(log_val)
+            if eps_qc > 1.0:
+                eps_qc = 1.0
             start = level + 1
         else:
+            if not 0.0 < e0 < 1.0:
+                _check_unit_interval("eps0", e0)  # raises
             eps_qc, start = math.inf, 0
         prev = e0
         if eps_qc > limit:
@@ -347,10 +380,16 @@ def tradeoff_curve(
                 levels.append(-1)
                 eps_qcs.append(math.nan)
                 continue
+            scale = 2.0 ** level
         levels.append(level)
         eps_qcs.append(eps_qc)
-    closed = [
-        math.nan if n < 0 else _closed_form_levels(e0, eth, cf_num) for e0, n in zip(grid, levels)
-    ]
+    # log(eth / e0) falls as e0 grows, so when it is positive and finite at
+    # both ends of the grid, _closed_form_levels needs none of its tests
+    if cf_num > 0.0 and -1 not in levels and log(eth / max(grid)) > 0.0 and log(eth / min(grid)) < math.inf:
+        closed = [math.log2(cf_num / log(eth / e0)) for e0 in grid]
+    else:
+        closed = [
+            math.nan if n < 0 else _closed_form_levels(e0, eth, cf_num) for e0, n in zip(grid, levels)
+        ]
     # tuple.__new__ skips the named tuple's Python-level constructor
     return list(map(tuple.__new__, repeat(TradeoffPoint), zip(grid, levels, eps_qcs, closed)))

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from ftqc import (
     FtParams,
     circuit_failure,
+    cli,
     epsilon_budget,
     ftcalc,
     logical_gate_error,
@@ -197,6 +200,22 @@ class TestCircuitFailure:
             circuit_failure(1e-9, gate_count)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: required_levels(FtParams(eps0=1e-10, eps_th=1e-9, gate_count=g, p=0.2, p_hat=0.4)),
+        lambda g: tradeoff_curve(1e-13, 1e-9, 10, eps_th=1e-9, gate_count=g, p=0.2, p_hat=0.4),
+        lambda g: max_gate_error(2, 1e-9, g, 0.4, 0.2),
+        lambda g: circuit_failure(1e-9, g),
+    ],
+    ids=["required_levels", "tradeoff_curve", "max_gate_error", "circuit_failure"],
+)
+def test_gate_count_beyond_the_float_range_refused(call):
+    call(int(sys.float_info.max))  # the largest float is a valid count
+    with pytest.raises(DomainError, match="gate_count must not exceed the largest float"):
+        call(10 ** 400)
+
+
 class TestRequiredLevels:
     def test_caption_anchor_two_levels(self):
         result = plan(1e-10)
@@ -242,6 +261,21 @@ class TestRequiredLevels:
         assert eps0 < 1e-9 and math.log(eps0) == math.log(1e-9)
         with pytest.raises(AboveThresholdError, match="within float rounding"):
             plan(eps0)
+
+    def test_flushed_level_still_counts_the_gates(self, tmp_path, capsys):
+        # eps_1 = 1e-303 flushes to 0, yet gate_count * eps_1 = 1e5 misses
+        # the budget 0.1; level 2, with gate_count * eps_2 = 1e-295, is minimal
+        kw = dict(eps_th=1e-3, gate_count=10 ** 308, p=0.2, p_hat=0.4)
+        result = required_levels(FtParams(eps0=1e-153, **kw))
+        assert (result.levels, result.eps_n) == (2, 0.0)
+        assert result.eps_qc == pytest.approx(1e-295, rel=1e-9)
+        rows = tradeoff_curve(1e-153, 2e-153, 3, **kw)
+        assert rows[0][1:3] == (result.levels, result.eps_qc)
+        assert [r.levels for r in rows] == [2, 2, 2] and all(0.0 < r.eps_qc < 1e-290 for r in rows)
+        cfg = tmp_path / "plan.json"
+        cfg.write_text('{"eps0": 1e-153, "eps_th": 1e-3, "gate_count": 1e308, "p": 0.2, "p_hat": 0.4}')
+        assert cli.main(["plan", "--config", str(cfg), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:3] == ["2", "0", "1e-295"]
 
     def test_at_threshold_fine_when_level_zero_suffices(self):
         result = required_levels(
@@ -432,12 +466,22 @@ class TestTradeoffCurve:
 
     def test_matches_per_point_on_a_ten_level_grid(self):
         # 500 points from 1e-4 * eps_th up to eps_th with
-        # gate_count * eps_th / budget = 1e8: the staircase climbs 1 to 10
-        eps_th, budget, p = 3e-3, 0.04, 0.1
-        kw = dict(eps_th=eps_th, gate_count=round(1e8 * budget / eps_th), p=p, p_hat=p + 2 * budget)
-        rows = [_row_key(r) for r in tradeoff_curve(eps_th * 1e-4, eps_th, 500, **kw)]
-        assert rows == _per_point_curve(eps_th * 1e-4, eps_th, 500, **kw)
-        assert sorted({r[1] for r in rows}) == list(range(1, 11))
+        # gate_count * eps_th / budget = 1e8: the staircase climbs 1 to 10;
+        # the seeded cases draw eps_th, p and the budget as the benchmark does
+        cases = [(3e-3, 0.1, 0.04)]
+        for seed in range(1, 6):
+            rng = random.Random(seed)
+            cases.append((10 ** rng.uniform(-4, -2), rng.uniform(0.0, 0.3), rng.uniform(0.005, 0.1)))
+        for eps_th, p, budget in cases:
+            kw = dict(eps_th=eps_th, gate_count=round(1e8 * budget / eps_th), p=p, p_hat=p + 2 * budget)
+            rows = _check_against_per_point(eps_th * 1e-4, kw)
+            assert sorted({r[1] for r in rows}) == list(range(1, 11))
+            assert not _flushed(rows, eps_th)
+        # at gate_count = 10**250 most minimal levels have eps_N below 1e-300,
+        # so their failure comes from the logarithms
+        rows = _check_against_per_point(1e-290, dict(eps_th=1e-3, gate_count=10 ** 250, p=0.2, p_hat=0.4))
+        assert sorted({r[1] for r in rows}) == list(range(10))
+        assert len(_flushed(rows, 1e-3)) > 300  # 346 of the 500 on glibc
 
     def test_search_continues_above_a_failed_carried_level(self, monkeypatch):
         # each pinned point needs several levels more than the one before,
@@ -521,6 +565,21 @@ class TestTradeoffCurve:
 def _row_key(row):
     """A TradeoffPoint as a tuple in which NaN compares equal to NaN."""
     return tuple("nan" if v != v else v for v in (row.eps0, row.levels, row.eps_qc, row.closed_form))
+
+
+def _check_against_per_point(lo, kw):
+    """A 500-point curve from lo up to eps_th as row keys, checked row by row
+    against _per_point_curve and for a positive eps_qc within the budget."""
+    rows = [_row_key(r) for r in tradeoff_curve(lo, kw["eps_th"], 500, **kw)]
+    assert rows == _per_point_curve(lo, kw["eps_th"], 500, **kw)
+    limit = epsilon_budget(kw["p_hat"], kw["p"]) * (1 + FEASIBILITY_SLACK)
+    assert all(0.0 < r[2] <= limit for r in rows)
+    return rows
+
+
+def _flushed(rows, eps_th):
+    """The rows whose minimal level has an eps_N that flushes to 0."""
+    return [r for r in rows if r[1] > 0 and logical_gate_error(r[0], eps_th, r[1]) == 0.0]
 
 
 def _per_point_curve(eps0_min, eps0_max, points, **kw):

@@ -183,7 +183,6 @@ def _povm(v, name: str):
 
 
 def _computation(v, name: str):
-    from .densmat import HermitianOperator
     from .kitaev import OverallComputation, basis_encoding, basis_readout
 
     comp = _read(_section(v), _COMPUTATION, name)
@@ -192,8 +191,6 @@ def _computation(v, name: str):
     init = basis_encoding(num_qubits, inputs)
     if povm == "computational_basis":
         povm = basis_readout(num_qubits)
-    else:
-        povm = {label: HermitianOperator(rows) for label, rows in povm.items()}
     return OverallComputation(inputs, comp["outputs"], comp["truth_table"], init, povm)
 
 

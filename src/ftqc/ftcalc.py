@@ -64,15 +64,22 @@ def _check_unit_interval(name: str, value: float, lo_open=True, hi_open=True) ->
     return v
 
 
+def _shown(value) -> str:
+    """repr, but an int past 64 bits by sign and size: str() refuses 4300+ digits."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+    return repr(value)
+
+
 def _check_levels(levels) -> int:
     if isinstance(levels, bool) or not isinstance(levels, int) or levels < 0:
-        raise DomainError(f"levels must be a nonnegative integer, got {levels!r}")
+        raise DomainError(f"levels must be a nonnegative integer, got {_shown(levels)}")
     return levels
 
 
 def _check_gate_count(gate_count) -> int:
     if isinstance(gate_count, bool) or not isinstance(gate_count, int) or gate_count < 1:
-        raise DomainError(f"gate_count must be a positive integer, got {gate_count!r}")
+        raise DomainError(f"gate_count must be a positive integer, got {_shown(gate_count)}")
     if gate_count > sys.float_info.max:  # the scaling law multiplies it as a float
         raise DomainError(f"gate_count must not exceed the largest float {sys.float_info.max!r}")
     return gate_count

@@ -18,9 +18,11 @@ import numpy as np
 from .densmat import (
     MAX_DIM,
     MAX_QUBITS,
-    DensityMatrix,
-    HermitianOperator,
     VALIDATION_TOL,
+    _as_square_matrix,
+    _check_effects,
+    _check_hermitian,
+    _check_states,
     _is_index,
 )
 from .errors import (
@@ -32,7 +34,7 @@ from .errors import (
 )
 
 
-def _check_bitstring(label: str, num_qubits: int) -> None:
+def _basis_index(label: str, num_qubits: int) -> int:
     if (
         not isinstance(label, str)
         or len(label) != num_qubits
@@ -41,11 +43,14 @@ def _check_bitstring(label: str, num_qubits: int) -> None:
         raise BadBitstringError(
             f"label {label!r} is not a bitstring of length {num_qubits}"
         )
+    return int(label, 2)
 
 
 def _check_width(num_qubits: int) -> None:
     if not _is_index(num_qubits):
         raise DimensionMismatchError(f"num_qubits must be an integer, got {num_qubits!r}")
+    if num_qubits < 1:
+        raise DimensionMismatchError(f"num_qubits {num_qubits} is below 1")
     # before anything of size 2**num_qubits is allocated or looped over; the
     # power stays unevaluated, since a long label makes it too big to print
     if num_qubits > MAX_QUBITS:
@@ -54,8 +59,9 @@ def _check_width(num_qubits: int) -> None:
         )
 
 
-def basis_encoding(num_qubits: int, inputs) -> dict[str, DensityMatrix]:
-    """Map bitstring labels to computational-basis projectors |x><x|."""
+def basis_encoding(num_qubits: int, inputs) -> dict[str, np.ndarray]:
+    """Map bitstring labels to computational-basis projectors |x><x|, as
+    read-only views of one (B, d, d) stack in the order of `inputs`."""
     _check_width(num_qubits)
     labels = list(inputs)
     if len(labels) > 2 ** num_qubits:
@@ -64,31 +70,27 @@ def basis_encoding(num_qubits: int, inputs) -> dict[str, DensityMatrix]:
         )
     if len(set(labels)) != len(labels):
         raise BadBitstringError("duplicate input labels")
+    idx = [_basis_index(label, num_qubits) for label in labels]
     d = 2 ** num_qubits
-    out = {}
-    for label in labels:
-        _check_bitstring(label, num_qubits)
-        idx = int(label, 2)
-        m = np.zeros((d, d), dtype=complex)
-        m[idx, idx] = 1.0
-        out[label] = DensityMatrix(m)
-    return out
+    stack = np.zeros((len(labels), d, d), dtype=complex)
+    stack[np.arange(len(labels)), idx, idx] = 1.0
+    stack.flags.writeable = False
+    return dict(zip(labels, stack))
 
 
-def basis_readout(
-    num_qubits: int, measured=None
-) -> dict[str, HermitianOperator]:
+def basis_readout(num_qubits: int, measured=None) -> dict[str, np.ndarray]:
     """Projective readout of a subset of qubits in the computational basis.
 
     Returns effects keyed by the measured bits (in the order given by
-    `measured`, default all qubits).  Unmeasured qubits are traced over,
-    i.e. each effect is the projector onto all consistent basis states.
+    `measured`, default all qubits), as read-only views of one (Y, d, d)
+    stack in label order.  Unmeasured qubits are traced over, i.e. each
+    effect is the projector onto all consistent basis states.
     """
     _check_width(num_qubits)
     if measured is None:
-        measured = tuple(range(num_qubits))
-    measured = tuple(measured)
-    if not all(map(_is_index, measured)):
+        measured = range(num_qubits)
+    measured = tuple(measured) if np.iterable(measured) else measured
+    if not isinstance(measured, tuple) or not all(map(_is_index, measured)):
         raise DimensionMismatchError(f"measured qubits must be integers, got {measured!r}")
     measured = tuple(int(q) for q in measured)
     if len(measured) == 0:
@@ -99,35 +101,33 @@ def basis_readout(
         raise DimensionMismatchError(
             f"measured qubits {measured} out of range for {num_qubits} qubit(s)"
         )
-    d = 2 ** num_qubits
-    diags: dict[str, np.ndarray] = {}
-    for k in range(2 ** len(measured)):
-        label = format(k, f"0{len(measured)}b")
-        diags[label] = np.zeros(d)
-    for b in range(d):
-        bits = format(b, f"0{num_qubits}b")
-        label = "".join(bits[q] for q in measured)
-        diags[label][b] = 1.0
-    return {
-        label: HermitianOperator(np.diag(diag).astype(complex))
-        for label, diag in diags.items()
-    }
+    d, m = 2 ** num_qubits, len(measured)
+    # the outcome of basis state b: its measured bits, the first one leading
+    b = np.arange(d)
+    y = sum(((b >> (num_qubits - 1 - q)) & 1) << (m - 1 - i) for i, q in enumerate(measured))
+    stack = np.zeros((2 ** m, d, d), dtype=complex)
+    stack[y, b, b] = 1.0
+    stack.flags.writeable = False
+    return {format(k, f"0{m}b"): effect for k, effect in enumerate(stack)}
 
 
 @dataclass(frozen=True)
 class OverallComputation:
     """Classical I/O contract plus its quantum encoding.
 
-    init maps every input label to a prepared state; povm maps every output
-    label to a measurement effect.  The POVM must be complete (effects sum
-    to the identity within 1e-9).
+    init maps every input label to a prepared state and povm every output
+    label to a measurement effect, as array-likes: a DensityMatrix or
+    HermitianOperator is passed as its ``.entries``.  The computation holds
+    init as one read-only (B, d, d) complex stack in ``inputs`` order and
+    povm as one read-only (Y, d, d) stack in ``outputs`` order, each checked
+    once here; the POVM must sum to the identity within 1e-9.
     """
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     truth_table: dict[str, str]
-    init: dict[str, DensityMatrix]
-    povm: dict[str, HermitianOperator]
+    init: np.ndarray
+    povm: np.ndarray
 
     def __post_init__(self):
         inputs = tuple(self.inputs)
@@ -135,8 +135,6 @@ class OverallComputation:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "truth_table", dict(self.truth_table))
-        object.__setattr__(self, "init", dict(self.init))
-        object.__setattr__(self, "povm", dict(self.povm))
         if not inputs or not outputs:
             raise DimensionMismatchError("inputs and outputs must be nonempty")
         if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
@@ -150,23 +148,24 @@ class OverallComputation:
             raise UnknownInputError("init keys must be exactly the inputs")
         if set(self.povm) != set(outputs):
             raise UnknownInputError("POVM keys must be exactly the outputs")
-        dims = {st.dim for st in self.init.values()}
+        states = [_as_square_matrix(self.init[x]) for x in inputs]
+        effects = [_as_square_matrix(self.povm[y]) for y in outputs]
+        dims = sorted({m.shape[0] for m in states + effects})
         if len(dims) != 1:
-            raise DimensionMismatchError(f"init states have mixed dims {sorted(dims)}")
-        (dim,) = dims
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in self.povm.values():
-            if e.dim != dim:
-                raise DimensionMismatchError(
-                    f"effect dim {e.dim} does not match state dim {dim}"
-                )
-            total = total + e.entries
-        defect = float(np.max(np.abs(total - np.eye(dim))))
+            raise DimensionMismatchError(f"states and effects have mixed dims {dims}")
+        init, povm = np.stack(states), np.stack(effects)
+        init.flags.writeable = povm.flags.writeable = False
+        _check_states(init)
+        _check_hermitian(povm)
+        defect = float(np.max(np.abs(povm.sum(axis=0) - np.eye(dims[0]))))
         if defect > VALIDATION_TOL:
             raise NotAnEffectError(
                 f"POVM completeness defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}"
             )
+        _check_effects(povm)
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "povm", povm)
 
     @property
     def dim(self) -> int:
-        return next(iter(self.init.values())).dim
+        return self.init.shape[1]

@@ -9,9 +9,9 @@ circuit.  Its maximum alpha over a computation's input states combines with
 the intrinsic failure bound p into a per-input failure bound p + alpha.
 That combined bound is a theorem: if an instance violates it the numerics
 are broken, so the check raises instead of reporting a false flag.
-Certification and the random search push whole stacks of states through
-channels.evolve, and check and measure the output stacks, never one state
-object at a time.
+Certification evolves and measures a computation's own input and effect
+stacks, never copied; the random search pushes blocks of states through
+channels.evolve the same way, and both check whole output stacks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .channels import Circuit, NoiseModel, evolve
 from .densmat import (
     VALIDATION_TOL,
     DensityMatrix,
-    _check_effects,
     _check_states,
     _readout,
     _trace_norms,
@@ -162,7 +161,7 @@ def certify_combined_bound(
 ) -> QccReport:
     """Run the full certification for one computation under one noise model.
 
-    The input states are evolved as one stack through the ideal circuit and
+    The input stack is evolved, uncopied, through the ideal circuit and
     once through the noisy one.  p comes from the ideal outcome distributions,
     alpha from the trace distance between the two outputs of every input,
     and each input's actual failure probability is checked against p + alpha.
@@ -173,14 +172,11 @@ def certify_combined_bound(
         raise DimensionMismatchError(
             f"circuit dim {circ.dim} does not match computation dim {comp.dim}"
         )
-    inputs = np.stack([comp.init[x].entries for x in comp.inputs])
-    ideal = evolve(circ, NoiseModel(kind="none"), inputs)
+    ideal = evolve(circ, NoiseModel(kind="none"), comp.init)
     _check_states(ideal)
-    actual = evolve(circ, noise, inputs)
+    actual = evolve(circ, noise, comp.init)
     _check_states(actual)
-    effects = np.stack([comp.povm[y].entries for y in comp.outputs])
-    _check_effects(effects)
-    ideal_probs = _readout(ideal, effects)
+    ideal_probs = _readout(ideal, comp.povm)
     totals = ideal_probs.sum(axis=1)
     i = np.argmax(np.abs(totals - 1.0))
     if abs(totals[i] - 1.0) > VALIDATION_TOL:
@@ -189,7 +185,7 @@ def certify_combined_bound(
     want = [comp.outputs.index(comp.truth_table[x]) for x in comp.inputs]
     cells = (np.arange(len(want)), want)
     ideal_success = ideal_probs[cells].tolist()
-    actual_success = _readout(actual, effects)[cells].tolist()
+    actual_success = _readout(actual, comp.povm)[cells].tolist()
     inaccuracy = _trace_norms(actual - ideal).tolist()
     records = [InputRecord(*row) for row in zip(comp.inputs, ideal_success, actual_success, inaccuracy)]
     p = max(1.0 - r.ideal_success for r in records)

@@ -216,6 +216,25 @@ def test_gate_count_beyond_the_float_range_refused(call):
         call(10 ** 400)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda v: logical_gate_error(1e-10, 1e-9, v), "levels must be a nonnegative integer"),
+        (lambda v: max_gate_error(v, 1e-9, 10 ** 12, 0.4, 0.2), "levels must be a nonnegative integer"),
+        (lambda v: FtParams(eps0=1e-10, eps_th=1e-9, gate_count=v, p=0.2, p_hat=0.4),
+         "gate_count must be a positive integer"),
+        (lambda v: circuit_failure(1e-9, v), "gate_count must be a positive integer"),
+    ],
+    ids=["logical_gate_error", "max_gate_error", "FtParams", "circuit_failure"],
+)
+def test_refused_int_past_the_digit_limit_is_named_by_its_size(call, message):
+    # str() of an int of more than 4300 digits raises ValueError
+    with pytest.raises(DomainError, match=rf"^{message}, got -<16610-bit integer>$"):
+        call(-(10 ** 5000))
+    with pytest.raises(DomainError, match=rf"^{message}, got -3$"):
+        call(-3)
+
+
 class TestRequiredLevels:
     def test_caption_anchor_two_levels(self):
         result = plan(1e-10)

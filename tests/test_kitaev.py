@@ -4,20 +4,23 @@ import pytest
 from ftqc import (
     Circuit,
     Gate,
-    HermitianOperator,
     NoiseModel,
     OverallComputation,
     basis_encoding,
     basis_readout,
     certify_combined_bound,
 )
-from ftqc import cli
+from ftqc import cli, qcc
 from ftqc.errors import (
     BadBitstringError,
     BadProbabilityError,
     ConfigError,
     DimensionMismatchError,
+    DomainError,
     NotAnEffectError,
+    NotHermitianError,
+    NotPositiveError,
+    NotUnitTraceError,
     TooManyInputsError,
     UnknownInputError,
 )
@@ -38,15 +41,15 @@ def parity_computation(num_qubits=1):
 class TestBasisEncoding:
     def test_single_qubit_states(self):
         enc = basis_encoding(1, ["0", "1"])
-        np.testing.assert_allclose(enc["0"].entries, [[1, 0], [0, 0]], atol=1e-15)
-        np.testing.assert_allclose(enc["1"].entries, [[0, 0], [0, 1]], atol=1e-15)
+        np.testing.assert_allclose(enc["0"], [[1, 0], [0, 0]], atol=1e-15)
+        np.testing.assert_allclose(enc["1"], [[0, 0], [0, 1]], atol=1e-15)
 
     def test_two_qubit_ordering(self):
         # "10" maps to index 2: leading character is the most significant bit
         enc = basis_encoding(2, ["10"])
         expected = np.zeros((4, 4))
         expected[2, 2] = 1.0
-        np.testing.assert_allclose(enc["10"].entries, expected, atol=1e-15)
+        np.testing.assert_allclose(enc["10"], expected, atol=1e-15)
 
     def test_rejects_too_many_inputs(self):
         with pytest.raises(TooManyInputsError):
@@ -70,18 +73,33 @@ class TestBasisEncoding:
             basis_encoding(2, ["0"])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: basis_encoding(0, [""]), "^num_qubits 0 is below 1$"),
+        (lambda: basis_encoding(-3, []), "^num_qubits -3 is below 1$"),
+        (lambda: basis_readout(0), "^num_qubits 0 is below 1$"),
+        (lambda: basis_readout(2, measured=0), "^measured qubits must be integers, got 0$"),
+    ],
+    ids=["empty_label", "negative_width", "empty_readout", "non_iterable_measured"],
+)
+def test_refuses_widths_below_one_and_non_iterable_qubits(build, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        build()
+
+
 class TestBasisReadout:
     def test_full_readout_is_projector_family(self):
         povm = basis_readout(2)
         assert set(povm) == {"00", "01", "10", "11"}
-        np.testing.assert_allclose(povm["10"].entries, np.diag([0, 0, 1.0, 0]), atol=1e-15)
+        np.testing.assert_allclose(povm["10"], np.diag([0, 0, 1.0, 0]), atol=1e-15)
 
     def test_marginal_readout_of_first_qubit(self):
         # frozen: measuring qubit 0 of two, outcome "0" has effect diag(1,1,0,0)
         povm = basis_readout(2, measured=(0,))
         assert set(povm) == {"0", "1"}
-        np.testing.assert_allclose(povm["0"].entries, np.diag([1.0, 1.0, 0, 0]), atol=1e-15)
-        np.testing.assert_allclose(povm["1"].entries, np.diag([0, 0, 1.0, 1.0]), atol=1e-15)
+        np.testing.assert_allclose(povm["0"], np.diag([1.0, 1.0, 0, 0]), atol=1e-15)
+        np.testing.assert_allclose(povm["1"], np.diag([0, 0, 1.0, 1.0]), atol=1e-15)
 
     @pytest.mark.parametrize("measured", [(0.9,), (True,), (0, 1.0)])
     def test_rejects_bool_and_non_integer_qubits(self, measured):
@@ -97,7 +115,7 @@ class TestBasisReadout:
 
     def test_effects_resolve_identity(self):
         povm = basis_readout(3, measured=(0, 2))
-        total = sum(e.entries for e in povm.values())
+        total = sum(povm.values())
         np.testing.assert_allclose(total, np.eye(8), atol=1e-15)
 
 
@@ -142,15 +160,67 @@ class TestOverallComputation:
                 povm=basis_readout(2, measured=(0,)),
             )
 
+    def test_holds_read_only_stacks_in_label_order(self):
+        # the mappings list their labels in another order than the contract
+        enc = basis_encoding(2, ["11", "01"])
+        readout = basis_readout(2, measured=(1,))
+        comp = OverallComputation(
+            inputs=("01", "11"),
+            outputs=("1", "0"),
+            truth_table={"01": "1", "11": "1"},
+            init=enc,
+            povm=readout,
+        )
+        assert comp.dim == 4
+        assert comp.init.shape == (2, 4, 4) and comp.povm.shape == (2, 4, 4)
+        assert comp.init.dtype == complex and comp.povm.dtype == complex
+        np.testing.assert_array_equal(comp.init, [enc["01"], enc["11"]])
+        np.testing.assert_array_equal(comp.povm, [readout["1"], readout["0"]])
+        for stack in (comp.init, comp.povm, enc["01"], readout["0"]):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[..., 0, 0] = 0.5
+
+    @pytest.mark.parametrize(
+        "init, povm, error, message",
+        [
+            ({"0": [[1, 0, 0], [0, 0, 0]]}, None, DimensionMismatchError, "square"),
+            ({"0": [[0.5, 0.5], [-0.5, 0.5]]}, None, NotHermitianError, "Hermiticity"),
+            ({"0": np.eye(2)}, None, NotUnitTraceError, "trace is 2"),
+            ({"0": [[1.5, 0], [0, -0.5]]}, None, NotPositiveError, "smallest eigenvalue"),
+            ({"0": [[np.nan, 0], [0, 1]]}, None, DomainError, "non-finite"),
+            (None, {"0": [[1, 1], [0, 0]], "1": [[0, -1], [0, 1]]}, NotHermitianError, "Hermiticity"),
+            # complete and Hermitian, but the effects leave [0, 1]
+            (None, {"0": np.diag([2, 0]), "1": np.diag([-1, 1])}, NotAnEffectError, "spectrum"),
+        ],
+        ids=["non_square", "non_hermitian_state", "trace_two", "negative",
+             "nan", "non_hermitian_effect", "outside_unit_interval"],
+    )
+    def test_validates_each_stack_at_construction(self, init, povm, error, message):
+        with pytest.raises(error, match=message):
+            OverallComputation(
+                inputs=("0",),
+                outputs=("0", "1"),
+                truth_table={"0": "0"},
+                init=init or basis_encoding(1, ["0"]),
+                povm=povm or basis_readout(1),
+            )
+
 
 class TestOutcomeDistribution:
-    def test_probabilities_sum_to_one(self):
+    def test_probabilities_sum_to_one(self, monkeypatch):
         # certification reads every input's whole outcome distribution and
-        # refuses one that does not sum to 1; the POVM is emptied of one
-        # effect after the computation has validated it
+        # refuses one that does not sum to 1; the readout loses outcome "1"
+        # after the computation has validated its POVM
         comp = parity_computation()
         assert report([]).per_input[1].ideal_success == 1.0
-        comp.povm["1"] = HermitianOperator(np.zeros((2, 2)))
+        readout = qcc._readout
+
+        def without_outcome_one(states, effects):
+            probs = readout(states, effects)
+            probs[:, 1] = 0.0
+            return probs
+
+        monkeypatch.setattr(qcc, "_readout", without_outcome_one)
         with pytest.raises(BadProbabilityError, match="sum to 0, expected 1"):
             certify_combined_bound(Circuit(num_qubits=1), NoiseModel(kind="none"), comp)
 
@@ -198,7 +268,7 @@ class TestComputationJson:
             }
         )
         assert comp.inputs == ("0", "1")
-        np.testing.assert_allclose(comp.povm["1"].entries, np.diag([0, 1.0]), atol=1e-15)
+        np.testing.assert_allclose(comp.povm[comp.outputs.index("1")], np.diag([0, 1.0]), atol=1e-15)
 
     def test_explicit_effect_matrices(self):
         comp = read_computation(
@@ -209,7 +279,7 @@ class TestComputationJson:
                 "povm": {"even": [[1, 0], [0, 0]], "odd": [[0, 0], [0, 1]]},
             }
         )
-        np.testing.assert_allclose(comp.povm["odd"].entries, np.diag([0, 1.0]), atol=1e-15)
+        np.testing.assert_allclose(comp.povm[comp.outputs.index("odd")], np.diag([0, 1.0]), atol=1e-15)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ConfigError):

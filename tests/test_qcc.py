@@ -209,14 +209,12 @@ class TestCertify:
         # parity readout: outcome is XOR of the two bits
         even = np.diag([1.0, 0, 0, 1.0]).astype(complex)
         odd = np.diag([0, 1.0, 1.0, 0]).astype(complex)
-        from ftqc import HermitianOperator
-
         comp = OverallComputation(
             inputs=("00",),
             outputs=("0", "1"),
             truth_table={"00": "0"},
             init=basis_encoding(2, ["00"]),
-            povm={"0": HermitianOperator(even), "1": HermitianOperator(odd)},
+            povm={"0": even, "1": odd},
         )
         report = certify_combined_bound(bell, NoiseModel(kind="depolarizing", strength=0.1), comp)
         assert report.p == pytest.approx(0.0, abs=1e-12)
@@ -253,44 +251,67 @@ class TestCertify:
             assert 1.0 - rec.actual_success <= report.p + report.alpha + 1e-9
         records = {r.x: r for r in report.per_input}
         for x in ("000000", "011010", "100101", "111111"):
-            rho = comp.init[x].entries
+            rho = comp.init[comp.inputs.index(x)]
             ideal = helpers.sequential_noisy_oracle(circ, 0.0, rho)
             actual = helpers.sequential_noisy_oracle(circ, lam, rho)
-            effect = comp.povm[x[-1]].entries
+            effect = comp.povm[comp.outputs.index(x[-1])]
             rec = records[x]
             assert rec.ideal_success == pytest.approx(np.trace(effect @ ideal).real, abs=1e-12)
             assert rec.actual_success == pytest.approx(np.trace(effect @ actual).real, abs=1e-12)
             assert rec.inaccuracy_x == pytest.approx(helpers.svd_trace_norm(actual - ideal), abs=1e-12)
 
     def test_each_effect_spectrum_checked_once(self, monkeypatch):
-        # all 8 basis inputs of a 3-qubit ladder read out by 2 distinct effects
+        # all 8 basis inputs of a 3-qubit ladder read out by 2 distinct
+        # effects; the computation checks each spectrum when it is built,
+        # and certification, however often it runs, checks none again
         n = 3
         gates = [Gate(name="H", targets=(0,))]
         gates += [Gate(name="CNOT", targets=(q, q + 1)) for q in range(n - 1)]
         inputs = [format(i, f"0{n}b") for i in range(2 ** n)]
-        comp = OverallComputation(
-            inputs=tuple(inputs),
-            outputs=("0", "1"),
-            truth_table={x: x[-1] for x in inputs},
-            init=basis_encoding(n, inputs),
-            povm=basis_readout(n, measured=(n - 1,)),
-        )
-        effects = [e.entries for e in comp.povm.values()]
+        readout = basis_readout(n, measured=(n - 1,))
+        effects = list(readout.values())
         checks = [0] * len(effects)
         eigvalsh = np.linalg.eigvalsh
 
         def counting_eigvalsh(a, *args, **kwargs):
-            # a stack of matrices; output states have trace 1, these effects 4
+            # a stack of matrices; states have trace 1, these effects 4
             for m in np.reshape(a, (-1,) + effects[0].shape):
                 for i, e in enumerate(effects):
                     checks[i] += np.array_equal(m, e)
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        comp = OverallComputation(
+            inputs=tuple(inputs),
+            outputs=("0", "1"),
+            truth_table={x: x[-1] for x in inputs},
+            init=basis_encoding(n, inputs),
+            povm=readout,
+        )
+        assert checks == [1, 1]
         circ = Circuit(num_qubits=n, gates=gates)
-        for runs in (1, 2):
+        for _ in range(2):
             certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=0.05), comp)
-            assert checks == [runs, runs]
+            assert checks == [1, 1]
+
+    def test_evolves_the_computations_own_stack(self, monkeypatch):
+        import ftqc.qcc
+
+        evolve = ftqc.qcc.evolve
+        seen = []
+
+        def recording_evolve(circ, noise, states):
+            seen.append(states)
+            return evolve(circ, noise, states)
+
+        monkeypatch.setattr(ftqc.qcc, "evolve", recording_evolve)
+        comp = identity_parity(2)
+        certify_combined_bound(
+            identity_circuit(2), NoiseModel(kind="depolarizing", strength=0.1), comp
+        )
+        assert len(seen) == 2
+        for states in seen:
+            assert np.shares_memory(states, comp.init)
 
     @pytest.mark.parametrize(
         "corrupt, error, message",

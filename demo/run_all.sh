@@ -1,0 +1,24 @@
+#!/bin/sh
+# Runs the installed `ftqc` console script on every demo config and stops at
+# the first command that fails.  Run it from the repository root:
+#
+#     sh demo/run_all.sh
+set -eu
+
+ftqc plan --config demo/plan.json
+ftqc tradeoff --config demo/tradeoff.json
+ftqc vote --config demo/vote.json
+ftqc verify --config demo/verify.json
+ftqc verify --format csv --config demo/verify.json
+
+# demo/verify.json reads out explicit effects; this one the computational basis
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+cat > "$tmp/verify_basis.json" <<'JSON'
+{"circuit": "demo/bell_circuit.json",
+ "computation": {"inputs": ["00", "01", "10", "11"], "outputs": ["00", "01", "10", "11"],
+                 "truth_table": {"00": "00", "01": "01", "10": "10", "11": "11"},
+                 "povm": "computational_basis"},
+ "noise": {"kind": "depolarizing", "strength": 0.05}}
+JSON
+ftqc verify --config "$tmp/verify_basis.json"

@@ -19,18 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densmat import (
-    MAX_QUBITS,
-    VALIDATION_TOL,
-    _as_square_matrix,
-    _freeze,
-    _is_index,
-)
+from .densmat import VALIDATION_TOL, _as_square_matrix, _check_width, _freeze
 from .errors import (
     BadStrengthError,
     CircuitError,
     DimensionMismatchError,
     NotUnitaryError,
+    _check_unit_interval,
+    _is_index,
+    _shown,
 )
 
 _GATE_TABLE: dict[str, np.ndarray] = {
@@ -67,15 +64,15 @@ class Gate:
     def __post_init__(self):
         targets = tuple(self.targets)
         if not all(map(_is_index, targets)):
-            raise CircuitError(f"gate targets must be integers, got {targets!r}")
+            raise CircuitError(f"gate targets must be integers, got {_shown(targets)}")
         targets = tuple(int(t) for t in targets)
         object.__setattr__(self, "targets", targets)
         if len(targets) == 0:
             raise CircuitError("gate needs at least one target")
         if len(set(targets)) != len(targets):
-            raise CircuitError(f"duplicate targets {targets}")
+            raise CircuitError(f"duplicate targets {_shown(targets)}")
         if any(t < 0 for t in targets):
-            raise CircuitError(f"negative target in {targets}")
+            raise CircuitError(f"negative target in {_shown(targets)}")
         if (self.name is None) == (self.matrix is None):
             raise CircuitError("specify exactly one of name or matrix")
         if self.name is not None:
@@ -112,19 +109,14 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not _is_index(self.num_qubits):
-            raise CircuitError(f"num_qubits must be an integer, got {self.num_qubits!r}")
-        if not (1 <= self.num_qubits <= MAX_QUBITS):
-            raise CircuitError(
-                f"num_qubits {self.num_qubits} outside [1, {MAX_QUBITS}]"
-            )
+        object.__setattr__(self, "num_qubits", _check_width(self.num_qubits, CircuitError))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if not isinstance(g, Gate):
                 raise CircuitError("gates must be Gate instances")
             if max(g.targets) >= self.num_qubits:
                 raise CircuitError(
-                    f"target {max(g.targets)} out of range for {self.num_qubits} qubits"
+                    f"target {_shown(max(g.targets))} out of range for {self.num_qubits} qubits"
                 )
 
     @property
@@ -142,9 +134,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "depolarizing"):
             raise BadStrengthError(f"unknown noise kind {self.kind!r}")
-        s = float(self.strength)
-        if not (0.0 <= s <= 1.0):
-            raise BadStrengthError(f"strength {s} outside [0, 1]")
+        s = _check_unit_interval("strength", self.strength, lo_open=False, hi_open=False,
+                                 error=BadStrengthError)
         if self.kind == "none" and s != 0.0:
             raise BadStrengthError("noise kind 'none' must have strength 0")
         object.__setattr__(self, "strength", s)

@@ -17,10 +17,9 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
-from .errors import BadProbabilityError, ConfigError, FtqcError, TheoremViolationError
-
-_DEFAULT_FORMATS = {"plan": "json", "tradeoff": "csv", "verify": "json", "vote": "json"}
+from .errors import ConfigError, FtqcError, TheoremViolationError, _check_unit_interval
 
 
 # --- config plumbing --------------------------------------------------------
@@ -212,8 +211,7 @@ _COMPUTATION = {
 }
 _NOISE = {"kind": (_one_of("none", "depolarizing"), True), "strength": (_number, False)}
 
-# the command level; the first three keys mirror the flags of the same name,
-# and "" for "format" picks the command's default
+# keys of every command; "" for "format" picks the command's default
 _RESERVED = {
     "seed": (_integer, False),
     "format": (_one_of("json", "csv", ""), False),
@@ -226,24 +224,15 @@ _BUDGET = {
     "p_hat": (_number, False),
     "success_target": (_number, False),
 }
-_COMMANDS = {
-    "plan": {**_RESERVED, "eps0": (_number, False), **_BUDGET, "levels": (_integer, False)},
-    "tradeoff": {
-        **_RESERVED,
-        "eps0_min": (_number, True),
-        "eps0_max": (_number, True),
-        "points": (_integer, True),
-        **_BUDGET,
-    },
-    "verify": {
-        **_RESERVED,
-        "circuit": (_circuit, True),
-        "computation": (_computation, True),
-        "noise": (_noise, True),
-        "ancilla_dim": (_integer, False),
-        "random_search_trials": (_integer, False),
-    },
-    "vote": {**_RESERVED, "p_prime": (_number, True), "k": (_integer, False), "target": (_number, False)},
+
+# Each flag, the config key it overrides and its argparse keywords; a command
+# offers the flags whose keys its table holds.
+_FLAGS = {
+    "--out": ("output_path", {"metavar": "FILE", "help": "output path (default stdout)"}),
+    "--seed": ("seed", {"type": int, "help": "seed for randomized reporting"}),
+    "--format": ("format", {"choices": ("json", "csv"), "help": "output format"}),
+    "--eps0": ("eps0", {"type": float, "help": "override eps0"}),
+    "--levels": ("levels", {"type": int, "help": "inverse query: report max eps0 at this level"}),
 }
 
 
@@ -301,8 +290,6 @@ def _one_row(payload: dict):
 def _budget(cfg: dict) -> dict:
     """The planner's eps_th, gate_count, p and p_hat, where p_hat may be
     given as its complement, success_target."""
-    from .ftcalc import _check_unit_interval
-
     p_hat, target = cfg["p_hat"], cfg["success_target"]
     if (p_hat is None) == (target is None):
         raise ConfigError('give exactly one of "p_hat" or "success_target"')
@@ -375,8 +362,7 @@ def _cmd_vote(cfg: dict):
     if k is None:
         k = vote.min_repetitions(p_prime, target)
     success = vote.majority_success(p_prime, k)
-    if p_prime == 1.0:
-        raise BadProbabilityError(f"per_run_failure = {p_prime} outside [0, 1)")
+    _check_unit_interval("per_run_failure", p_prime, lo_open=False)
     payload, header, rows = _one_row({
         "per_run_failure": p_prime,
         "repetitions": k,
@@ -387,11 +373,24 @@ def _cmd_vote(cfg: dict):
     return payload, header, rows
 
 
-_DISPATCH = {
-    "plan": _cmd_plan,
-    "tradeoff": _cmd_tradeoff,
-    "verify": _cmd_verify,
-    "vote": _cmd_vote,
+_Command = namedtuple("_Command", "run format help keys")  # format: the default one
+
+_COMMANDS = {
+    "plan": _Command(
+        _cmd_plan, "json",
+        "minimal concatenation level for a parameter set (or --levels N for the inverse query)",
+        {**_RESERVED, "eps0": (_number, False), **_BUDGET, "levels": (_integer, False)}),
+    "tradeoff": _Command(
+        _cmd_tradeoff, "csv", "levels-vs-gate-error staircase over a log-spaced grid",
+        {**_RESERVED, "eps0_min": (_number, True), "eps0_max": (_number, True),
+         "points": (_integer, True), **_BUDGET}),
+    "verify": _Command(
+        _cmd_verify, "json", "simulate a circuit and certify per-input failure <= p + alpha",
+        {**_RESERVED, "circuit": (_circuit, True), "computation": (_computation, True),
+         "noise": (_noise, True), "ancilla_dim": (_integer, False), "random_search_trials": (_integer, False)}),
+    "vote": _Command(
+        _cmd_vote, "json", "majority-vote success for fixed k, or minimal k for a target",
+        {**_RESERVED, "p_prime": (_number, True), "k": (_integer, False), "target": (_number, False)}),
 }
 
 
@@ -406,40 +405,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subcommands = {
-        "plan": "minimal concatenation level for a parameter set (or --levels N for the inverse query)",
-        "tradeoff": "levels-vs-gate-error staircase over a log-spaced grid",
-        "verify": "simulate a circuit and certify per-input failure <= p + alpha",
-        "vote": "majority-vote success for fixed k, or minimal k for a target",
-    }
-    for name, help_text in subcommands.items():
-        sp = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", metavar="FILE", help="JSON configuration file")
-        sp.add_argument(
-            "--out", dest="output_path", metavar="FILE", help="output path (default stdout)"
-        )
-        sp.add_argument("--seed", type=int, help="seed for randomized reporting")
-        sp.add_argument("--format", choices=("json", "csv"), help="output format")
-        if name == "plan":
-            sp.add_argument("--eps0", type=float, help="override eps0")
-            sp.add_argument(
-                "--levels", type=int, help="inverse query: report max eps0 at this level"
-            )
+        for flag, (key, options) in _FLAGS.items():
+            if key in command.keys:
+                sp.add_argument(flag, dest=key, **options)
     return parser
 
 
 def _assemble(args: argparse.Namespace) -> dict:
     """The decoded config of the command, flags applied, seed and format resolved."""
     prm = _load_json_file(args.config) if args.config else {}
-    # a flag overrides the config key of the same name
-    for key in ("seed", "format", "output_path", "eps0", "levels"):
+    for key, _ in _FLAGS.values():
         if getattr(args, key, None) is not None:
             prm[key] = getattr(args, key)
     # checked first, so a bad FTQC_SEED exits 2 before the verify readers build anything
     env_seed = _env_seed() if prm.get("seed") is None else None
-    cfg = _read(prm, _COMMANDS[args.command], "")
+    cfg = _read(prm, _COMMANDS[args.command].keys, "")
     cfg["seed"] = next(s for s in (cfg["seed"], env_seed, 0) if s is not None)
-    cfg["format"] = cfg["format"] or _DEFAULT_FORMATS[args.command]
+    cfg["format"] = cfg["format"] or _COMMANDS[args.command].format
     return cfg
 
 
@@ -447,7 +432,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _assemble(args)
-        payload, header, rows = _DISPATCH[args.command](cfg)
+        payload, header, rows = _COMMANDS[args.command].run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

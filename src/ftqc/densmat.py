@@ -5,7 +5,8 @@ each check takes a (B, d, d) stack: certification and the random search
 check whole stacks of evolved outputs, the two wrapper types, ``trace_norm``
 and ``effect_probability`` a stack of one.  No silent repair is performed:
 a matrix either passes validation as given or is rejected.  Every matrix
-given to the package passes ``_as_square_matrix``.
+given to the package passes ``_as_square_matrix``.  The two wrapper types
+compare and hash by identity: == between arrays has no single truth value.
 
 Norm convention: ``trace_norm`` is the plain Schatten 1-norm, the sum of
 absolute eigenvalues, with no factor 1/2.  Two orthogonal pure states are
@@ -25,6 +26,8 @@ from .errors import (
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
+    _is_index,
+    _shown,
 )
 
 # Validation tolerance used across the package for Hermiticity, trace,
@@ -41,7 +44,10 @@ MAX_DIM = 2 ** MAX_QUBITS
 
 
 def _as_square_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
+    try:
+        m = np.asarray(entries, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, a string, an object
+        raise DomainError(f"not a matrix of numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[0]
@@ -55,9 +61,16 @@ def _as_square_matrix(entries) -> np.ndarray:
     return m
 
 
-def _is_index(x) -> bool:
-    """A Python or NumPy integer usable as a count or qubit index; not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+def _check_width(num_qubits, error) -> int:
+    """A register's qubit count as a Python int, checked before anything of size 2**num_qubits exists."""
+    if not _is_index(num_qubits):
+        raise error(f"num_qubits must be an integer, got {_shown(num_qubits)}")
+    if num_qubits < 1:
+        raise error(f"num_qubits {_shown(num_qubits)} is below 1")
+    # the power stays unevaluated, since a long label makes it too big to print
+    if num_qubits > MAX_QUBITS:
+        raise error(f"dimension 2**{_shown(num_qubits)} exceeds the dense-simulation cap {MAX_DIM}")
+    return int(num_qubits)
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -121,7 +134,7 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
 
 # --- one-matrix wrappers -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A square complex matrix checked to be Hermitian within VALIDATION_TOL."""
 
@@ -137,7 +150,7 @@ class HermitianOperator:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
@@ -160,7 +173,7 @@ class DensityMatrix:
 
 def make_state(entries) -> DensityMatrix:
     """Construct a DensityMatrix from anything array-like, with full validation."""
-    return DensityMatrix(np.asarray(entries, dtype=complex))
+    return DensityMatrix(entries)
 
 
 def trace_norm(op) -> float:

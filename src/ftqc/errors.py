@@ -9,7 +9,16 @@ Three branches matter to callers:
 * ``TheoremViolationError`` - an empirical check contradicted a bound
   that is supposed to hold by construction (CLI exit code 3).  If one
   of these fires there is a bug somewhere, not a bad input.
+
+The argument rules that every module applies live here too, one definition
+each, loading no NumPy: ``_check_count`` (a Python or NumPy integer, not a
+bool, in ``[lo, cap]``, returned as an ``int``), ``_check_unit_interval``
+(a real number in the unit interval, returned as a ``float``), ``_is_index``
+(whether a value is such an integer) and ``_shown`` (how a refusal prints a
+caller's value).  Each check raises the error class its caller names.
 """
+
+import operator
 
 
 class FtqcError(Exception):
@@ -98,3 +107,52 @@ class EvenRepetitionsError(DomainError):
 
 class BadProbabilityError(DomainError):
     """A probability-like value is outside its required interval."""
+
+
+# --- argument rules -------------------------------------------------------------
+
+def _shown(value) -> str:
+    """repr, but an int past 64 bits, alone or in a tuple, by sign and size:
+    str() refuses an int of 4300+ digits."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_shown, value))}{',' if len(value) == 1 else ''})"
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+    return repr(value)
+
+
+def _is_index(x) -> bool:
+    """A Python or NumPy integer (what operator.index takes), not a bool of either."""
+    # NumPy's bool has no __index__ from 2.0 on and a deprecated one before
+    if isinstance(x, bool) or getattr(x, "dtype", None) == bool:
+        return False
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return True
+
+
+def _check_count(value, name: str, lo: int, cap, error) -> int:
+    """value as a Python int; error unless it is an integer in [lo, cap]
+    (cap None: no upper bound)."""
+    n = value if type(value) is int else int(operator.index(value)) if _is_index(value) else None
+    if n is None or n < lo:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+        raise error(f"{name} must be {kind}, got {_shown(value)}")
+    if cap is not None and n > cap:
+        raise error(f"{name} = {_shown(n)} exceeds the cap of {cap}")
+    return n
+
+
+def _check_unit_interval(name: str, value, lo_open=True, hi_open=True, error=BadProbabilityError) -> float:
+    """value as a float inside the unit interval, each end open or closed;
+    error for anything else, including what float() refuses."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = float("nan")  # fails both comparisons below
+    if not ((v > 0.0 if lo_open else v >= 0.0) and (v < 1.0 if hi_open else v <= 1.0)):
+        shown = _shown(value) if isinstance(value, int) else value
+        raise error(f"{name} = {shown} outside {'(' if lo_open else '['}0, 1{')' if hi_open else ']'}")
+    return v

@@ -30,10 +30,11 @@ from itertools import repeat
 
 from .errors import (
     AboveThresholdError,
-    BadProbabilityError,
     CapExceededError,
     DomainError,
     InfeasibleError,
+    _check_count,
+    _check_unit_interval,
 )
 
 LEVEL_CAP = 64
@@ -53,36 +54,11 @@ _LOG_MAX = math.log(1.7976931348623157e308)
 _INFEASIBLE_MSG = "infeasible: p_hat must exceed p"
 
 
-def _check_unit_interval(name: str, value: float, lo_open=True, hi_open=True) -> float:
-    v = float(value)
-    lo_ok = v > 0.0 if lo_open else v >= 0.0
-    hi_ok = v < 1.0 if hi_open else v <= 1.0
-    if not (lo_ok and hi_ok and math.isfinite(v)):
-        lo = "(" if lo_open else "["
-        hi = ")" if hi_open else "]"
-        raise BadProbabilityError(f"{name} = {value} outside {lo}0, 1{hi}")
-    return v
-
-
-def _shown(value) -> str:
-    """repr, but an int past 64 bits by sign and size: str() refuses 4300+ digits."""
-    if isinstance(value, int) and value.bit_length() > 64:
-        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
-    return repr(value)
-
-
-def _check_levels(levels) -> int:
-    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 0:
-        raise DomainError(f"levels must be a nonnegative integer, got {_shown(levels)}")
-    return levels
-
-
 def _check_gate_count(gate_count) -> int:
-    if isinstance(gate_count, bool) or not isinstance(gate_count, int) or gate_count < 1:
-        raise DomainError(f"gate_count must be a positive integer, got {_shown(gate_count)}")
-    if gate_count > sys.float_info.max:  # the scaling law multiplies it as a float
+    n = _check_count(gate_count, "gate_count", 1, None, DomainError)
+    if n > sys.float_info.max:  # the scaling law multiplies it as a float
         raise DomainError(f"gate_count must not exceed the largest float {sys.float_info.max!r}")
-    return gate_count
+    return n
 
 
 @dataclass(frozen=True)
@@ -98,7 +74,7 @@ class FtParams:
     def __post_init__(self):
         object.__setattr__(self, "eps0", _check_unit_interval("eps0", self.eps0))
         object.__setattr__(self, "eps_th", _check_unit_interval("eps_th", self.eps_th))
-        _check_gate_count(self.gate_count)
+        object.__setattr__(self, "gate_count", _check_gate_count(self.gate_count))
         object.__setattr__(self, "p", _check_unit_interval("p", self.p, lo_open=False))
         object.__setattr__(self, "p_hat", _check_unit_interval("p_hat", self.p_hat, hi_open=False))
         if self.p_hat <= self.p:
@@ -166,7 +142,7 @@ def logical_gate_error(eps0: float, eps_th: float, levels: int) -> float:
     """
     e0 = _check_unit_interval("eps0", eps0)
     eth = _check_unit_interval("eps_th", eps_th)
-    _check_levels(levels)
+    levels = _check_count(levels, "levels", 0, None, DomainError)
     # 2.0 ** 1024 overflows.  By level 1023 every eps0 != eps_th has flushed
     # to 0.0 or inf, and an eps0 whose log rounds to log(eps_th) is a fixed
     # point, so level 1023 gives the value of every higher level.
@@ -278,9 +254,9 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
     eps_th * (budget / (gate_count * eps_th)) ** (1 / 2**levels), clamped at
     eps_th when the budget already covers gate_count * eps_th.
     """
-    _check_levels(levels)
+    levels = _check_count(levels, "levels", 0, None, DomainError)
     eth = _check_unit_interval("eps_th", eps_th)
-    _check_gate_count(gate_count)
+    gate_count = _check_gate_count(gate_count)
     p = _check_unit_interval("p", p, lo_open=False)
     p_hat = _check_unit_interval("p_hat", p_hat, hi_open=False)
     budget = epsilon_budget(p_hat, p)
@@ -341,20 +317,19 @@ def tradeoff_curve(
     same float operations in the same order as those functions, so every
     row is identical, bit for bit, to a required_levels call at its point.
     """
-    if not (0.0 < eps0_min < eps0_max):
-        raise DomainError(f"need 0 < eps0_min < eps0_max, got {eps0_min} and {eps0_max}")
-    if eps0_max > eps_th:
+    lo = _check_unit_interval("eps0_min", eps0_min)
+    hi = _check_unit_interval("eps0_max", eps0_max)
+    if not lo < hi:
+        raise DomainError(f"need 0 < eps0_min < eps0_max, got {lo} and {hi}")
+    prm = FtParams(eps0=lo, eps_th=eps_th, gate_count=gate_count, p=p, p_hat=p_hat)
+    eth, n_gates = prm.eps_th, prm.gate_count
+    if hi > eth:
         raise AboveThresholdError(
-            f"eps0_max {eps0_max:.6g} must not exceed the threshold {eps_th:.6g} "
+            f"eps0_max {hi:.6g} must not exceed the threshold {eth:.6g} "
             "(the grid excludes its right endpoint)"
         )
-    if not isinstance(points, int) or points < 2:
-        raise DomainError(f"points must be an integer >= 2, got {points!r}")
-    if points > TRADEOFF_POINT_CAP:
-        raise DomainError(f"points = {points} exceeds the cap of {TRADEOFF_POINT_CAP}")
-    grid = _log_grid(eps0_min, eps0_max, points)
-    prm = FtParams(eps0=grid[0], eps_th=eps_th, gate_count=gate_count, p=p, p_hat=p_hat)
-    eth, n_gates = prm.eps_th, prm.gate_count
+    points = _check_count(points, "points", 2, TRADEOFF_POINT_CAP, DomainError)
+    grid = _log_grid(lo, hi, points)
     budget = epsilon_budget(prm.p_hat, prm.p)
     limit = budget * (1.0 + FEASIBILITY_SLACK)
     log_eth = math.log(eth)

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densmat import (
-    MAX_DIM,
-    MAX_QUBITS,
     VALIDATION_TOL,
     _as_square_matrix,
     _check_effects,
     _check_hermitian,
     _check_states,
-    _is_index,
+    _check_width,
 )
 from .errors import (
     BadBitstringError,
@@ -31,6 +29,8 @@ from .errors import (
     NotAnEffectError,
     TooManyInputsError,
     UnknownInputError,
+    _is_index,
+    _shown,
 )
 
 
@@ -46,23 +46,10 @@ def _basis_index(label: str, num_qubits: int) -> int:
     return int(label, 2)
 
 
-def _check_width(num_qubits: int) -> None:
-    if not _is_index(num_qubits):
-        raise DimensionMismatchError(f"num_qubits must be an integer, got {num_qubits!r}")
-    if num_qubits < 1:
-        raise DimensionMismatchError(f"num_qubits {num_qubits} is below 1")
-    # before anything of size 2**num_qubits is allocated or looped over; the
-    # power stays unevaluated, since a long label makes it too big to print
-    if num_qubits > MAX_QUBITS:
-        raise DimensionMismatchError(
-            f"dimension 2**{num_qubits} exceeds the dense-simulation cap {MAX_DIM}"
-        )
-
-
 def basis_encoding(num_qubits: int, inputs) -> dict[str, np.ndarray]:
     """Map bitstring labels to computational-basis projectors |x><x|, as
     read-only views of one (B, d, d) stack in the order of `inputs`."""
-    _check_width(num_qubits)
+    num_qubits = _check_width(num_qubits, DimensionMismatchError)
     labels = list(inputs)
     if len(labels) > 2 ** num_qubits:
         raise TooManyInputsError(
@@ -86,20 +73,20 @@ def basis_readout(num_qubits: int, measured=None) -> dict[str, np.ndarray]:
     stack in label order.  Unmeasured qubits are traced over, i.e. each
     effect is the projector onto all consistent basis states.
     """
-    _check_width(num_qubits)
+    num_qubits = _check_width(num_qubits, DimensionMismatchError)
     if measured is None:
         measured = range(num_qubits)
     measured = tuple(measured) if np.iterable(measured) else measured
     if not isinstance(measured, tuple) or not all(map(_is_index, measured)):
-        raise DimensionMismatchError(f"measured qubits must be integers, got {measured!r}")
+        raise DimensionMismatchError(f"measured qubits must be integers, got {_shown(measured)}")
     measured = tuple(int(q) for q in measured)
     if len(measured) == 0:
         raise DimensionMismatchError("measure at least one qubit")
     if len(set(measured)) != len(measured):
-        raise DimensionMismatchError(f"duplicate qubits in {measured}")
+        raise DimensionMismatchError(f"duplicate qubits in {_shown(measured)}")
     if any(q < 0 or q >= num_qubits for q in measured):
         raise DimensionMismatchError(
-            f"measured qubits {measured} out of range for {num_qubits} qubit(s)"
+            f"measured qubits {_shown(measured)} out of range for {num_qubits} qubit(s)"
         )
     d, m = 2 ** num_qubits, len(measured)
     # the outcome of basis state b: its measured bits, the first one leading
@@ -111,7 +98,7 @@ def basis_readout(num_qubits: int, measured=None) -> dict[str, np.ndarray]:
     return {format(k, f"0{m}b"): effect for k, effect in enumerate(stack)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverallComputation:
     """Classical I/O contract plus its quantum encoding.
 
@@ -120,7 +107,8 @@ class OverallComputation:
     HermitianOperator is passed as its ``.entries``.  The computation holds
     init as one read-only (B, d, d) complex stack in ``inputs`` order and
     povm as one read-only (Y, d, d) stack in ``outputs`` order, each checked
-    once here; the POVM must sum to the identity within 1e-9.
+    once here; the POVM must sum to the identity within 1e-9.  Like the
+    density-matrix types, a computation compares and hashes by identity.
     """
 
     inputs: tuple[str, ...]

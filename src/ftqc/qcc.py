@@ -36,6 +36,8 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     TheoremViolationError,
+    _check_count,
+    _check_unit_interval,
 )
 from .kitaev import OverallComputation
 
@@ -61,10 +63,8 @@ class LinkingMaps:
     ancilla_dim: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.ancilla_dim, int) or self.ancilla_dim < 1:
-            raise DimensionMismatchError(
-                f"ancilla_dim must be a positive integer, got {self.ancilla_dim!r}"
-            )
+        dim = _check_count(self.ancilla_dim, "ancilla_dim", 1, None, DimensionMismatchError)
+        object.__setattr__(self, "ancilla_dim", dim)
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,8 @@ class MixingCheck(NamedTuple):
     holds: bool
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if trials > SEARCH_TRIAL_CAP:
-        raise DomainError(f"trials = {trials} exceeds the cap of {SEARCH_TRIAL_CAP}")
+def _check_trials(trials) -> int:
+    return _check_count(trials, "trials", 1, SEARCH_TRIAL_CAP, DomainError)
 
 
 def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: int) -> float:
@@ -130,7 +127,7 @@ def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: 
     in the certified bound.  Counter-based generator keyed by (seed, trial)
     so serial and parallel evaluation orders agree.
     """
-    _check_trials(trials)
+    trials = _check_trials(trials)
     dim = G.shape[0]
     key_hi = int(seed) % (2 ** 64)
     worst = 0.0
@@ -212,9 +209,7 @@ def mix_error_state(
     ideal_out: DensityMatrix, rho_err: DensityMatrix, eps_qc: float
 ) -> DensityMatrix:
     """Convex mixture (1 - eps) ideal + eps err modeling residual circuit error."""
-    e = float(eps_qc)
-    if not (0.0 <= e <= 1.0):
-        raise BadProbabilityError(f"eps_qc {e} outside [0, 1]")
+    e = _check_unit_interval("eps_qc", eps_qc, lo_open=False, hi_open=False)
     if ideal_out.dim != rho_err.dim:
         raise DimensionMismatchError(
             f"state dims differ: {ideal_out.dim} vs {rho_err.dim}"
@@ -233,5 +228,5 @@ def mixing_inaccuracy_bound_check(
     """
     mixture = mix_error_state(ideal_out, rho_err, eps_qc)
     measured = trace_norm(mixture.entries - ideal_out.entries)
-    bound = 2.0 * float(eps_qc)
+    bound = 2.0 * _check_unit_interval("eps_qc", eps_qc, lo_open=False, hi_open=False)
     return MixingCheck(measured=measured, bound=bound, holds=measured <= bound + BOUND_SLACK)

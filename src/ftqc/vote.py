@@ -22,13 +22,16 @@ TAIL_TERM_CAP terms is refused up front.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import (
-    BadProbabilityError,
     CapExceededError,
     DomainError,
     EvenRepetitionsError,
     InfeasibleError,
+    _check_count,
+    _check_unit_interval,
+    _shown,
 )
 
 # Largest k handled by the exact big-integer path.
@@ -39,14 +42,6 @@ REPETITION_CAP = 10 ** 5
 
 # Largest binomial window of the k > EXACT_K_LIMIT path (128 MiB per array).
 TAIL_TERM_CAP = 2 ** 24
-
-
-def _check_repetitions(k: int) -> int:
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise DomainError(f"repetitions must be a positive integer, got {k!r}")
-    if k % 2 == 0:
-        raise EvenRepetitionsError(f"repetitions must be odd, got {k}")
-    return k
 
 
 def _majority_success_exact(p_prime: float, k: int) -> float:
@@ -70,6 +65,9 @@ def _majority_success_tail(p_prime: float, k: int) -> float:
     # mode so the logs stay small (terms from lgamma differences were off by
     # ~1e-9 at k = 1e7: lgamma near 1e8 has an ulp near 1e-8).  numpy is
     # imported here, so votes with k <= EXACT_K_LIMIT start without it.
+    if k > sys.float_info.max:  # k * q below would overflow
+        raise DomainError(f"k = {_shown(k)} is past the float range, where no window "
+                          f"of at most {TAIL_TERM_CAP} binomial terms can be placed")
     q = 1.0 - p_prime
     half = 40.0 * math.sqrt(k * p_prime * q) + 40.0
     lo = max(0, math.floor(k * q - half))
@@ -95,10 +93,10 @@ def majority_success(p_prime: float, k: int) -> float:
     :param p_prime: per-run failure probability, in [0, 1].
     :param k: odd positive repetition count; above 64 the cost grows as sqrt(k).
     """
-    p = float(p_prime)
-    if not (0.0 <= p <= 1.0):
-        raise BadProbabilityError(f"p_prime = {p_prime} outside [0, 1]")
-    k = _check_repetitions(k)
+    p = _check_unit_interval("p_prime", p_prime, lo_open=False, hi_open=False)
+    k = _check_count(k, "repetitions", 1, None, DomainError)
+    if k % 2 == 0:
+        raise EvenRepetitionsError(f"repetitions must be odd, got {_shown(k)}")
     if k <= EXACT_K_LIMIT:
         return _majority_success_exact(p, k)
     if p in (0.0, 1.0):
@@ -111,16 +109,12 @@ def min_repetitions(p_prime: float, target: float) -> int:
 
     Requires p' < 1/2; at or above one half more repetitions never help.
     """
-    p = float(p_prime)
-    if p < 0.0 or p > 1.0:
-        raise BadProbabilityError(f"p_prime = {p_prime} outside [0, 1]")
+    p = _check_unit_interval("p_prime", p_prime, lo_open=False, hi_open=False)
     if p >= 0.5:
         raise InfeasibleError(
             f"p_prime = {p_prime} is not below 1/2; majority voting cannot converge"
         )
-    t = float(target)
-    if not (0.0 < t < 1.0):
-        raise BadProbabilityError(f"target = {target} outside (0, 1)")
+    t = _check_unit_interval("target", target)
     # success is nondecreasing in odd k below 1/2: double until a k reaches
     # the target, then narrow the bracket s(miss) < t <= s(k) on odd k
     top = (REPETITION_CAP - 1) | 1

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -540,7 +541,7 @@ class TestConfigHandling:
         def boom(run):
             raise TheoremViolationError("synthetic violation for exit-code mapping")
 
-        monkeypatch.setitem(cli._DISPATCH, "verify", boom)
+        monkeypatch.setitem(cli._COMMANDS, "verify", cli._COMMANDS["verify"]._replace(run=boom))
         code, _, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, VERIFY_CFG)])
         assert code == 3
         assert "theorem violation" in err
@@ -552,6 +553,44 @@ class TestConfigHandling:
         assert code == 0
         assert out == ""
         assert dest.read_text() == PLAN_GOLDEN_JSON
+
+
+class TestParser:
+    """build_parser offers each command the flags of its table's keys."""
+
+    COMMON = [
+        (("-h", "--help"), "help"),
+        (("--config",), "config"),
+        (("--out",), "output_path"),
+        (("--seed",), "seed"),
+        (("--format",), "format"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("plan", [(("--eps0",), "eps0"), (("--levels",), "levels")]),
+            ("tradeoff", []),
+            ("verify", []),
+            ("vote", []),
+        ],
+    )
+    def test_flags_and_their_config_keys(self, command, extra):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["plan", "tradeoff", "verify", "vote"]
+        flags = [(tuple(a.option_strings), a.dest) for a in sub.choices[command]._actions]
+        assert flags == self.COMMON + extra
+
+    def test_a_flag_overrides_its_config_key(self, tmp_path, capsys):
+        path = tmp_path / "plan.csv"
+        cfg = dict(PLAN_CFG, eps0=1e-3, format="json", output_path=str(tmp_path / "unused"))
+        argv = ["plan", "--config", write_cfg(tmp_path, cfg), "--eps0", "1e-10",
+                "--format", "csv", "--out", str(path)]
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out) == (0, "")
+        assert path.read_text() == PLAN_GOLDEN_CSV
+        assert not (tmp_path / "unused").exists()
 
 
 class TestSchema:

@@ -1,0 +1,149 @@
+"""The argument rules shared through ftqc.errors: every bad count or
+probability given to the library raises an ftqc.errors class with a
+message, and a NumPy integer counts exactly as the same Python int."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from ftqc import channels, cli, densmat, errors, ftcalc, kitaev, qcc, vote
+from ftqc.channels import Circuit, Gate, NoiseModel, compile_ideal
+from ftqc.densmat import DensityMatrix, HermitianOperator, make_state
+from ftqc.errors import (
+    BadProbabilityError,
+    BadStrengthError,
+    CircuitError,
+    DimensionMismatchError,
+    DomainError,
+)
+from ftqc.ftcalc import FtParams, max_gate_error, required_levels, tradeoff_curve
+from ftqc.kitaev import OverallComputation, basis_encoding, basis_readout
+from ftqc.qcc import LinkingMaps, alpha_random_search, implemented_channel, mix_error_state
+from ftqc.vote import majority_success, min_repetitions
+
+HUGE = 10 ** 5000  # str() of it raises ValueError
+BUDGET = dict(eps_th=1e-9, gate_count=10 ** 12, p=0.2, p_hat=0.4)
+GROUND, EXCITED = make_state([[1, 0], [0, 0]]), make_state([[0, 0], [0, 1]])
+CIRC = Circuit(num_qubits=1, gates=[Gate(name="H", targets=(0,))])
+NOISE = NoiseModel("depolarizing", 0.1)
+
+
+def search(trials):
+    return alpha_random_search(
+        implemented_channel(CIRC, NOISE), compile_ideal(CIRC), LinkingMaps(), trials, 0
+    )
+
+
+def computation_of(state):
+    return OverallComputation(("0",), ("0", "1"), {"0": "0"}, {"0": state}, basis_readout(1))
+
+
+BAD_CALLS = {
+    "majority_success k past the digit limit": (DomainError, lambda: majority_success(0.1, -HUGE)),
+    "majority_success k past the float range": (DomainError, lambda: majority_success(0.1, 10 ** 400 + 1)),
+    "majority_success p_prime a string": (BadProbabilityError, lambda: majority_success("a", 3)),
+    "majority_success p_prime None": (BadProbabilityError, lambda: majority_success(None, 3)),
+    "min_repetitions target a string": (BadProbabilityError, lambda: min_repetitions(0.1, "x")),
+    "FtParams eps0 a string": (BadProbabilityError, lambda: FtParams(eps0="x", **BUDGET)),
+    "FtParams eps0 past the float range": (BadProbabilityError, lambda: FtParams(eps0=HUGE, **BUDGET)),
+    "NoiseModel strength a string": (BadStrengthError, lambda: NoiseModel("depolarizing", "x")),
+    "NoiseModel strength None": (BadStrengthError, lambda: NoiseModel("depolarizing", None)),
+    "NoiseModel strength past the float range": (BadStrengthError, lambda: NoiseModel("depolarizing", 10 ** 400)),
+    "mix_error_state eps_qc a string": (BadProbabilityError, lambda: mix_error_state(GROUND, EXCITED, "x")),
+    "tradeoff_curve points past the digit limit": (DomainError, lambda: tradeoff_curve(1e-13, 1e-9, -HUGE, **BUDGET)),
+    "tradeoff_curve eps0_min a string": (DomainError, lambda: tradeoff_curve("a", 1e-10, 5, **BUDGET)),
+    "alpha_random_search trials past the digit limit": (DomainError, lambda: search(-HUGE)),
+    "alpha_random_search trials a float": (DomainError, lambda: search(2.5)),
+    "alpha_random_search trials a bool": (DomainError, lambda: search(True)),
+    "LinkingMaps ancilla_dim a bool": (DimensionMismatchError, lambda: LinkingMaps(True)),
+    "Circuit num_qubits past the digit limit": (CircuitError, lambda: Circuit(num_qubits=HUGE)),
+    "Circuit target past the digit limit": (
+        CircuitError, lambda: Circuit(num_qubits=2, gates=[Gate(name="H", targets=(HUGE,))])),
+    "basis_encoding width past the digit limit": (DimensionMismatchError, lambda: basis_encoding(HUGE, [])),
+    "basis_readout qubit past the digit limit": (DimensionMismatchError, lambda: basis_readout(2, measured=(HUGE,))),
+    "make_state a string": (DomainError, lambda: make_state("ab")),
+    "make_state ragged rows": (DomainError, lambda: make_state([[1, 0], [0]])),
+    "OverallComputation given a DensityMatrix object": (DomainError, lambda: computation_of(GROUND)),
+}
+
+
+@pytest.mark.parametrize("error, call", BAD_CALLS.values(), ids=BAD_CALLS)
+def test_bad_argument_raises_its_error_class(error, call):
+    with pytest.raises(error) as info:
+        call()
+    message = str(info.value)
+    assert message and "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: search(0), "trials must be a positive integer, got 0"),
+        (lambda: search(10 ** 6), "trials = 1000000 exceeds the cap of 100000"),
+        (lambda: tradeoff_curve(1e-13, 1e-9, 10 ** 400, **BUDGET),
+         "points = <1329-bit integer> exceeds the cap of 100000"),
+        (lambda: NoiseModel("depolarizing", 2.0), "strength = 2.0 outside [0, 1]"),
+        (lambda: mix_error_state(GROUND, EXCITED, -1), "eps_qc = -1 outside [0, 1]"),
+        (lambda: basis_readout(2, measured=(HUGE,)),
+         "measured qubits (<16610-bit integer>,) out of range for 2 qubit(s)"),
+    ],
+)
+def test_refusal_messages(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_numpy_counts_act_as_python_ints():
+    got = majority_success(0.15, np.int64(3))
+    assert got == majority_success(0.15, 3) and type(got) is float
+    assert majority_success(0.15, np.int32(101)) == majority_success(0.15, 101)
+    prm = FtParams(eps0=1e-10, **dict(BUDGET, gate_count=np.int64(10 ** 12)))
+    assert type(prm.gate_count) is int
+    assert repr(required_levels(prm)) == repr(required_levels(FtParams(eps0=1e-10, **BUDGET)))
+    assert repr(max_gate_error(np.uint8(2), 1e-9, np.int64(10 ** 12), 0.4, 0.2)) == repr(
+        max_gate_error(2, 1e-9, 10 ** 12, 0.4, 0.2))
+    curve = tradeoff_curve(np.float64(1e-13), 1e-9, np.int64(8), **dict(BUDGET, gate_count=np.int64(10 ** 12)))
+    assert curve == tradeoff_curve(1e-13, 1e-9, 8, **BUDGET)
+    assert {type(v) for row in curve for v in row} == {float, int}
+    assert type(LinkingMaps(np.int64(2)).ancilla_dim) is int
+    assert type(Circuit(num_qubits=np.int64(2)).num_qubits) is int
+    assert json.dumps(cli._json_ready(required_levels(prm).to_dict()))
+
+
+@pytest.mark.parametrize("count", [np.bool_(True), np.float64(3.0), "3", None, 3.0])
+def test_a_count_is_an_integer_and_not_a_bool(count):
+    with pytest.raises(DomainError, match="repetitions must be a positive integer"):
+        majority_success(0.15, count)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DensityMatrix(np.eye(2) / 2),
+        lambda: HermitianOperator(np.eye(2)),
+        lambda: computation_of(np.diag([1.0, 0.0])),
+    ],
+    ids=["DensityMatrix", "HermitianOperator", "OverallComputation"],
+)
+def test_array_holders_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False and a == a
+    assert len({a, b, a}) == 2
+
+
+def test_each_rule_has_one_definition():
+    shared = ("_shown", "_is_index", "_check_unit_interval", "_check_count")
+    for module in (channels, cli, densmat, ftcalc, kitaev, qcc, vote):
+        for name in shared:
+            assert getattr(module, name, None) in (None, getattr(errors, name)), (module, name)
+
+
+def test_unit_interval_takes_any_real_number():
+    assert errors._check_unit_interval("p", np.float32(0.5)) == 0.5
+    assert errors._check_unit_interval("p", 1, hi_open=False) == 1.0
+    for bad in (math.nan, math.inf, -math.inf, 1j, [0.5]):
+        with pytest.raises(BadProbabilityError):
+            errors._check_unit_interval("p", bad)

@@ -15,11 +15,9 @@ the random search applies to pure vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .densmat import VALIDATION_TOL, _as_square_matrix, _check_width, _freeze
+from .densmat import VALIDATION_TOL, _as_square_matrix, _check_width, _freeze, _ReadOnly
 from .errors import (
     BadStrengthError,
     CircuitError,
@@ -49,44 +47,37 @@ def _unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(_ReadOnly):
     """One circuit element: either a named gate or an explicit unitary.
 
     targets lists the qubits the gate acts on, in the gate's own factor
     order (for CNOT the first target is the control).
     """
 
-    targets: tuple[int, ...]
-    name: str | None = None
-    matrix: np.ndarray | None = None
+    __slots__ = ("targets", "name", "matrix")
 
-    def __post_init__(self):
-        targets = tuple(self.targets)
+    def __init__(self, targets: tuple[int, ...], name: str | None = None,
+                 matrix: np.ndarray | None = None):
+        targets = tuple(targets)
         if not all(map(_is_index, targets)):
             raise CircuitError(f"gate targets must be integers, got {_shown(targets)}")
         targets = tuple(int(t) for t in targets)
-        object.__setattr__(self, "targets", targets)
         if len(targets) == 0:
             raise CircuitError("gate needs at least one target")
         if len(set(targets)) != len(targets):
             raise CircuitError(f"duplicate targets {_shown(targets)}")
         if any(t < 0 for t in targets):
             raise CircuitError(f"negative target in {_shown(targets)}")
-        if (self.name is None) == (self.matrix is None):
+        if (name is None) == (matrix is None):
             raise CircuitError("specify exactly one of name or matrix")
-        if self.name is not None:
-            if self.name not in _GATE_TABLE:
-                raise CircuitError(
-                    f"unknown gate {self.name!r}; known: {sorted(_GATE_TABLE)}"
-                )
-            arity = _GATE_TABLE[self.name].shape[0].bit_length() - 1
+        if name is not None:
+            if name not in _GATE_TABLE:
+                raise CircuitError(f"unknown gate {name!r}; known: {sorted(_GATE_TABLE)}")
+            arity = _GATE_TABLE[name].shape[0].bit_length() - 1
             if arity != len(targets):
-                raise CircuitError(
-                    f"gate {self.name} acts on {arity} qubit(s), got {len(targets)} targets"
-                )
+                raise CircuitError(f"gate {name} acts on {arity} qubit(s), got {len(targets)} targets")
         else:
-            m = _as_square_matrix(self.matrix)
+            m = _as_square_matrix(matrix)
             want = 2 ** len(targets)
             if m.shape[0] != want:
                 raise CircuitError(
@@ -97,48 +88,48 @@ class Gate:
                 raise NotUnitaryError(
                     f"gate matrix unitarity defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}"
                 )
-            object.__setattr__(self, "matrix", _freeze(m))
+            matrix = _freeze(m)
+        self.targets, self.name, self.matrix = targets, name, matrix
 
     def unitary(self) -> np.ndarray:
         return _GATE_TABLE[self.name] if self.name is not None else self.matrix
 
 
-@dataclass(frozen=True)
-class Circuit:
-    num_qubits: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+class Circuit(_ReadOnly):
+    """A register of num_qubits qubits and the gates applied to it, in order."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "num_qubits", _check_width(self.num_qubits, CircuitError))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
+    __slots__ = ("num_qubits", "gates")
+
+    def __init__(self, num_qubits: int, gates: tuple[Gate, ...] = ()):
+        num_qubits = _check_width(num_qubits, CircuitError)
+        gates = tuple(gates)
+        for g in gates:
             if not isinstance(g, Gate):
                 raise CircuitError("gates must be Gate instances")
-            if max(g.targets) >= self.num_qubits:
+            if max(g.targets) >= num_qubits:
                 raise CircuitError(
-                    f"target {_shown(max(g.targets))} out of range for {self.num_qubits} qubits"
+                    f"target {_shown(max(g.targets))} out of range for {num_qubits} qubits"
                 )
+        self.num_qubits, self.gates = num_qubits, gates
 
     @property
     def dim(self) -> int:
         return 2 ** self.num_qubits
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_ReadOnly):
     """Per-gate noise: kind 'none', or 'depolarizing' with strength in [0, 1]."""
 
-    kind: str
-    strength: float = 0.0
+    __slots__ = ("kind", "strength")
 
-    def __post_init__(self):
-        if self.kind not in ("none", "depolarizing"):
-            raise BadStrengthError(f"unknown noise kind {self.kind!r}")
-        s = _check_unit_interval("strength", self.strength, lo_open=False, hi_open=False,
+    def __init__(self, kind: str, strength: float = 0.0):
+        if kind not in ("none", "depolarizing"):
+            raise BadStrengthError(f"unknown noise kind {kind!r}")
+        s = _check_unit_interval("strength", strength, lo_open=False, hi_open=False,
                                  error=BadStrengthError)
-        if self.kind == "none" and s != 0.0:
+        if kind == "none" and s != 0.0:
             raise BadStrengthError("noise kind 'none' must have strength 0")
-        object.__setattr__(self, "strength", s)
+        self.kind, self.strength = kind, s
 
 
 def _act(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:

@@ -5,8 +5,11 @@ each check takes a (B, d, d) stack: certification and the random search
 check whole stacks of evolved outputs, the two wrapper types, ``trace_norm``
 and ``effect_probability`` a stack of one.  No silent repair is performed:
 a matrix either passes validation as given or is rejected.  Every matrix
-given to the package passes ``_as_square_matrix``.  The two wrapper types
-compare and hash by identity: == between arrays has no single truth value.
+given to the package passes ``_as_square_matrix``.  The simulator's types,
+these two wrappers and the gates, circuits, noise models, computations and
+reports built on them, are ``_ReadOnly``: each attribute is set once, by the
+validating ``__init__``.  They compare and hash by identity: == between
+arrays has no single truth value.
 
 Norm convention: ``trace_norm`` is the plain Schatten 1-norm, the sum of
 absolute eigenvalues, with no factor 1/2.  Two orthogonal pure states are
@@ -14,8 +17,6 @@ at distance 2 under this convention.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,6 +72,21 @@ def _check_width(num_qubits, error) -> int:
     if num_qubits > MAX_QUBITS:
         raise error(f"dimension 2**{_shown(num_qubits)} exceeds the dense-simulation cap {MAX_DIM}")
     return int(num_qubits)
+
+
+class _ReadOnly:
+    """Slots that take one assignment each, while unset, as pickle and copy
+    fill them too; a later assignment or a deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -134,24 +150,22 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
 
 # --- one-matrix wrappers -------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
+class HermitianOperator(_ReadOnly):
     """A square complex matrix checked to be Hermitian within VALIDATION_TOL."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        m = _as_square_matrix(self.entries)
+    def __init__(self, entries):
+        m = _as_square_matrix(entries)
         _check_hermitian(m[np.newaxis])
-        object.__setattr__(self, "entries", _freeze(m))
+        self.entries = _freeze(m)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_ReadOnly):
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
     Tolerances: Hermiticity defect and |tr - 1| at most 1e-9, smallest
@@ -159,12 +173,12 @@ class DensityMatrix:
     round-off are accepted but never rewritten.
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        m = _as_square_matrix(self.entries)
+    def __init__(self, entries):
+        m = _as_square_matrix(entries)
         _check_states(m[np.newaxis])
-        object.__setattr__(self, "entries", _freeze(m))
+        self.entries = _freeze(m)
 
     @property
     def dim(self) -> int:

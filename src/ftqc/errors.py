@@ -13,9 +13,10 @@ Three branches matter to callers:
 The argument rules that every module applies live here too, one definition
 each, loading no NumPy: ``_check_count`` (a Python or NumPy integer, not a
 bool, in ``[lo, cap]``, returned as an ``int``), ``_check_unit_interval``
-(a real number in the unit interval, returned as a ``float``), ``_is_index``
-(whether a value is such an integer) and ``_shown`` (how a refusal prints a
-caller's value).  Each check raises the error class its caller names.
+(a real number in the unit interval, returned as a ``float``), ``_as_float``
+(a real number as a ``float``, NaN for anything else), ``_is_index`` (whether
+a value is such an integer) and ``_shown`` (how a refusal prints a caller's
+value).  Each check raises the error class its caller names.
 """
 
 import operator
@@ -145,13 +146,18 @@ def _check_count(value, name: str, lo: int, cap, error) -> int:
     return n
 
 
+def _as_float(value) -> float:
+    """float(value), or NaN, which fails every range test, for what float() refuses."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")
+
+
 def _check_unit_interval(name: str, value, lo_open=True, hi_open=True, error=BadProbabilityError) -> float:
     """value as a float inside the unit interval, each end open or closed;
     error for anything else, including what float() refuses."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        v = float("nan")  # fails both comparisons below
+    v = _as_float(value)
     if not ((v > 0.0 if lo_open else v >= 0.0) and (v < 1.0 if hi_open else v <= 1.0)):
         shown = _shown(value) if isinstance(value, int) else value
         raise error(f"{name} = {shown} outside {'(' if lo_open else '['}0, 1{')' if hi_open else ']'}")

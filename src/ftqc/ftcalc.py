@@ -33,8 +33,10 @@ from .errors import (
     CapExceededError,
     DomainError,
     InfeasibleError,
+    _as_float,
     _check_count,
     _check_unit_interval,
+    _shown,
 )
 
 LEVEL_CAP = 64
@@ -116,7 +118,9 @@ class TradeoffPoint(namedtuple("TradeoffPoint", "eps0 levels eps_qc closed_form"
 
 
 def required_alpha(p_hat: float, p: float) -> float:
-    """Inaccuracy allowance p_hat - p."""
+    """Inaccuracy allowance p_hat - p, for p in [0, 1) and p_hat in (0, 1]."""
+    p = _check_unit_interval("p", p, lo_open=False)
+    p_hat = _check_unit_interval("p_hat", p_hat, hi_open=False)
     if p_hat <= p:
         raise InfeasibleError(_INFEASIBLE_MSG)
     return p_hat - p
@@ -129,7 +133,7 @@ def epsilon_budget(p_hat: float, p: float) -> float:
     budget = required_alpha(p_hat, p) / 2.0
     if budget == 0.0:
         raise InfeasibleError(
-            f"infeasible: the budget (p_hat - p) / 2 rounds to 0 at p_hat {p_hat!r}, p {p!r}"
+            f"infeasible: the budget (p_hat - p) / 2 rounds to 0 at p_hat {float(p_hat)!r}, p {float(p)!r}"
         )
     return budget
 
@@ -174,10 +178,12 @@ def _flushed_failure(log_val: float, gate_count: int) -> float:
 
 
 def circuit_failure(eps_n: float, gate_count: int) -> float:
-    """min(1, gate_count * eps_n): whole-circuit failure probability bound."""
-    if eps_n < 0.0 or math.isnan(eps_n):
-        raise DomainError(f"eps_n must be nonnegative, got {eps_n}")
-    return min(1.0, _check_gate_count(gate_count) * eps_n)
+    """min(1, gate_count * eps_n): whole-circuit failure probability bound.
+    eps_n is any nonnegative real number, inf included (an overflowed level)."""
+    e = _as_float(eps_n)
+    if not e >= 0.0:
+        raise DomainError(f"eps_n must be a nonnegative real number, got {_shown(eps_n)}")
+    return min(1.0, _check_gate_count(gate_count) * e)
 
 
 def _closed_form_numerator(eps_th: float, gate_count: int, budget: float) -> float:
@@ -257,8 +263,6 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
     levels = _check_count(levels, "levels", 0, None, DomainError)
     eth = _check_unit_interval("eps_th", eps_th)
     gate_count = _check_gate_count(gate_count)
-    p = _check_unit_interval("p", p, lo_open=False)
-    p_hat = _check_unit_interval("p_hat", p_hat, hi_open=False)
     budget = epsilon_budget(p_hat, p)
     if budget >= gate_count * eth:
         return eth

@@ -6,17 +6,17 @@ Running a channel C on input x induces Pr_x(y) = tr(E_y C(rho_x)); the
 computation fails on x when the sampled y differs from F(x).
 
 Labels are bitstrings with qubit 0 leftmost, so label "10" prepares basis
-index 2 on two qubits.
+index 2 on two qubits.  A computation, like every simulator type, is
+read-only once built and compares and hashes by identity.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .densmat import (
     VALIDATION_TOL,
+    _ReadOnly,
     _as_square_matrix,
     _check_effects,
     _check_hermitian,
@@ -98,8 +98,7 @@ def basis_readout(num_qubits: int, measured=None) -> dict[str, np.ndarray]:
     return {format(k, f"0{m}b"): effect for k, effect in enumerate(stack)}
 
 
-@dataclass(frozen=True, eq=False)
-class OverallComputation:
+class OverallComputation(_ReadOnly):
     """Classical I/O contract plus its quantum encoding.
 
     init maps every input label to a prepared state and povm every output
@@ -107,37 +106,29 @@ class OverallComputation:
     HermitianOperator is passed as its ``.entries``.  The computation holds
     init as one read-only (B, d, d) complex stack in ``inputs`` order and
     povm as one read-only (Y, d, d) stack in ``outputs`` order, each checked
-    once here; the POVM must sum to the identity within 1e-9.  Like the
-    density-matrix types, a computation compares and hashes by identity.
+    once here; the POVM must sum to the identity within 1e-9.
     """
 
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    truth_table: dict[str, str]
-    init: np.ndarray
-    povm: np.ndarray
+    __slots__ = ("inputs", "outputs", "truth_table", "init", "povm")
 
-    def __post_init__(self):
-        inputs = tuple(self.inputs)
-        outputs = tuple(self.outputs)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "truth_table", dict(self.truth_table))
+    def __init__(self, inputs: tuple[str, ...], outputs: tuple[str, ...],
+                 truth_table: dict[str, str], init, povm):
+        inputs, outputs, truth_table = tuple(inputs), tuple(outputs), dict(truth_table)
         if not inputs or not outputs:
             raise DimensionMismatchError("inputs and outputs must be nonempty")
         if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
             raise DimensionMismatchError("input/output labels must be distinct")
-        if set(self.truth_table) != set(inputs):
+        if set(truth_table) != set(inputs):
             raise UnknownInputError("truth table keys must be exactly the inputs")
-        for x, y in self.truth_table.items():
+        for x, y in truth_table.items():
             if y not in outputs:
                 raise UnknownInputError(f"truth table sends {x!r} outside the outputs")
-        if set(self.init) != set(inputs):
+        if set(init) != set(inputs):
             raise UnknownInputError("init keys must be exactly the inputs")
-        if set(self.povm) != set(outputs):
+        if set(povm) != set(outputs):
             raise UnknownInputError("POVM keys must be exactly the outputs")
-        states = [_as_square_matrix(self.init[x]) for x in inputs]
-        effects = [_as_square_matrix(self.povm[y]) for y in outputs]
+        states = [_as_square_matrix(init[x]) for x in inputs]
+        effects = [_as_square_matrix(povm[y]) for y in outputs]
         dims = sorted({m.shape[0] for m in states + effects})
         if len(dims) != 1:
             raise DimensionMismatchError(f"states and effects have mixed dims {dims}")
@@ -151,8 +142,8 @@ class OverallComputation:
                 f"POVM completeness defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}"
             )
         _check_effects(povm)
-        object.__setattr__(self, "init", init)
-        object.__setattr__(self, "povm", povm)
+        self.inputs, self.outputs, self.truth_table = inputs, outputs, truth_table
+        self.init, self.povm = init, povm
 
     @property
     def dim(self) -> int:

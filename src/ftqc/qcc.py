@@ -17,7 +17,6 @@ channels.evolve the same way, and both check whole output stacks.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +25,7 @@ from .channels import Circuit, NoiseModel, evolve
 from .densmat import (
     VALIDATION_TOL,
     DensityMatrix,
+    _ReadOnly,
     _check_states,
     _readout,
     _trace_norms,
@@ -51,8 +51,7 @@ SEARCH_TRIAL_CAP = 10 ** 5
 SEARCH_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class LinkingMaps:
+class LinkingMaps(_ReadOnly):
     """Logical-to-computational embedding: append a fixed ancilla, trace it out.
 
     No gate acts on the ancilla, so P (x) I applied to rho (x) |0><0| and
@@ -60,15 +59,13 @@ class LinkingMaps:
     result as 1, and the maps are never materialized.
     """
 
-    ancilla_dim: int = 1
+    __slots__ = ("ancilla_dim",)
 
-    def __post_init__(self):
-        dim = _check_count(self.ancilla_dim, "ancilla_dim", 1, None, DimensionMismatchError)
-        object.__setattr__(self, "ancilla_dim", dim)
+    def __init__(self, ancilla_dim: int = 1):
+        self.ancilla_dim = _check_count(ancilla_dim, "ancilla_dim", 1, None, DimensionMismatchError)
 
 
-@dataclass(frozen=True)
-class InputRecord:
+class InputRecord(NamedTuple):
     """Per-input certification data."""
 
     x: str
@@ -77,33 +74,29 @@ class InputRecord:
     inaccuracy_x: float
 
 
-@dataclass(frozen=True)
-class QccReport:
-    per_input: tuple[InputRecord, ...]
-    alpha: float
-    p: float
-    bound_holds: bool
-    worst_margin: float
+class QccReport(_ReadOnly):
+    """A certification's per-input records and the p, alpha and margin read from them."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_input", tuple(self.per_input))
-        if not self.per_input:
+    __slots__ = ("per_input", "alpha", "p", "bound_holds", "worst_margin")
+
+    def __init__(self, per_input: tuple[InputRecord, ...], alpha: float, p: float,
+                 bound_holds: bool, worst_margin: float):
+        per_input = tuple(per_input)
+        if not per_input:
             raise DimensionMismatchError("report needs at least one input record")
-        worst = max(r.inaccuracy_x for r in self.per_input)
-        if abs(worst - self.alpha) > 1e-12:
-            raise DomainError(
-                f"alpha {self.alpha} is not the max per-input inaccuracy {worst}"
-            )
-        holds = all(
-            (1.0 - r.actual_success) <= self.p + self.alpha + BOUND_SLACK
-            for r in self.per_input
-        )
-        if holds != self.bound_holds:
+        worst = max(r.inaccuracy_x for r in per_input)
+        if abs(worst - alpha) > 1e-12:
+            raise DomainError(f"alpha {alpha} is not the max per-input inaccuracy {worst}")
+        holds = all(1.0 - r.actual_success <= p + alpha + BOUND_SLACK for r in per_input)
+        if holds != bound_holds:
             raise DomainError("bound_holds flag contradicts the per-input records")
+        self.per_input, self.alpha, self.p = per_input, alpha, p
+        self.bound_holds, self.worst_margin = bound_holds, worst_margin
 
     def to_dict(self) -> dict:
-        """JSON-ready form, fields in declaration order."""
-        return asdict(self)
+        """JSON-ready form: the fields in constructor order, per_input a tuple of dicts."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return {**fields, "per_input": tuple(r._asdict() for r in self.per_input)}
 
 
 class MixingCheck(NamedTuple):

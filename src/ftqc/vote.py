@@ -16,13 +16,12 @@ so each big-integer product has one small factor, and converted to float
 by one correctly rounded division at the end.  Larger k sums the binomial
 terms in log space over a window of about 40 standard deviations around
 the mean, so the cost grows as sqrt(k), not k; a window above
-TAIL_TERM_CAP terms is refused up front.
+TAIL_TERM_CAP terms, or any k above 2**53, is refused up front.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import (
     CapExceededError,
@@ -65,9 +64,9 @@ def _majority_success_tail(p_prime: float, k: int) -> float:
     # mode so the logs stay small (terms from lgamma differences were off by
     # ~1e-9 at k = 1e7: lgamma near 1e8 has an ulp near 1e-8).  numpy is
     # imported here, so votes with k <= EXACT_K_LIMIT start without it.
-    if k > sys.float_info.max:  # k * q below would overflow
-        raise DomainError(f"k = {_shown(k)} is past the float range, where no window "
-                          f"of at most {TAIL_TERM_CAP} binomial terms can be placed")
+    if k > 2 ** 53:  # float64 holds every integer up to 2**53, and j below is float64
+        raise DomainError(f"k = {_shown(k)} is past 2**53, where float64 no longer "
+                          "holds every integer and no binomial window can be placed")
     q = 1.0 - p_prime
     half = 40.0 * math.sqrt(k * p_prime * q) + 40.0
     lo = max(0, math.floor(k * q - half))
@@ -101,7 +100,8 @@ def majority_success(p_prime: float, k: int) -> float:
         return _majority_success_exact(p, k)
     if p in (0.0, 1.0):
         return 1.0 - p
-    return min(1.0, max(0.0, _majority_success_tail(p, k)))
+    # round-off only; max(nan, 0.0) is nan, where max(0.0, nan) would be 0.0
+    return min(max(_majority_success_tail(p, k), 0.0), 1.0)
 
 
 def min_repetitions(p_prime: float, target: float) -> int:

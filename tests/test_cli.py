@@ -486,6 +486,12 @@ class TestVote:
         assert err.startswith("error: k = 10000000000001 needs a window of ")
         assert err.endswith(" terms\n") and err.count("\n") == 1
 
+    def test_k_past_2_53_exits_one(self, tmp_path, capsys):
+        cfg = {"p_prime": 1e-300, "k": 2 ** 53 + 1}
+        code, out, err = run_cli(capsys, ["vote", "--config", write_cfg(tmp_path, cfg)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: k = 9007199254740993 is past 2**53") and err.count("\n") == 1
+
     def test_certain_failure_exits_one(self, tmp_path, capsys):
         code, out, err = run_cli(
             capsys, ["vote", "--config", write_cfg(tmp_path, {"p_prime": 1.0, "k": 3})]
@@ -713,6 +719,22 @@ print(json.dumps({{"loaded": loaded, "fractions": "fractions" in sys.modules, "r
         expected = [list(run_cli(capsys, argv)[:2]) for argv in argvs]
         assert result["runs"] == expected
         assert [c for c, _ in expected] == [0, 0, 0, 0, 0, 0, 1]
+
+    def test_verify_runs_without_dataclasses(self):
+        # a fresh interpreter in which importing dataclasses fails once numpy
+        # is loaded (some NumPy versions load dataclasses themselves)
+        key = "verify --config demo/verify.json --seed 7"
+        want = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text())[key]
+        code = f"""
+import sys
+sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
+import numpy, numpy.random
+sys.modules["dataclasses"] = None
+import ftqc.cli
+sys.exit(ftqc.cli.main({key.split()!r}))
+"""
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=ROOT, timeout=60)
+        assert (done.returncode, done.stdout.decode()) == (want["exit"], want["stdout"]), done.stderr.decode()
 
 
 def test_recorded_outputs_replay_byte_identical(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """The argument rules shared through ftqc.errors: every bad count or
 probability given to the library raises an ftqc.errors class with a
-message, and a NumPy integer counts exactly as the same Python int."""
+message, and a NumPy integer counts exactly as the same Python int.  The
+simulator's value types are read-only and compare by identity."""
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,9 +20,25 @@ from ftqc.errors import (
     DimensionMismatchError,
     DomainError,
 )
-from ftqc.ftcalc import FtParams, max_gate_error, required_levels, tradeoff_curve
+from ftqc.ftcalc import (
+    FtParams,
+    circuit_failure,
+    epsilon_budget,
+    max_gate_error,
+    required_alpha,
+    required_levels,
+    tradeoff_curve,
+)
 from ftqc.kitaev import OverallComputation, basis_encoding, basis_readout
-from ftqc.qcc import LinkingMaps, alpha_random_search, implemented_channel, mix_error_state
+from ftqc.qcc import (
+    InputRecord,
+    LinkingMaps,
+    QccReport,
+    alpha_random_search,
+    certify_combined_bound,
+    implemented_channel,
+    mix_error_state,
+)
 from ftqc.vote import majority_success, min_repetitions
 
 HUGE = 10 ** 5000  # str() of it raises ValueError
@@ -28,6 +46,8 @@ BUDGET = dict(eps_th=1e-9, gate_count=10 ** 12, p=0.2, p_hat=0.4)
 GROUND, EXCITED = make_state([[1, 0], [0, 0]]), make_state([[0, 0], [0, 1]])
 CIRC = Circuit(num_qubits=1, gates=[Gate(name="H", targets=(0,))])
 NOISE = NoiseModel("depolarizing", 0.1)
+# the Hadamard as an explicit unitary, a gate whose field is an array
+MATRIX_GATE = Gate(targets=(0,), matrix=np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
 def search(trials):
@@ -48,6 +68,10 @@ BAD_CALLS = {
     "min_repetitions target a string": (BadProbabilityError, lambda: min_repetitions(0.1, "x")),
     "FtParams eps0 a string": (BadProbabilityError, lambda: FtParams(eps0="x", **BUDGET)),
     "FtParams eps0 past the float range": (BadProbabilityError, lambda: FtParams(eps0=HUGE, **BUDGET)),
+    "epsilon_budget p_hat above 1": (BadProbabilityError, lambda: epsilon_budget(5, 1)),
+    "required_alpha p negative": (BadProbabilityError, lambda: required_alpha(0.5, -3)),
+    "required_alpha p_hat a string": (BadProbabilityError, lambda: required_alpha("a", 0.1)),
+    "circuit_failure eps_n a string": (DomainError, lambda: circuit_failure("a", 3)),
     "NoiseModel strength a string": (BadStrengthError, lambda: NoiseModel("depolarizing", "x")),
     "NoiseModel strength None": (BadStrengthError, lambda: NoiseModel("depolarizing", None)),
     "NoiseModel strength past the float range": (BadStrengthError, lambda: NoiseModel("depolarizing", 10 ** 400)),
@@ -125,8 +149,10 @@ def test_a_count_is_an_integer_and_not_a_bool(count):
         lambda: DensityMatrix(np.eye(2) / 2),
         lambda: HermitianOperator(np.eye(2)),
         lambda: computation_of(np.diag([1.0, 0.0])),
+        lambda: Gate(targets=(0,), matrix=MATRIX_GATE.matrix),
+        lambda: Circuit(1, [MATRIX_GATE]),
     ],
-    ids=["DensityMatrix", "HermitianOperator", "OverallComputation"],
+    ids=["DensityMatrix", "HermitianOperator", "OverallComputation", "matrix Gate", "Circuit"],
 )
 def test_array_holders_compare_by_identity(make):
     a, b = make(), make()
@@ -134,8 +160,44 @@ def test_array_holders_compare_by_identity(make):
     assert len({a, b, a}) == 2
 
 
+def value_types():
+    comp = computation_of(np.diag([1.0, 0.0]))
+    report = certify_combined_bound(CIRC, NOISE, comp)
+    return [HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), MATRIX_GATE,
+            Circuit(1, [MATRIX_GATE]), NOISE, comp, LinkingMaps(), report.per_input[0], report]
+
+
+@pytest.mark.parametrize("value", value_types(), ids=lambda v: type(v).__name__)
+def test_value_types_are_read_only(value):
+    fields = value._fields if isinstance(value, InputRecord) else type(value).__slots__
+    for name in fields:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        value.added = 1
+
+
+def plain(value):
+    """A value as data that == compares: arrays as lists, simulator types by their fields."""
+    if isinstance(value, (Gate, Circuit, NoiseModel, OverallComputation)):
+        return type(value), [plain(getattr(value, name)) for name in type(value).__slots__]
+    if isinstance(value, tuple):
+        return [plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def test_value_types_pickle():
+    for value in (Circuit(1, [MATRIX_GATE]), NOISE, computation_of(np.diag([1.0, 0.0]))):
+        back = pickle.loads(pickle.dumps(value))
+        assert back is not value and plain(back) == plain(value)
+
+
 def test_each_rule_has_one_definition():
-    shared = ("_shown", "_is_index", "_check_unit_interval", "_check_count")
+    shared = ("_shown", "_is_index", "_as_float", "_check_unit_interval", "_check_count")
     for module in (channels, cli, densmat, ftcalc, kitaev, qcc, vote):
         for name in shared:
             assert getattr(module, name, None) in (None, getattr(errors, name)), (module, name)

@@ -118,6 +118,15 @@ class TestMajoritySuccess:
         assert nbytes == 8 * terms
         assert peak < 10 ** 6
 
+    @pytest.mark.parametrize("p_prime, k", [(1e-12, 10 ** 17 + 1), (1e-300, 2 ** 53 + 1), (1e-300, 10 ** 300 + 1)])
+    def test_k_past_2_53_refused(self, p_prime, k):
+        # float64 stops holding every integer, so no window can be placed;
+        # p' of 0 or 1 needs none
+        with pytest.raises(DomainError, match=r"past 2\*\*53"):
+            majority_success(p_prime, k)
+        assert majority_success(0.0, k) == 1.0 and majority_success(1.0, k) == 0.0
+        assert majority_success(p_prime, 2 ** 53 - 1) == 1.0
+
     def test_large_panel_nearly_certain(self):
         assert majority_success(0.4, 10 ** 4 + 1) > 0.999
 

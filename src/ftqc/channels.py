@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .densmat import VALIDATION_TOL, _as_square_matrix, _check_width, _freeze, _ReadOnly
+from .densmat import VALIDATION_TOL, _as_square_matrix, _check_qubits, _check_width, _ReadOnly
 from .errors import (
     BadStrengthError,
     CircuitError,
     DimensionMismatchError,
     NotUnitaryError,
     _check_unit_interval,
-    _is_index,
     _shown,
 )
 
@@ -41,6 +40,8 @@ _GATE_TABLE: dict[str, np.ndarray] = {
     ),
     "CZ": np.diag([1, 1, 1, -1]).astype(complex),
 }
+for _u in _GATE_TABLE.values():  # Gate.unitary() hands these out to every caller
+    _u.flags.writeable = False
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
@@ -58,16 +59,7 @@ class Gate(_ReadOnly):
 
     def __init__(self, targets: tuple[int, ...], name: str | None = None,
                  matrix: np.ndarray | None = None):
-        targets = tuple(targets)
-        if not all(map(_is_index, targets)):
-            raise CircuitError(f"gate targets must be integers, got {_shown(targets)}")
-        targets = tuple(int(t) for t in targets)
-        if len(targets) == 0:
-            raise CircuitError("gate needs at least one target")
-        if len(set(targets)) != len(targets):
-            raise CircuitError(f"duplicate targets {_shown(targets)}")
-        if any(t < 0 for t in targets):
-            raise CircuitError(f"negative target in {_shown(targets)}")
+        targets = _check_qubits(targets, "gate targets", CircuitError)
         if (name is None) == (matrix is None):
             raise CircuitError("specify exactly one of name or matrix")
         if name is not None:
@@ -88,7 +80,7 @@ class Gate(_ReadOnly):
                 raise NotUnitaryError(
                     f"gate matrix unitarity defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}"
                 )
-            matrix = _freeze(m)
+            matrix = m.copy()
         self.targets, self.name, self.matrix = targets, name, matrix
 
     def unitary(self) -> np.ndarray:
@@ -102,6 +94,8 @@ class Circuit(_ReadOnly):
 
     def __init__(self, num_qubits: int, gates: tuple[Gate, ...] = ()):
         num_qubits = _check_width(num_qubits, CircuitError)
+        if not np.iterable(gates):
+            raise CircuitError(f"gates must be a sequence of Gate instances, got {_shown(gates)}")
         gates = tuple(gates)
         for g in gates:
             if not isinstance(g, Gate):
@@ -185,4 +179,6 @@ def compile_ideal(circ: Circuit) -> np.ndarray:
     u = np.eye(circ.dim, dtype=complex).reshape((2,) * (2 * circ.num_qubits))
     for g in circ.gates:
         u = _act(u, g.unitary(), g.targets)
-    return _freeze(u.reshape(circ.dim, circ.dim))
+    u = np.ascontiguousarray(u.reshape(circ.dim, circ.dim))
+    u.flags.writeable = False
+    return u

@@ -8,7 +8,8 @@ a matrix either passes validation as given or is rejected.  Every matrix
 given to the package passes ``_as_square_matrix``.  The simulator's types,
 these two wrappers and the gates, circuits, noise models, computations and
 reports built on them, are ``_ReadOnly``: each attribute is set once, by the
-validating ``__init__``.  They compare and hash by identity: == between
+validating ``__init__``, and every array is stored read-only, in a pickled or
+deep-copied value too.  They compare and hash by identity: == between
 arrays has no single truth value.
 
 Norm convention: ``trace_norm`` is the plain Schatten 1-norm, the sum of
@@ -74,25 +75,39 @@ def _check_width(num_qubits, error) -> int:
     return int(num_qubits)
 
 
+def _check_qubits(qubits, what: str, error, num_qubits=None) -> tuple[int, ...]:
+    """qubits as a nonempty tuple of distinct Python ints in [0, num_qubits)
+    (num_qubits None: no upper end); error names them `what`."""
+    qubits = tuple(qubits) if np.iterable(qubits) else qubits
+    if not isinstance(qubits, tuple) or not all(map(_is_index, qubits)):
+        raise error(f"{what} must be integers, got {_shown(qubits)}")
+    qubits = tuple(map(int, qubits))
+    if not qubits:
+        raise error(f"{what} must be nonempty")
+    if len(set(qubits)) != len(qubits):
+        raise error(f"duplicate {what} in {_shown(qubits)}")
+    if min(qubits) < 0 or (num_qubits is not None and max(qubits) >= num_qubits):
+        width = "" if num_qubits is None else f" for {num_qubits} qubit(s)"
+        raise error(f"{what} {_shown(qubits)} out of range{width}")
+    return qubits
+
+
 class _ReadOnly:
     """Slots that take one assignment each, while unset, as pickle and copy
-    fill them too; a later assignment or a deletion raises AttributeError."""
+    fill them too; a later assignment or a deletion raises AttributeError.
+    An array is stored read-only, so a constructor hands over one it owns."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         if hasattr(self, name):
             raise AttributeError(f"cannot assign to field {name!r}")
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
         super().__setattr__(name, value)
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    out = m.copy()
-    out.flags.writeable = False
-    return out
 
 
 # --- checks on (B, d, d) stacks; a failing stack reports its worst matrix ---
@@ -158,7 +173,7 @@ class HermitianOperator(_ReadOnly):
     def __init__(self, entries):
         m = _as_square_matrix(entries)
         _check_hermitian(m[np.newaxis])
-        self.entries = _freeze(m)
+        self.entries = m.copy()
 
     @property
     def dim(self) -> int:
@@ -178,7 +193,7 @@ class DensityMatrix(_ReadOnly):
     def __init__(self, entries):
         m = _as_square_matrix(entries)
         _check_states(m[np.newaxis])
-        self.entries = _freeze(m)
+        self.entries = m.copy()
 
     @property
     def dim(self) -> int:

@@ -12,6 +12,8 @@ read-only once built and compares and hashes by identity.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from .densmat import (
@@ -20,6 +22,7 @@ from .densmat import (
     _as_square_matrix,
     _check_effects,
     _check_hermitian,
+    _check_qubits,
     _check_states,
     _check_width,
 )
@@ -29,20 +32,20 @@ from .errors import (
     NotAnEffectError,
     TooManyInputsError,
     UnknownInputError,
-    _is_index,
     _shown,
 )
 
 
+def _in_order(mapping, labels: tuple, refusal: str) -> tuple:
+    """The values of a mapping keyed by exactly `labels`, in their order."""
+    if not isinstance(mapping, Mapping) or set(mapping) != set(labels):
+        raise UnknownInputError(refusal)
+    return tuple(mapping[label] for label in labels)
+
+
 def _basis_index(label: str, num_qubits: int) -> int:
-    if (
-        not isinstance(label, str)
-        or len(label) != num_qubits
-        or any(c not in "01" for c in label)
-    ):
-        raise BadBitstringError(
-            f"label {label!r} is not a bitstring of length {num_qubits}"
-        )
+    if not isinstance(label, str) or len(label) != num_qubits or any(c not in "01" for c in label):
+        raise BadBitstringError(f"label {_shown(label)} is not a bitstring of length {num_qubits}")
     return int(label, 2)
 
 
@@ -50,6 +53,8 @@ def basis_encoding(num_qubits: int, inputs) -> dict[str, np.ndarray]:
     """Map bitstring labels to computational-basis projectors |x><x|, as
     read-only views of one (B, d, d) stack in the order of `inputs`."""
     num_qubits = _check_width(num_qubits, DimensionMismatchError)
+    if not np.iterable(inputs):
+        raise BadBitstringError(f"inputs must be a sequence of bitstrings, got {_shown(inputs)}")
     labels = list(inputs)
     if len(labels) > 2 ** num_qubits:
         raise TooManyInputsError(
@@ -74,20 +79,8 @@ def basis_readout(num_qubits: int, measured=None) -> dict[str, np.ndarray]:
     effect is the projector onto all consistent basis states.
     """
     num_qubits = _check_width(num_qubits, DimensionMismatchError)
-    if measured is None:
-        measured = range(num_qubits)
-    measured = tuple(measured) if np.iterable(measured) else measured
-    if not isinstance(measured, tuple) or not all(map(_is_index, measured)):
-        raise DimensionMismatchError(f"measured qubits must be integers, got {_shown(measured)}")
-    measured = tuple(int(q) for q in measured)
-    if len(measured) == 0:
-        raise DimensionMismatchError("measure at least one qubit")
-    if len(set(measured)) != len(measured):
-        raise DimensionMismatchError(f"duplicate qubits in {_shown(measured)}")
-    if any(q < 0 or q >= num_qubits for q in measured):
-        raise DimensionMismatchError(
-            f"measured qubits {_shown(measured)} out of range for {num_qubits} qubit(s)"
-        )
+    measured = range(num_qubits) if measured is None else measured
+    measured = _check_qubits(measured, "measured qubits", DimensionMismatchError, num_qubits)
     d, m = 2 ** num_qubits, len(measured)
     # the outcome of basis state b: its measured bits, the first one leading
     b = np.arange(d)
@@ -101,10 +94,11 @@ def basis_readout(num_qubits: int, measured=None) -> dict[str, np.ndarray]:
 class OverallComputation(_ReadOnly):
     """Classical I/O contract plus its quantum encoding.
 
-    init maps every input label to a prepared state and povm every output
-    label to a measurement effect, as array-likes: a DensityMatrix or
-    HermitianOperator is passed as its ``.entries``.  The computation holds
-    init as one read-only (B, d, d) complex stack in ``inputs`` order and
+    truth_table, init and povm map every input label to its output label and
+    prepared state and every output label to its effect; a state or effect is
+    an array-like (a DensityMatrix or HermitianOperator as its ``.entries``).
+    The computation holds the truth table as a tuple of output labels and init
+    as one read-only (B, d, d) complex stack, both in ``inputs`` order, and
     povm as one read-only (Y, d, d) stack in ``outputs`` order, each checked
     once here; the POVM must sum to the identity within 1e-9.
     """
@@ -113,27 +107,24 @@ class OverallComputation(_ReadOnly):
 
     def __init__(self, inputs: tuple[str, ...], outputs: tuple[str, ...],
                  truth_table: dict[str, str], init, povm):
-        inputs, outputs, truth_table = tuple(inputs), tuple(outputs), dict(truth_table)
+        if not (np.iterable(inputs) and np.iterable(outputs)):
+            raise DimensionMismatchError("inputs and outputs must be sequences of labels")
+        inputs, outputs = tuple(inputs), tuple(outputs)
         if not inputs or not outputs:
             raise DimensionMismatchError("inputs and outputs must be nonempty")
         if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
             raise DimensionMismatchError("input/output labels must be distinct")
-        if set(truth_table) != set(inputs):
-            raise UnknownInputError("truth table keys must be exactly the inputs")
-        for x, y in truth_table.items():
+        truth_table = _in_order(truth_table, inputs, "truth table keys must be exactly the inputs")
+        for x, y in zip(inputs, truth_table):
             if y not in outputs:
                 raise UnknownInputError(f"truth table sends {x!r} outside the outputs")
-        if set(init) != set(inputs):
-            raise UnknownInputError("init keys must be exactly the inputs")
-        if set(povm) != set(outputs):
-            raise UnknownInputError("POVM keys must be exactly the outputs")
-        states = [_as_square_matrix(init[x]) for x in inputs]
-        effects = [_as_square_matrix(povm[y]) for y in outputs]
+        init = _in_order(init, inputs, "init keys must be exactly the inputs")
+        povm = _in_order(povm, outputs, "POVM keys must be exactly the outputs")
+        states, effects = list(map(_as_square_matrix, init)), list(map(_as_square_matrix, povm))
         dims = sorted({m.shape[0] for m in states + effects})
         if len(dims) != 1:
             raise DimensionMismatchError(f"states and effects have mixed dims {dims}")
         init, povm = np.stack(states), np.stack(effects)
-        init.flags.writeable = povm.flags.writeable = False
         _check_states(init)
         _check_hermitian(povm)
         defect = float(np.max(np.abs(povm.sum(axis=0) - np.eye(dims[0]))))

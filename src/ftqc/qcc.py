@@ -8,7 +8,8 @@ where G is the ideal map and P the noisy implementation of the same
 circuit.  Its maximum alpha over a computation's input states combines with
 the intrinsic failure bound p into a per-input failure bound p + alpha.
 That combined bound is a theorem: if an instance violates it the numerics
-are broken, so the check raises instead of reporting a false flag.
+are broken, so the check raises instead of reporting a false flag.  A report
+derives its summary from its per-input records, so the two cannot disagree.
 Certification evolves and measures a computation's own input and effect
 stacks, never copied; the random search pushes blocks of states through
 channels.evolve the same way, and both check whole output stacks.
@@ -74,27 +75,27 @@ class InputRecord(NamedTuple):
     inaccuracy_x: float
 
 
+def _within_bound(r: InputRecord, p: float, alpha: float) -> bool:
+    return 1.0 - r.actual_success <= p + alpha + BOUND_SLACK
+
+
 class QccReport(_ReadOnly):
-    """A certification's per-input records and the p, alpha and margin read from them."""
+    """A certification's per-input records and the p, alpha, bound flag and margin they give."""
 
     __slots__ = ("per_input", "alpha", "p", "bound_holds", "worst_margin")
 
-    def __init__(self, per_input: tuple[InputRecord, ...], alpha: float, p: float,
-                 bound_holds: bool, worst_margin: float):
+    def __init__(self, per_input: tuple[InputRecord, ...]):
         per_input = tuple(per_input)
         if not per_input:
             raise DimensionMismatchError("report needs at least one input record")
-        worst = max(r.inaccuracy_x for r in per_input)
-        if abs(worst - alpha) > 1e-12:
-            raise DomainError(f"alpha {alpha} is not the max per-input inaccuracy {worst}")
-        holds = all(1.0 - r.actual_success <= p + alpha + BOUND_SLACK for r in per_input)
-        if holds != bound_holds:
-            raise DomainError("bound_holds flag contradicts the per-input records")
+        p = max(1.0 - r.ideal_success for r in per_input)
+        alpha = max(r.inaccuracy_x for r in per_input)
         self.per_input, self.alpha, self.p = per_input, alpha, p
-        self.bound_holds, self.worst_margin = bound_holds, worst_margin
+        self.bound_holds = all(_within_bound(r, p, alpha) for r in per_input)
+        self.worst_margin = min(p + alpha - (1.0 - r.actual_success) for r in per_input)
 
     def to_dict(self) -> dict:
-        """JSON-ready form: the fields in constructor order, per_input a tuple of dicts."""
+        """JSON-ready form: the fields in slot order, per_input a tuple of dicts."""
         fields = {name: getattr(self, name) for name in self.__slots__}
         return {**fields, "per_input": tuple(r._asdict() for r in self.per_input)}
 
@@ -152,11 +153,11 @@ def certify_combined_bound(
     """Run the full certification for one computation under one noise model.
 
     The input stack is evolved, uncopied, through the ideal circuit and
-    once through the noisy one.  p comes from the ideal outcome distributions,
-    alpha from the trace distance between the two outputs of every input,
-    and each input's actual failure probability is checked against p + alpha.
-    The inequality holds by theorem; a violation beyond the 1e-9 slack raises
-    TheoremViolationError instead of returning a report.
+    once through the noisy one.  Each input's record holds its ideal and actual
+    success and the trace distance between its two outputs; the report derives
+    p, alpha and the bound from them.  The bound holds by theorem; the first
+    input, in ``inputs`` order, whose failure exceeds p + alpha beyond the
+    1e-9 slack raises TheoremViolationError instead of returning a report.
     """
     if circ.dim != comp.dim:
         raise DimensionMismatchError(
@@ -172,30 +173,22 @@ def certify_combined_bound(
     if abs(totals[i] - 1.0) > VALIDATION_TOL:
         raise BadProbabilityError(f"outcome probabilities sum to {totals[i]:.12g}, expected 1")
     # each input succeeds with the probability of its truth-table outcome
-    want = [comp.outputs.index(comp.truth_table[x]) for x in comp.inputs]
+    want = [comp.outputs.index(y) for y in comp.truth_table]
     cells = (np.arange(len(want)), want)
     ideal_success = ideal_probs[cells].tolist()
     actual_success = _readout(actual, comp.povm)[cells].tolist()
     inaccuracy = _trace_norms(actual - ideal).tolist()
-    records = [InputRecord(*row) for row in zip(comp.inputs, ideal_success, actual_success, inaccuracy)]
-    p = max(1.0 - r.ideal_success for r in records)
-    alpha = max(r.inaccuracy_x for r in records)
-    for r in records:
-        failure = 1.0 - r.actual_success
-        if failure > p + alpha + BOUND_SLACK:
+    report = QccReport(map(InputRecord, comp.inputs, ideal_success, actual_success, inaccuracy))
+    p, alpha = report.p, report.alpha
+    for r in report.per_input:
+        if not _within_bound(r, p, alpha):
+            failure = 1.0 - r.actual_success
             raise TheoremViolationError(
                 f"combined bound violated at input {r.x!r}: "
                 f"failure {failure:.12g} > p + alpha = {p + alpha:.12g} + {BOUND_SLACK:.0e}; "
                 "this indicates defective numerics, not a bad input"
             )
-    worst_margin = min(p + alpha - (1.0 - r.actual_success) for r in records)
-    return QccReport(
-        per_input=tuple(records),
-        alpha=alpha,
-        p=p,
-        bound_holds=True,
-        worst_margin=worst_margin,
-    )
+    return report
 
 
 def mix_error_state(

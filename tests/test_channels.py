@@ -132,6 +132,16 @@ class TestGateAndCircuit:
         g = Gate(name="X", targets=(0,))
         np.testing.assert_allclose(g.unitary(), [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("name", ["I", "X", "Y", "Z", "H", "S", "T", "CNOT", "CZ"])
+    def test_named_gate_matrix_is_read_only(self, name):
+        # every Gate of one name hands out the same table matrix
+        g = Gate(name=name, targets=(0, 1) if name in ("CNOT", "CZ") else (0,))
+        before = g.unitary().copy()
+        assert not g.unitary().flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.unitary()[:] = 0
+        np.testing.assert_array_equal(g.unitary(), before)
+
     def test_custom_matrix_gate(self):
         g = Gate(matrix=np.eye(4), targets=(0, 1))
         assert len(g.targets) == 2

@@ -3,6 +3,7 @@ probability given to the library raises an ftqc.errors class with a
 message, and a NumPy integer counts exactly as the same Python int.  The
 simulator's value types are read-only and compare by identity."""
 
+import copy
 import json
 import math
 import pickle
@@ -14,11 +15,13 @@ from ftqc import channels, cli, densmat, errors, ftcalc, kitaev, qcc, vote
 from ftqc.channels import Circuit, Gate, NoiseModel, compile_ideal
 from ftqc.densmat import DensityMatrix, HermitianOperator, make_state
 from ftqc.errors import (
+    BadBitstringError,
     BadProbabilityError,
     BadStrengthError,
     CircuitError,
     DimensionMismatchError,
     DomainError,
+    UnknownInputError,
 )
 from ftqc.ftcalc import (
     FtParams,
@@ -90,6 +93,14 @@ BAD_CALLS = {
     "make_state a string": (DomainError, lambda: make_state("ab")),
     "make_state ragged rows": (DomainError, lambda: make_state([[1, 0], [0]])),
     "OverallComputation given a DensityMatrix object": (DomainError, lambda: computation_of(GROUND)),
+    "Gate targets not iterable": (CircuitError, lambda: Gate(0, name="X")),
+    "Circuit gates not iterable": (CircuitError, lambda: Circuit(1, 5)),
+    "basis_encoding inputs not iterable": (BadBitstringError, lambda: basis_encoding(1, 5)),
+    "basis_encoding label past the digit limit": (BadBitstringError, lambda: basis_encoding(1, [HUGE])),
+    "OverallComputation inputs not iterable": (
+        DimensionMismatchError, lambda: OverallComputation(5, ("0",), {}, {}, {})),
+    "OverallComputation truth table not a mapping": (
+        UnknownInputError, lambda: OverallComputation(("0",), ("0",), 5, {}, {})),
 }
 
 
@@ -112,6 +123,14 @@ def test_bad_argument_raises_its_error_class(error, call):
         (lambda: mix_error_state(GROUND, EXCITED, -1), "eps_qc = -1 outside [0, 1]"),
         (lambda: basis_readout(2, measured=(HUGE,)),
          "measured qubits (<16610-bit integer>,) out of range for 2 qubit(s)"),
+        (lambda: basis_readout(2, measured=()), "measured qubits must be nonempty"),
+        (lambda: basis_readout(2, measured=(1, 1)), "duplicate measured qubits in (1, 1)"),
+        (lambda: Gate(0, name="X"), "gate targets must be integers, got 0"),
+        (lambda: Gate((), name="X"), "gate targets must be nonempty"),
+        (lambda: Gate((1, 1), name="CZ"), "duplicate gate targets in (1, 1)"),
+        (lambda: Gate((-1,), name="X"), "gate targets (-1,) out of range"),
+        (lambda: Circuit(1, 5), "gates must be a sequence of Gate instances, got 5"),
+        (lambda: basis_encoding(1, 5), "inputs must be a sequence of bitstrings, got 5"),
     ],
 )
 def test_refusal_messages(call, message):
@@ -181,19 +200,51 @@ def test_value_types_are_read_only(value):
         value.added = 1
 
 
+def fields(value):
+    """The values a simulator type or a tuple holds."""
+    if isinstance(value, densmat._ReadOnly):
+        return [getattr(value, name) for name in type(value).__slots__]
+    return list(value) if isinstance(value, tuple) else []
+
+
 def plain(value):
     """A value as data that == compares: arrays as lists, simulator types by their fields."""
-    if isinstance(value, (Gate, Circuit, NoiseModel, OverallComputation)):
-        return type(value), [plain(getattr(value, name)) for name in type(value).__slots__]
-    if isinstance(value, tuple):
-        return [plain(v) for v in value]
-    return value.tolist() if isinstance(value, np.ndarray) else value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, densmat._ReadOnly):
+        return type(value), [plain(v) for v in fields(value)]
+    return [plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+def arrays(value):
+    """Every array a value holds, however deep."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for v in fields(value) for a in arrays(v)]
 
 
 def test_value_types_pickle():
-    for value in (Circuit(1, [MATRIX_GATE]), NOISE, computation_of(np.diag([1.0, 0.0]))):
-        back = pickle.loads(pickle.dumps(value))
-        assert back is not value and plain(back) == plain(value)
+    # pickle and deepcopy fill each slot through the read-only rule; a
+    # computation's arrays are its init and povm stacks
+    values = (HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), MATRIX_GATE,
+              Circuit(1, [MATRIX_GATE]), NOISE, computation_of(np.diag([1.0, 0.0])))
+    for value in values:
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert back is not value and plain(back) == plain(value)
+            assert len(arrays(back)) == len(arrays(value))
+            assert not any(a.flags.writeable for a in arrays(back))
+
+
+def test_values_hold_copies_of_the_callers_arrays():
+    rho, flip = np.diag([1.0, 0.0]).astype(complex), np.array([[0, 1], [1, 0]], dtype=complex)
+    e0, e1 = rho.copy(), np.diag([0.0, 1.0]).astype(complex)
+    comp = OverallComputation(("0",), ("0", "1"), {"0": "0"}, {"0": rho}, {"0": e0, "1": e1})
+    held = [HermitianOperator(rho).entries, DensityMatrix(rho).entries,
+            Gate((0,), matrix=flip).matrix, comp.init, comp.povm]
+    assert not any(h.flags.writeable for h in held)
+    for given in (rho, flip, e0, e1):
+        assert given.flags.writeable
+        assert not any(np.shares_memory(given, h) for h in held)
 
 
 def test_each_rule_has_one_definition():

@@ -180,6 +180,14 @@ class TestOverallComputation:
             with pytest.raises(ValueError, match="read-only"):
                 stack[..., 0, 0] = 0.5
 
+    def test_holds_the_truth_table_as_outputs_in_inputs_order(self):
+        # a dict held as given could be changed after validation
+        comp = OverallComputation(("1", "0"), ("0", "1"), {"0": "1", "1": "0"},
+                                  basis_encoding(1, ["0", "1"]), basis_readout(1))
+        assert comp.truth_table == ("0", "1")
+        with pytest.raises(TypeError):
+            comp.truth_table["0"] = "zz"
+
     @pytest.mark.parametrize(
         "init, povm, error, message",
         [

@@ -352,16 +352,40 @@ class TestCertify:
         for rec in report.per_input:
             assert 1.0 - rec.actual_success <= report.p + report.alpha + 1e-9
 
+    def test_violation_names_the_first_input_in_inputs_order(self, monkeypatch):
+        # with every inaccuracy read as 0, alpha = 0 and each noisy failure breaks p + alpha
+        import ftqc.qcc
+
+        monkeypatch.setattr(ftqc.qcc, "_trace_norms", lambda stack: np.zeros(len(stack)))
+        labels = ("11", "10", "01", "00")
+        comp = OverallComputation(labels, labels, {x: x for x in labels},
+                                  basis_encoding(2, labels), basis_readout(2))
+        noise = NoiseModel(kind="depolarizing", strength=0.1)
+        with pytest.raises(TheoremViolationError, match="^combined bound violated at input '11': failure "):
+            certify_combined_bound(identity_circuit(2), noise, comp)
+
     def test_report_validates_alpha_consistency(self):
-        rec = InputRecord(x="0", ideal_success=1.0, actual_success=0.9, inaccuracy_x=0.2)
-        with pytest.raises(DomainError):
-            QccReport(per_input=(rec,), alpha=0.5, p=0.0, bound_holds=True, worst_margin=0.1)
+        # alpha, p and worst_margin are derived from the records, never passed in
+        records = (
+            InputRecord(x="0", ideal_success=1.0, actual_success=0.9, inaccuracy_x=0.2),
+            InputRecord(x="1", ideal_success=0.75, actual_success=0.7, inaccuracy_x=0.1),
+        )
+        report = QccReport(records)
+        assert report.per_input == records
+        assert (report.alpha, report.p) == (0.2, 0.25)
+        assert report.worst_margin == min(0.25 + 0.2 - (1.0 - 0.9), 0.25 + 0.2 - (1.0 - 0.7))
+        assert report.bound_holds is True
 
     def test_report_validates_bound_flag(self):
         rec = InputRecord(x="0", ideal_success=1.0, actual_success=0.4, inaccuracy_x=0.2)
-        # failure 0.6 > p + alpha = 0.2, so bound_holds=True is a contradiction
-        with pytest.raises(DomainError):
-            QccReport(per_input=(rec,), alpha=0.2, p=0.0, bound_holds=True, worst_margin=-0.4)
+        # failure 0.6 > p + alpha = 0.2
+        report = QccReport((rec,))
+        assert report.bound_holds is False
+        assert report.worst_margin == pytest.approx(-0.4)
+        with pytest.raises(TypeError):
+            QccReport((rec,), alpha=0.5)
+        with pytest.raises(DimensionMismatchError, match="at least one input record"):
+            QccReport(())
 
     def test_to_dict_field_order(self):
         report = certify_combined_bound(

@@ -22,3 +22,13 @@ cat > "$tmp/verify_basis.json" <<'JSON'
  "noise": {"kind": "depolarizing", "strength": 0.05}}
 JSON
 ftqc verify --config "$tmp/verify_basis.json"
+
+# noiseless: the ideal outputs come from the circuit's unitary and the actual
+# ones from gate-by-gate evolution at strength 0; the combined bound must hold
+cat > "$tmp/verify_noiseless.json" <<'JSON'
+{"circuit": "demo/bell_circuit.json",
+ "computation": "demo/bell_parity_computation.json",
+ "noise": {"kind": "none"},
+ "random_search_trials": 16}
+JSON
+ftqc verify --config "$tmp/verify_noiseless.json"

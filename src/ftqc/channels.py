@@ -9,15 +9,23 @@ column axis per qubit, so each gate of any width acts by a tensordot on
 its own target axes and no full-register unitary is built.  Depolarizing
 noise after a gate acts through its closed form: a partial trace over the
 targets and an in-place update of the target diagonal.  ``compile_ideal``
-multiplies the gates into the one unitary of the noiseless circuit, which
-the random search applies to pure vectors.
+multiplies the gates into the one unitary U of the noiseless circuit, the
+verifier's only ideal map: certification reads its ideal outputs as
+U rho U+ and the random search applies U to pure vectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .densmat import VALIDATION_TOL, _as_square_matrix, _check_qubits, _check_width, _ReadOnly
+from .densmat import (
+    VALIDATION_TOL,
+    _as_complex,
+    _as_square_matrix,
+    _check_qubits,
+    _check_width,
+    _ReadOnly,
+)
 from .errors import (
     BadStrengthError,
     CircuitError,
@@ -63,8 +71,8 @@ class Gate(_ReadOnly):
         if (name is None) == (matrix is None):
             raise CircuitError("specify exactly one of name or matrix")
         if name is not None:
-            if name not in _GATE_TABLE:
-                raise CircuitError(f"unknown gate {name!r}; known: {sorted(_GATE_TABLE)}")
+            if not isinstance(name, str) or name not in _GATE_TABLE:
+                raise CircuitError(f"unknown gate {_shown(name)}; known: {sorted(_GATE_TABLE)}")
             arity = _GATE_TABLE[name].shape[0].bit_length() - 1
             if arity != len(targets):
                 raise CircuitError(f"gate {name} acts on {arity} qubit(s), got {len(targets)} targets")
@@ -150,7 +158,7 @@ def evolve(circ: Circuit, noise: NoiseModel, states) -> np.ndarray:
     added onto the diagonal view of the target axes.  Returns the evolved
     stack as a raw array; callers validate what they read as states.
     """
-    stack = np.asarray(states, dtype=complex)
+    stack = _as_complex(states, "a stack")
     if stack.ndim != 3 or stack.shape[1:] != (circ.dim, circ.dim):
         raise DimensionMismatchError(
             f"expected a (B, {circ.dim}, {circ.dim}) stack, got shape {stack.shape}"

@@ -5,7 +5,9 @@ each check takes a (B, d, d) stack: certification and the random search
 check whole stacks of evolved outputs, the two wrapper types, ``trace_norm``
 and ``effect_probability`` a stack of one.  No silent repair is performed:
 a matrix either passes validation as given or is rejected.  Every matrix
-given to the package passes ``_as_square_matrix``.  The simulator's types,
+given to the package passes ``_as_square_matrix``, every stack
+``_as_complex``, and a function that takes a wrapper refuses anything else
+(``_entries``).  The simulator's types,
 these two wrappers and the gates, circuits, noise models, computations and
 reports built on them, are ``_ReadOnly``: each attribute is set once, by the
 validating ``__init__``, and every array is stored read-only, in a pickled or
@@ -45,11 +47,15 @@ MAX_QUBITS = 8
 MAX_DIM = 2 ** MAX_QUBITS
 
 
-def _as_square_matrix(entries) -> np.ndarray:
+def _as_complex(entries, what: str) -> np.ndarray:
     try:
-        m = np.asarray(entries, dtype=complex)
+        return np.asarray(entries, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, a string, an object
-        raise DomainError(f"not a matrix of numbers: {exc}") from None
+        raise DomainError(f"not {what} of numbers: {exc}") from None
+
+
+def _as_square_matrix(entries) -> np.ndarray:
+    m = _as_complex(entries, "a matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[0]
@@ -165,6 +171,14 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
 
 # --- one-matrix wrappers -------------------------------------------------------
 
+def _entries(value, kinds: tuple, name: str) -> np.ndarray:
+    """The matrix of a wrapper argument; DomainError naming `kinds` for anything else."""
+    if not isinstance(value, kinds):
+        wanted = " or ".join(k.__name__ for k in kinds)
+        raise DomainError(f"{name} must be a {wanted}, got {type(value).__name__}")
+    return value.entries
+
+
 class HermitianOperator(_ReadOnly):
     """A square complex matrix checked to be Hermitian within VALIDATION_TOL."""
 
@@ -226,10 +240,9 @@ def effect_probability(state: DensityMatrix, effect: HermitianOperator) -> float
     E must satisfy 0 <= E <= I within VALIDATION_TOL on its spectrum.
     The result is clamped to [0, 1] to absorb float round-off.
     """
-    if effect.dim != state.dim:
-        raise DimensionMismatchError(
-            f"effect dim {effect.dim} does not match state dim {state.dim}"
-        )
-    e = effect.entries[np.newaxis]
-    _check_effects(e)
-    return float(_readout(state.entries[np.newaxis], e)[0, 0])
+    rho = _entries(state, (DensityMatrix,), "state")
+    e = _entries(effect, (HermitianOperator, DensityMatrix), "effect")
+    if len(e) != len(rho):
+        raise DimensionMismatchError(f"effect dim {len(e)} does not match state dim {len(rho)}")
+    _check_effects(e[np.newaxis])
+    return float(_readout(rho[np.newaxis], e[np.newaxis])[0, 0])

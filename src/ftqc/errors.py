@@ -134,12 +134,13 @@ def _is_index(x) -> bool:
     return True
 
 
-def _check_count(value, name: str, lo: int, cap, error) -> int:
+def _check_count(value, name: str, lo: int | None, cap, error) -> int:
     """value as a Python int; error unless it is an integer in [lo, cap]
-    (cap None: no upper bound)."""
+    (lo or cap None: no bound on that side)."""
     n = value if type(value) is int else int(operator.index(value)) if _is_index(value) else None
-    if n is None or n < lo:
-        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+    if n is None or (lo is not None and n < lo):
+        kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+        kind = kinds.get(lo, f"an integer >= {lo}")
         raise error(f"{name} must be {kind}, got {_shown(value)}")
     if cap is not None and n > cap:
         raise error(f"{name} = {_shown(n)} exceeds the cap of {cap}")

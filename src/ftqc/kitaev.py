@@ -60,9 +60,9 @@ def basis_encoding(num_qubits: int, inputs) -> dict[str, np.ndarray]:
         raise TooManyInputsError(
             f"{len(labels)} inputs cannot be basis-encoded on {num_qubits} qubit(s)"
         )
-    if len(set(labels)) != len(labels):
-        raise BadBitstringError("duplicate input labels")
     idx = [_basis_index(label, num_qubits) for label in labels]
+    if len(set(idx)) != len(idx):
+        raise BadBitstringError("duplicate input labels")
     d = 2 ** num_qubits
     stack = np.zeros((len(labels), d, d), dtype=complex)
     stack[np.arange(len(labels)), idx, idx] = 1.0
@@ -112,7 +112,11 @@ class OverallComputation(_ReadOnly):
         inputs, outputs = tuple(inputs), tuple(outputs)
         if not inputs or not outputs:
             raise DimensionMismatchError("inputs and outputs must be nonempty")
-        if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
+        try:
+            distinct = len(set(inputs)) == len(inputs) and len(set(outputs)) == len(outputs)
+        except TypeError:  # a label keys the truth table, init or POVM
+            raise DimensionMismatchError("input/output labels must be hashable") from None
+        if not distinct:
             raise DimensionMismatchError("input/output labels must be distinct")
         truth_table = _in_order(truth_table, inputs, "truth table keys must be exactly the inputs")
         for x, y in zip(inputs, truth_table):

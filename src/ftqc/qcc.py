@@ -10,9 +10,8 @@ the intrinsic failure bound p into a per-input failure bound p + alpha.
 That combined bound is a theorem: if an instance violates it the numerics
 are broken, so the check raises instead of reporting a false flag.  A report
 derives its summary from its per-input records, so the two cannot disagree.
-Certification evolves and measures a computation's own input and effect
-stacks, never copied; the random search pushes blocks of states through
-channels.evolve the same way, and both check whole output stacks.
+G is compile_ideal's unitary U, rho -> U rho U+, and only P runs gate by
+gate (channels.evolve); every gap goes through one checked step, _distances.
 """
 
 from __future__ import annotations
@@ -22,10 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Circuit, NoiseModel, evolve
+from .channels import Circuit, NoiseModel, compile_ideal, evolve
 from .densmat import (
     VALIDATION_TOL,
     DensityMatrix,
+    _entries,
     _ReadOnly,
     _check_states,
     _readout,
@@ -110,6 +110,13 @@ def _check_trials(trials) -> int:
     return _check_count(trials, "trials", 1, SEARCH_TRIAL_CAP, DomainError)
 
 
+def _distances(actual: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """Trace distances between two (B, d, d) output stacks, each checked as states."""
+    _check_states(actual)
+    _check_states(ideal)
+    return _trace_norms(actual - ideal)
+
+
 def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: int) -> float:
     """Estimate the all-states supremum by sampling Haar-random pure states.
 
@@ -123,7 +130,7 @@ def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: 
     """
     trials = _check_trials(trials)
     dim = G.shape[0]
-    key_hi = int(seed) % (2 ** 64)
+    key_hi = _check_count(seed, "seed", None, None, DomainError) % (2 ** 64)
     worst = 0.0
     for start in range(0, trials, SEARCH_BLOCK):
         block = range(start, min(start + SEARCH_BLOCK, trials))
@@ -135,9 +142,7 @@ def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: 
         w = vectors @ G.T
         ideal = w[:, :, np.newaxis] * w[:, np.newaxis, :].conj()
         actual = P(vectors[:, :, np.newaxis] * vectors[:, np.newaxis, :].conj())
-        for outputs in (actual, ideal):
-            _check_states(outputs)
-        worst = max(worst, float(_trace_norms(actual - ideal).max()))
+        worst = max(worst, float(_distances(actual, ideal).max()))
     return worst
 
 
@@ -147,26 +152,23 @@ def implemented_channel(circ: Circuit, noise: NoiseModel, link: LinkingMaps = Li
     return functools.partial(evolve, circ, noise)
 
 
-def certify_combined_bound(
-    circ: Circuit, noise: NoiseModel, comp: OverallComputation
-) -> QccReport:
+def certify_combined_bound(circ: Circuit, noise: NoiseModel, comp: OverallComputation) -> QccReport:
     """Run the full certification for one computation under one noise model.
 
-    The input stack is evolved, uncopied, through the ideal circuit and
-    once through the noisy one.  Each input's record holds its ideal and actual
-    success and the trace distance between its two outputs; the report derives
-    p, alpha and the bound from them.  The bound holds by theorem; the first
+    The ideal outputs are U rho U+ with U = compile_ideal(circ), for basis
+    and mixed inputs alike; the input stack goes, uncopied, once through the
+    noisy circuit.  Each input's record holds its ideal and actual success
+    and the trace distance between its two outputs; the report derives p,
+    alpha and the bound from them.  The bound holds by theorem; the first
     input, in ``inputs`` order, whose failure exceeds p + alpha beyond the
     1e-9 slack raises TheoremViolationError instead of returning a report.
     """
     if circ.dim != comp.dim:
-        raise DimensionMismatchError(
-            f"circuit dim {circ.dim} does not match computation dim {comp.dim}"
-        )
-    ideal = evolve(circ, NoiseModel(kind="none"), comp.init)
-    _check_states(ideal)
+        raise DimensionMismatchError(f"circuit dim {circ.dim} does not match computation dim {comp.dim}")
+    u = compile_ideal(circ)
+    ideal = u @ comp.init @ u.conj().T
     actual = evolve(circ, noise, comp.init)
-    _check_states(actual)
+    inaccuracy = _distances(actual, ideal).tolist()
     ideal_probs = _readout(ideal, comp.povm)
     totals = ideal_probs.sum(axis=1)
     i = np.argmax(np.abs(totals - 1.0))
@@ -177,7 +179,6 @@ def certify_combined_bound(
     cells = (np.arange(len(want)), want)
     ideal_success = ideal_probs[cells].tolist()
     actual_success = _readout(actual, comp.povm)[cells].tolist()
-    inaccuracy = _trace_norms(actual - ideal).tolist()
     report = QccReport(map(InputRecord, comp.inputs, ideal_success, actual_success, inaccuracy))
     p, alpha = report.p, report.alpha
     for r in report.per_input:
@@ -191,16 +192,14 @@ def certify_combined_bound(
     return report
 
 
-def mix_error_state(
-    ideal_out: DensityMatrix, rho_err: DensityMatrix, eps_qc: float
-) -> DensityMatrix:
+def mix_error_state(ideal_out: DensityMatrix, rho_err: DensityMatrix, eps_qc: float) -> DensityMatrix:
     """Convex mixture (1 - eps) ideal + eps err modeling residual circuit error."""
     e = _check_unit_interval("eps_qc", eps_qc, lo_open=False, hi_open=False)
-    if ideal_out.dim != rho_err.dim:
-        raise DimensionMismatchError(
-            f"state dims differ: {ideal_out.dim} vs {rho_err.dim}"
-        )
-    return DensityMatrix((1.0 - e) * ideal_out.entries + e * rho_err.entries)
+    ideal = _entries(ideal_out, (DensityMatrix,), "ideal_out")
+    err = _entries(rho_err, (DensityMatrix,), "rho_err")
+    if len(ideal) != len(err):
+        raise DimensionMismatchError(f"state dims differ: {len(ideal)} vs {len(err)}")
+    return DensityMatrix((1.0 - e) * ideal + e * err)
 
 
 def mixing_inaccuracy_bound_check(
@@ -212,7 +211,7 @@ def mixing_inaccuracy_bound_check(
     and therefore never exceeds 2*eps.  holds is always true for valid
     states; a false value would mean broken numerics.
     """
-    mixture = mix_error_state(ideal_out, rho_err, eps_qc)
+    mixture = mix_error_state(ideal_out, rho_err, eps_qc)  # refuses a bad eps_qc
     measured = trace_norm(mixture.entries - ideal_out.entries)
-    bound = 2.0 * _check_unit_interval("eps_qc", eps_qc, lo_open=False, hi_open=False)
+    bound = 2.0 * float(eps_qc)
     return MixingCheck(measured=measured, bound=bound, holds=measured <= bound + BOUND_SLACK)

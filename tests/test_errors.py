@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from ftqc import channels, cli, densmat, errors, ftcalc, kitaev, qcc, vote
-from ftqc.channels import Circuit, Gate, NoiseModel, compile_ideal
-from ftqc.densmat import DensityMatrix, HermitianOperator, make_state
+from ftqc.channels import Circuit, Gate, NoiseModel, compile_ideal, evolve
+from ftqc.densmat import DensityMatrix, HermitianOperator, effect_probability, make_state
 from ftqc.errors import (
     BadBitstringError,
     BadProbabilityError,
@@ -53,9 +53,9 @@ NOISE = NoiseModel("depolarizing", 0.1)
 MATRIX_GATE = Gate(targets=(0,), matrix=np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
-def search(trials):
+def search(trials, seed=0):
     return alpha_random_search(
-        implemented_channel(CIRC, NOISE), compile_ideal(CIRC), LinkingMaps(), trials, 0
+        implemented_channel(CIRC, NOISE), compile_ideal(CIRC), LinkingMaps(), trials, seed
     )
 
 
@@ -84,6 +84,9 @@ BAD_CALLS = {
     "alpha_random_search trials past the digit limit": (DomainError, lambda: search(-HUGE)),
     "alpha_random_search trials a float": (DomainError, lambda: search(2.5)),
     "alpha_random_search trials a bool": (DomainError, lambda: search(True)),
+    "alpha_random_search seed a string": (DomainError, lambda: search(1, seed="x")),
+    "alpha_random_search seed a float": (DomainError, lambda: search(1, seed=1.9)),
+    "alpha_random_search seed a bool": (DomainError, lambda: search(1, seed=True)),
     "LinkingMaps ancilla_dim a bool": (DimensionMismatchError, lambda: LinkingMaps(True)),
     "Circuit num_qubits past the digit limit": (CircuitError, lambda: Circuit(num_qubits=HUGE)),
     "Circuit target past the digit limit": (
@@ -101,6 +104,15 @@ BAD_CALLS = {
         DimensionMismatchError, lambda: OverallComputation(5, ("0",), {}, {}, {})),
     "OverallComputation truth table not a mapping": (
         UnknownInputError, lambda: OverallComputation(("0",), ("0",), 5, {}, {})),
+    "Gate name unhashable": (CircuitError, lambda: Gate((0,), name=["X"])),
+    "basis_encoding label unhashable": (BadBitstringError, lambda: basis_encoding(1, [["0"]])),
+    "OverallComputation label unhashable": (
+        DimensionMismatchError, lambda: OverallComputation((["0"],), ("0",), {}, {}, {})),
+    "effect_probability state a raw array": (
+        DomainError, lambda: effect_probability(GROUND.entries, HermitianOperator(np.eye(2)))),
+    "effect_probability effect a raw array": (DomainError, lambda: effect_probability(GROUND, np.eye(2))),
+    "mix_error_state state a raw array": (DomainError, lambda: mix_error_state(GROUND.entries, EXCITED, 0.1)),
+    "evolve states a string": (DomainError, lambda: evolve(CIRC, NOISE, "ab")),
 }
 
 
@@ -131,6 +143,11 @@ def test_bad_argument_raises_its_error_class(error, call):
         (lambda: Gate((-1,), name="X"), "gate targets (-1,) out of range"),
         (lambda: Circuit(1, 5), "gates must be a sequence of Gate instances, got 5"),
         (lambda: basis_encoding(1, 5), "inputs must be a sequence of bitstrings, got 5"),
+        (lambda: search(1, seed="x"), "seed must be an integer, got 'x'"),
+        (lambda: effect_probability(GROUND, np.eye(2)),
+         "effect must be a HermitianOperator or DensityMatrix, got ndarray"),
+        (lambda: mix_error_state(GROUND, EXCITED.entries, 0.1), "rho_err must be a DensityMatrix, got ndarray"),
+        (lambda: OverallComputation((["0"],), ("0",), {}, {}, {}), "input/output labels must be hashable"),
     ],
 )
 def test_refusal_messages(call, message):

@@ -295,23 +295,54 @@ class TestCertify:
             assert checks == [1, 1]
 
     def test_evolves_the_computations_own_stack(self, monkeypatch):
+        # only the noisy circuit runs gate by gate, once, on comp.init
+        # itself; the ideal outputs come from one compiled unitary
         import ftqc.qcc
 
-        evolve = ftqc.qcc.evolve
-        seen = []
+        evolve, compile_ideal = ftqc.qcc.evolve, ftqc.qcc.compile_ideal
+        seen, compiled = [], []
 
         def recording_evolve(circ, noise, states):
-            seen.append(states)
+            seen.append((noise, states))
             return evolve(circ, noise, states)
 
+        def recording_compile_ideal(circ):
+            compiled.append(circ)
+            return compile_ideal(circ)
+
         monkeypatch.setattr(ftqc.qcc, "evolve", recording_evolve)
-        comp = identity_parity(2)
-        certify_combined_bound(
-            identity_circuit(2), NoiseModel(kind="depolarizing", strength=0.1), comp
-        )
-        assert len(seen) == 2
-        for states in seen:
-            assert np.shares_memory(states, comp.init)
+        monkeypatch.setattr(ftqc.qcc, "compile_ideal", recording_compile_ideal)
+        comp, circ = identity_parity(2), identity_circuit(2)
+        noise = NoiseModel(kind="depolarizing", strength=0.1)
+        certify_combined_bound(circ, noise, comp)
+        assert len(seen) == 1 and seen[0][0] is noise
+        assert np.shares_memory(seen[0][1], comp.init)
+        assert compiled == [circ]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_mixed_inputs_behind_matrix_gates(self, lam):
+        # Ginibre inputs through Haar gates on 1 to 3 targets: the ideal
+        # outputs U rho U+ of non-basis states, against the gate-by-gate oracle
+        rng = np.random.default_rng(2026)
+        n, labels = 3, ("a", "b", "c", "d", "e")
+        gates = []
+        for width in (1, 2, 3, 2, 1):
+            targets = tuple(int(q) for q in rng.choice(n, size=width, replace=False))
+            gates.append(Gate(targets=targets, matrix=helpers.haar_unitary(2 ** width, rng)))
+        circ = Circuit(num_qubits=n, gates=gates)
+        readout = basis_readout(n)
+        table = {x: format(int(rng.integers(0, 2 ** n)), f"0{n}b") for x in labels}
+        init = {x: helpers.ginibre_density(2 ** n, rng) for x in labels}
+        comp = OverallComputation(labels, tuple(readout), table, init, readout)
+        report = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=lam), comp)
+        for rec in report.per_input:
+            ideal = helpers.sequential_noisy_oracle(circ, 0.0, init[rec.x])
+            actual = helpers.sequential_noisy_oracle(circ, lam, init[rec.x])
+            effect = readout[table[rec.x]]
+            assert rec.ideal_success == pytest.approx(np.trace(effect @ ideal).real, abs=1e-12)
+            assert rec.actual_success == pytest.approx(np.trace(effect @ actual).real, abs=1e-12)
+            assert rec.inaccuracy_x == pytest.approx(helpers.svd_trace_norm(actual - ideal), abs=1e-12)
+        assert (report.alpha > 0.0) == (lam > 0.0)
 
     @pytest.mark.parametrize(
         "corrupt, error, message",
@@ -331,8 +362,7 @@ class TestCertify:
 
         def corrupted_evolve(circ, noise, states):
             out = evolve(circ, noise, states)
-            if noise.kind != "none":
-                corrupt(out[1])
+            corrupt(out[1])
             return out
 
         monkeypatch.setattr(ftqc.qcc, "evolve", corrupted_evolve)
@@ -416,6 +446,19 @@ class TestMixing:
         check = mixing_inaccuracy_bound_check(GROUND, plus, 0.2)
         assert check.holds is True
         assert check.measured < check.bound - 1e-6
+
+    def test_checks_epsilon_once(self, monkeypatch):
+        import ftqc.qcc
+
+        check, calls = ftqc.qcc._check_unit_interval, []
+
+        def counting_check(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(ftqc.qcc, "_check_unit_interval", counting_check)
+        assert mixing_inaccuracy_bound_check(GROUND, MIXED, 0.25).bound == 0.5
+        assert calls == [("eps_qc", 0.25)]
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(BadProbabilityError):

@@ -31,6 +31,7 @@ from .errors import (
     CircuitError,
     DimensionMismatchError,
     NotUnitaryError,
+    _check_type,
     _check_unit_interval,
     _shown,
 )
@@ -158,6 +159,8 @@ def evolve(circ: Circuit, noise: NoiseModel, states) -> np.ndarray:
     added onto the diagonal view of the target axes.  Returns the evolved
     stack as a raw array; callers validate what they read as states.
     """
+    _check_type(circ, (Circuit,), "circ")
+    _check_type(noise, (NoiseModel,), "noise")
     stack = _as_complex(states, "a stack")
     if stack.ndim != 3 or stack.shape[1:] != (circ.dim, circ.dim):
         raise DimensionMismatchError(
@@ -184,6 +187,7 @@ def evolve(circ: Circuit, noise: NoiseModel, states) -> np.ndarray:
 
 def compile_ideal(circ: Circuit) -> np.ndarray:
     """The noiseless circuit as one read-only d x d unitary on the register."""
+    _check_type(circ, (Circuit,), "circ")
     u = np.eye(circ.dim, dtype=complex).reshape((2,) * (2 * circ.num_qubits))
     for g in circ.gates:
         u = _act(u, g.unitary(), g.targets)

@@ -442,6 +442,9 @@ def main(argv=None) -> int:
     except FtqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # NumPy's message names the array that did not fit
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
     text = _emit_csv(header, rows) if cfg["format"] == "csv" else _emit_json(payload)
     path = cfg["output_path"]
     if path is None:

@@ -30,6 +30,7 @@ from .errors import (
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
+    _check_type,
     _is_index,
     _shown,
 )
@@ -173,10 +174,7 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
 
 def _entries(value, kinds: tuple, name: str) -> np.ndarray:
     """The matrix of a wrapper argument; DomainError naming `kinds` for anything else."""
-    if not isinstance(value, kinds):
-        wanted = " or ".join(k.__name__ for k in kinds)
-        raise DomainError(f"{name} must be a {wanted}, got {type(value).__name__}")
-    return value.entries
+    return _check_type(value, kinds, name).entries
 
 
 class HermitianOperator(_ReadOnly):

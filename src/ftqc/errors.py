@@ -15,8 +15,10 @@ each, loading no NumPy: ``_check_count`` (a Python or NumPy integer, not a
 bool, in ``[lo, cap]``, returned as an ``int``), ``_check_unit_interval``
 (a real number in the unit interval, returned as a ``float``), ``_as_float``
 (a real number as a ``float``, NaN for anything else), ``_is_index`` (whether
-a value is such an integer) and ``_shown`` (how a refusal prints a caller's
-value).  Each check raises the error class its caller names.
+a value is such an integer), ``_check_type`` (an instance of one of the
+package's types, refused with a ``DomainError`` naming them) and ``_shown``
+(how a refusal prints a caller's value).  Each check raises the error class
+its caller names.
 """
 
 import operator
@@ -145,6 +147,14 @@ def _check_count(value, name: str, lo: int | None, cap, error) -> int:
     if cap is not None and n > cap:
         raise error(f"{name} = {_shown(n)} exceeds the cap of {cap}")
     return n
+
+
+def _check_type(value, kinds: tuple, name: str):
+    """value, if an instance of one of `kinds`; DomainError naming them for anything else."""
+    if not isinstance(value, kinds):
+        wanted = " or ".join(k.__name__ for k in kinds)
+        raise DomainError(f"{name} must be a {wanted}, got {type(value).__name__}")
+    return value
 
 
 def _as_float(value) -> float:

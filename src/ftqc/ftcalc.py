@@ -35,6 +35,7 @@ from .errors import (
     InfeasibleError,
     _as_float,
     _check_count,
+    _check_type,
     _check_unit_interval,
     _shown,
 )
@@ -171,10 +172,10 @@ def _level_error(e0: float, eth: float, log_eth: float, levels: int) -> float:
 
 def _flushed_failure(log_val: float, gate_count: int) -> float:
     """The failure bound gate_count * eps_N of a level whose eps_N flushed
-    (log_val = log(eps_N) < _LOG_FLUSH), taken from the logarithms.  It is
-    capped at the failure of the smallest unflushed eps_N, so failure never
-    falls as eps0 grows across the flush."""
-    return min(1.0, gate_count * _FLUSH, math.exp(math.log(gate_count) + log_val))
+    (log_val = log(eps_N) < _LOG_FLUSH), from the logarithms, capped at the
+    failure of the smallest unflushed eps_N (so failure never falls as eps0
+    grows across the flush) but not at 1, as every budget is at most 0.5."""
+    return min(gate_count * _FLUSH, math.exp(math.log(gate_count) + log_val))
 
 
 def circuit_failure(eps_n: float, gate_count: int) -> float:
@@ -215,7 +216,7 @@ def required_levels(params: FtParams) -> PlanResult:
     circuit_failure(logical_gate_error(eps0, eps_th, N), gate_count)
     <= budget * (1 + FEASIBILITY_SLACK).
     """
-    budget = epsilon_budget(params.p_hat, params.p)
+    budget = epsilon_budget(_check_type(params, (FtParams,), "params").p_hat, params.p)
     n, eps_n, eps_qc = _min_level(params.eps0, params.eps_th, params.gate_count, budget, 0)
     return PlanResult(
         levels=n, eps_n=eps_n, eps_qc=eps_qc, budget=budget,
@@ -234,7 +235,7 @@ def _min_level(eps0: float, eps_th: float, gate_count: int, budget: float,
     for n in range(start, LEVEL_CAP + 1):
         eps_n = _level_error(eps0, eps_th, log_eth, n)
         if eps_n:
-            eps_qc = min(1.0, gate_count * eps_n)  # circuit_failure, inputs validated
+            eps_qc = gate_count * eps_n  # circuit_failure unclamped: above 1 it misses
         else:  # flushed, as eps0 and eps_th are positive
             eps_qc = _flushed_failure(log_eth + 2.0 ** n * (math.log(eps0) - log_eth), gate_count)
         if eps_qc <= limit:
@@ -315,11 +316,12 @@ def tradeoff_curve(
     threshold, or below its predecessor, searches from level 0.
 
     The test at the carried level is _level_error and circuit_failure
-    inlined, with 2**N taken only when the level moves, and the closed
-    form is one expression per point when the grid's ends show that
-    _closed_form_levels would take none of its special cases.  Both do the
-    same float operations in the same order as those functions, so every
-    row is identical, bit for bit, to a required_levels call at its point.
+    inlined, with 2**N taken only when the level moves and no clamp at 1,
+    which a failure that meets the budget (at most 0.5) never reaches.  The
+    same loop appends each row's closed form, one expression when the grid's
+    ends show that _closed_form_levels would take none of its special cases.
+    Both do the same float operations in the same order as those functions,
+    so every row is identical, bit for bit, to a required_levels call there.
     """
     lo = _check_unit_interval("eps0_min", eps0_min)
     hi = _check_unit_interval("eps0_max", eps0_max)
@@ -339,7 +341,9 @@ def tradeoff_curve(
     log_eth = math.log(eth)
     cf_num = _closed_form_numerator(eth, n_gates, budget)
     log, exp, n_float = math.log, math.exp, float(n_gates)
-    levels, eps_qcs = [], []
+    # log(eth / e0) falls as e0 grows: positive and finite at both ends, it is so at every point
+    inline_cf = cf_num > 0.0 and log(eth / max(grid)) > 0.0 and log(eth / min(grid)) < math.inf
+    levels, eps_qcs, closed = [], [], []
     level, scale, prev = 0, 1.0, 0.0
     for e0 in grid:
         if prev <= e0 < eth:
@@ -351,8 +355,6 @@ def tradeoff_curve(
                 eps_qc = _flushed_failure(log_val, n_gates)
             else:
                 eps_qc = n_float * exp(log_val)
-            if eps_qc > 1.0:
-                eps_qc = 1.0
             start = level + 1
         else:
             if not 0.0 < e0 < 1.0:
@@ -365,17 +367,11 @@ def tradeoff_curve(
             except AboveThresholdError:
                 levels.append(-1)
                 eps_qcs.append(math.nan)
+                closed.append(math.nan)
                 continue
             scale = 2.0 ** level
         levels.append(level)
         eps_qcs.append(eps_qc)
-    # log(eth / e0) falls as e0 grows, so when it is positive and finite at
-    # both ends of the grid, _closed_form_levels needs none of its tests
-    if cf_num > 0.0 and -1 not in levels and log(eth / max(grid)) > 0.0 and log(eth / min(grid)) < math.inf:
-        closed = [math.log2(cf_num / log(eth / e0)) for e0 in grid]
-    else:
-        closed = [
-            math.nan if n < 0 else _closed_form_levels(e0, eth, cf_num) for e0, n in zip(grid, levels)
-        ]
+        closed.append(math.log2(cf_num / log(eth / e0)) if inline_cf else _closed_form_levels(e0, eth, cf_num))
     # tuple.__new__ skips the named tuple's Python-level constructor
     return list(map(tuple.__new__, repeat(TradeoffPoint), zip(grid, levels, eps_qcs, closed)))

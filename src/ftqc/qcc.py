@@ -27,6 +27,7 @@ from .densmat import (
     DensityMatrix,
     _entries,
     _ReadOnly,
+    _as_square_matrix,
     _check_states,
     _readout,
     _trace_norms,
@@ -38,6 +39,7 @@ from .errors import (
     DomainError,
     TheoremViolationError,
     _check_count,
+    _check_type,
     _check_unit_interval,
 )
 from .kitaev import OverallComputation
@@ -129,6 +131,9 @@ def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: 
     so serial and parallel evaluation orders agree.
     """
     trials = _check_trials(trials)
+    if not callable(P):
+        raise DomainError(f"P must be callable, got {type(P).__name__}")
+    G = _as_square_matrix(G)
     dim = G.shape[0]
     key_hi = _check_count(seed, "seed", None, None, DomainError) % (2 ** 64)
     worst = 0.0
@@ -163,7 +168,8 @@ def certify_combined_bound(circ: Circuit, noise: NoiseModel, comp: OverallComput
     input, in ``inputs`` order, whose failure exceeds p + alpha beyond the
     1e-9 slack raises TheoremViolationError instead of returning a report.
     """
-    if circ.dim != comp.dim:
+    _check_type(comp, (OverallComputation,), "comp")
+    if _check_type(circ, (Circuit,), "circ").dim != comp.dim:
         raise DimensionMismatchError(f"circuit dim {circ.dim} does not match computation dim {comp.dim}")
     u = compile_ideal(circ)
     ideal = u @ comp.init @ u.conj().T

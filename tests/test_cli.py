@@ -313,22 +313,37 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: trials = 1000000000 exceeds the cap of 100000\n"
 
-    def test_eight_qubit_search_exits_zero(self, tmp_path):
-        # the search on the widest register runs within a 2 GB address space
-        cfg = write_cfg(tmp_path, ladder_verify_cfg(8, random_search_trials=16))
+    @staticmethod
+    def verify_within(cfg, gib):
+        """verify on cfg in a fresh interpreter whose address space is capped at gib GiB."""
         code = f"""
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
-sys.path.insert(0, {str(ROOT / "src")!r})
+resource.setrlimit(resource.RLIMIT_AS, ({gib} * 1024 ** 3, {gib} * 1024 ** 3))
+sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
 from ftqc import cli
 sys.exit(cli.main(["verify", "--config", {cfg!r}]))
 """
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
         )
+
+    def test_eight_qubit_search_exits_zero(self, tmp_path):
+        # the search on the widest register runs within a 2 GB address space
+        done = self.verify_within(write_cfg(tmp_path, ladder_verify_cfg(8, random_search_trials=16)), 2)
         assert (done.returncode, done.stderr) == (0, "")
         assert 0.0 < json.loads(done.stdout)["alpha_random_search"] <= 2.0
+
+    def test_out_of_memory_exits_one_with_a_message(self, tmp_path):
+        # all 256 basis inputs of the widest register do not fit in 1 GB;
+        # NumPy's MemoryError names the array, and the CLI prints that line
+        labels = [format(i, "08b") for i in range(256)]
+        cfg = ladder_verify_cfg(8)
+        cfg["computation"].update(inputs=labels, truth_table=dict(zip(labels, labels)))
+        done = self.verify_within(write_cfg(tmp_path, cfg), 1)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
     def test_seed_flag_beats_config_and_env(self, tmp_path, capsys, monkeypatch):
         cfg = dict(VERIFY_CFG, random_search_trials=5, seed=1)

@@ -113,6 +113,18 @@ BAD_CALLS = {
     "effect_probability effect a raw array": (DomainError, lambda: effect_probability(GROUND, np.eye(2))),
     "mix_error_state state a raw array": (DomainError, lambda: mix_error_state(GROUND.entries, EXCITED, 0.1)),
     "evolve states a string": (DomainError, lambda: evolve(CIRC, NOISE, "ab")),
+    "compile_ideal circuit None": (DomainError, lambda: compile_ideal(None)),
+    "evolve circuit a string": (DomainError, lambda: evolve("c", NOISE, GROUND.entries[np.newaxis])),
+    "evolve noise a string": (DomainError, lambda: evolve(CIRC, "none", GROUND.entries[np.newaxis])),
+    "certify_combined_bound computation a string": (
+        DomainError, lambda: certify_combined_bound(CIRC, NOISE, "comp")),
+    "certify_combined_bound noise a float": (
+        DomainError, lambda: certify_combined_bound(CIRC, 0.1, computation_of(GROUND.entries))),
+    "required_levels params a dict": (DomainError, lambda: required_levels({"eps0": 1e-10})),
+    "alpha_random_search G not square": (DimensionMismatchError, lambda: alpha_random_search(
+        implemented_channel(CIRC, NOISE), [[1, 0]], LinkingMaps(), 3, 0)),
+    "alpha_random_search P not callable": (DomainError, lambda: alpha_random_search(
+        "P", compile_ideal(CIRC), LinkingMaps(), 3, 0)),
 }
 
 
@@ -148,6 +160,12 @@ def test_bad_argument_raises_its_error_class(error, call):
          "effect must be a HermitianOperator or DensityMatrix, got ndarray"),
         (lambda: mix_error_state(GROUND, EXCITED.entries, 0.1), "rho_err must be a DensityMatrix, got ndarray"),
         (lambda: OverallComputation((["0"],), ("0",), {}, {}, {}), "input/output labels must be hashable"),
+        (lambda: compile_ideal(None), "circ must be a Circuit, got NoneType"),
+        (lambda: certify_combined_bound(CIRC, 0.1, computation_of(GROUND.entries)),
+         "noise must be a NoiseModel, got float"),
+        (lambda: required_levels({"eps0": 1e-10}), "params must be a FtParams, got dict"),
+        (lambda: alpha_random_search(None, compile_ideal(CIRC), LinkingMaps(), 3, 0),
+         "P must be callable, got NoneType"),
     ],
 )
 def test_refusal_messages(call, message):
@@ -264,8 +282,14 @@ def test_values_hold_copies_of_the_callers_arrays():
         assert not any(np.shares_memory(given, h) for h in held)
 
 
+def test_search_reads_the_ideal_unitary_as_a_matrix():
+    P = implemented_channel(CIRC, NOISE)
+    u = compile_ideal(CIRC)
+    assert alpha_random_search(P, u.tolist(), LinkingMaps(), 3, 0) == alpha_random_search(P, u, LinkingMaps(), 3, 0)
+
+
 def test_each_rule_has_one_definition():
-    shared = ("_shown", "_is_index", "_as_float", "_check_unit_interval", "_check_count")
+    shared = ("_shown", "_is_index", "_as_float", "_check_unit_interval", "_check_count", "_check_type")
     for module in (channels, cli, densmat, ftcalc, kitaev, qcc, vote):
         for name in shared:
             assert getattr(module, name, None) in (None, getattr(errors, name)), (module, name)

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Runs the installed `ftqc` console script on every demo config and stops at
-# the first command that fails.  Run it from the repository root:
+# Runs the installed `ftqc` console script on every demo config and on two
+# expected refusals, and stops at the first command whose exit code is not
+# the expected one.  Run it from the repository root:
 #
 #     sh demo/run_all.sh
 set -eu
@@ -32,3 +33,19 @@ cat > "$tmp/verify_noiseless.json" <<'JSON'
  "random_search_trials": 16}
 JSON
 ftqc verify --config "$tmp/verify_noiseless.json"
+
+# expected refusals: the console script passes main's exit code through
+expect() {
+    want=$1
+    shift
+    code=0
+    "$@" || code=$?
+    if [ "$code" -ne "$want" ]; then
+        echo "run_all.sh: '$*' exited $code, expected $want" >&2
+        exit 1
+    fi
+}
+echo '{"p_prime": 0.15, "k": 4}' > "$tmp/vote_even.json"
+expect 1 ftqc vote --config "$tmp/vote_even.json"
+echo '{"p_prime": 0.15, "k": 3, "repetitions": 3}' > "$tmp/vote_unknown_key.json"
+expect 2 ftqc vote --config "$tmp/vote_unknown_key.json"

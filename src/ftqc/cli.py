@@ -1,9 +1,10 @@
 """Command-line front end: config ingestion, dispatch, deterministic emission.
 
-Exit codes: 0 success, 1 infeasible or domain error, 2 config error,
-3 internal theorem violation.  Numbers are emitted with 12 significant
-digits so repeated runs produce byte-identical files.  JSON renders
-non-finite floats as null; CSV prints them as inf/-inf/nan.
+Exit codes: 0 success, 1 infeasible or domain error, or a report that
+could not be written to stdout, 2 config error, 3 internal theorem
+violation.  Numbers are emitted with 12 significant digits so repeated
+runs produce byte-identical files.  JSON renders non-finite floats as
+null; CSV prints them as inf/-inf/nan.
 
 Every JSON object of a config is read once, here, through its own key
 table: a key outside the table, a missing required key and a value of the
@@ -13,6 +14,7 @@ wrong JSON type are config errors, and null reads as an absent key.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -448,7 +450,12 @@ def main(argv=None) -> int:
     text = _emit_csv(header, rows) if cfg["format"] == "csv" else _emit_json(payload)
     path = cfg["output_path"]
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a full device, a reader that closed the pipe
+            print(f"error: cannot write the report to stdout: {exc.strerror}", file=sys.stderr)
+            return 1
         return 0
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -459,5 +466,26 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry of `ftqc` and `python -m ftqc.cli`: exits with main's code.
+
+    Whatever main could not write to stdout is dropped by pointing the
+    descriptor at the null device, so the interpreter's exit-time flush does
+    not report it a second time.  Freezing every live object, also on
+    argparse's own exit, leaves the collections at interpreter shutdown
+    nothing to traverse; the operating system reclaims the memory anyway.
+    """
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when descriptor 1 was closed at start-up
+            try:
+                sys.stdout.flush()
+            except OSError:  # main has reported it
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(code)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,9 @@
 import argparse
+import errno
+import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +17,8 @@ from ftqc.errors import TheoremViolationError
 from ftqc.ftcalc import TradeoffPoint
 
 ROOT = Path(__file__).resolve().parents[1]
+# the directory the tests import ftqc from: src/, or site-packages once installed
+PACKAGE_DIR = str(Path(cli.__file__).parents[1])
 
 PLAN_CFG = {"eps0": 1e-10, "eps_th": 1e-9, "gate_count": 10 ** 12, "p": 0.2, "p_hat": 0.4}
 
@@ -752,19 +757,127 @@ sys.exit(ftqc.cli.main({key.split()!r}))
         assert (done.returncode, done.stdout.decode()) == (want["exit"], want["stdout"]), done.stderr.decode()
 
 
-def test_recorded_outputs_replay_byte_identical(tmp_path, capsys, monkeypatch):
-    # every argv of perfbench/cli_golden.json, run from a copy of demo/ and
-    # of the vote configs the benchmark writes under .perfbench_out/cli/
+def golden_workdir(tmp_path) -> dict:
+    """perfbench/cli_golden.json, with tmp_path holding a copy of demo/ and
+    the vote configs the benchmark writes under .perfbench_out/cli/."""
     golden = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text())
     assert len(golden) == 35
     shutil.copytree(ROOT / "demo", tmp_path / "demo")
-    monkeypatch.chdir(tmp_path)
-    for key, want in golden.items():
+    for key in golden:
         argv = key.split()
         config = Path(argv[argv.index("--config") + 1])
         if config.parts[0] == ".perfbench_out":
+            config = tmp_path / config
             config.parent.mkdir(parents=True, exist_ok=True)
             k = int(config.stem.removeprefix("vote_k"))
             config.write_text(json.dumps({"p_prime": 0.15, "k": k}))
-        code, out, _ = run_cli(capsys, argv)
+    return golden
+
+
+def test_recorded_outputs_replay_byte_identical(tmp_path, capsys, monkeypatch):
+    golden = golden_workdir(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for key, want in golden.items():
+        code, out, _ = run_cli(capsys, key.split())
         assert (code, out.encode()) == (want["exit"], want["stdout"].encode()), key
+
+
+def run_entry(argv, *, env=None, **kwargs):
+    """`python -m ftqc.cli argv` in a fresh interpreter; output captured
+    unless kwargs redirect it."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=PACKAGE_DIR)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "cwd": ROOT, **kwargs}
+    return subprocess.run([sys.executable, "-m", "ftqc.cli", *argv], env=env, timeout=120, **kwargs)
+
+
+def stdout_env(buffered: bool) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+
+def unwritable_stdout_error(code: int) -> str:
+    return f"error: cannot write the report to stdout: {os.strerror(code)}\n"
+
+
+class TestEntry:
+    """cli.run, the process entry of the `ftqc` console script and of
+    `python -m ftqc.cli`."""
+
+    def test_console_script_and_main_block_call_the_same_entry(self):
+        # a regex, since Python 3.10 has no tomllib
+        script = re.search(r'^ftqc = "ftqc\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+        block = re.search(r'^if __name__ == "__main__":\n    (\w+)\(\)$', Path(cli.__file__).read_text(), re.M)
+        assert script and block
+        assert script[1] == block[1] == "run"
+
+    def test_main_freezes_nothing(self, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, ["plan", "--config", write_cfg(tmp_path, PLAN_CFG)])
+        assert code == 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [(["plan", "--config", "demo/plan.json", "--eps0", "1e-10"], 0), (["plan", "--frobnicate"], 2)],
+        ids=["report", "bad_flag"],
+    )
+    def test_freezes_before_exit_and_keeps_atexit_handlers(self, argv, want):
+        code = f"""
+import atexit, gc, sys
+sys.path.insert(0, {PACKAGE_DIR!r})
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv[1:] = {argv!r}
+from ftqc import cli
+cli.run()
+"""
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT, timeout=60)
+        assert done.returncode == want
+        assert done.stderr.endswith("frozen True\n")
+
+    def test_recorded_outputs_replay_in_fresh_processes(self, tmp_path):
+        # the in-process replay above never reaches a real process's final flush
+        for key, want in golden_workdir(tmp_path).items():
+            done = run_entry(key.split(), cwd=tmp_path)
+            assert (done.returncode, done.stdout) == (want["exit"], want["stdout"].encode()), key
+
+    def test_bad_flag_exits_two_with_usage(self):
+        done = run_entry(["plan", "--frobnicate"], text=True)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: ftqc ")
+        assert done.stderr.endswith("\nftqc: error: unrecognized arguments: --frobnicate\n")
+
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path):
+        key = "plan --config demo/plan.json --eps0 1e-10"
+        want = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text())[key]
+        done = run_entry([*key.split(), "--out", str(tmp_path / "report.json")])
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert (tmp_path / "report.json").read_bytes() == want["stdout"].encode()
+
+    def test_out_file_needs_no_stdout(self, tmp_path):
+        # descriptor 1 closed: Python starts with sys.stdout None
+        argv = [sys.executable, "-m", "ftqc.cli", "plan", "--config", "demo/plan.json",
+                "--out", str(tmp_path / "report.json")]
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], capture_output=True, cwd=ROOT,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_DIR), timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert (tmp_path / "report.json").is_file()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_full_device_exits_one_with_one_line(self, buffered):
+        with open("/dev/full", "w") as full:
+            done = run_entry(["plan", "--config", "demo/plan.json"], env=stdout_env(buffered), stdout=full, text=True)
+        assert (done.returncode, done.stderr) == (1, unwritable_stdout_error(errno.ENOSPC))
+
+    def test_reader_that_closes_the_pipe_early_gets_one_line(self, tmp_path):
+        # 10^5 rows are megabytes, far more than a pipe holds
+        cfg = write_cfg(tmp_path, dict(TestTradeoff.CFG, points=10 ** 5))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ftqc.cli", "tradeoff", "--config", cfg],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(stdout_env(True), PYTHONPATH=PACKAGE_DIR),
+        )
+        assert proc.stdout.read(100).startswith("eps0,levels,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, unwritable_stdout_error(errno.EPIPE))

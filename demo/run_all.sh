@@ -1,7 +1,8 @@
 #!/bin/sh
-# Runs the installed `ftqc` console script on every demo config and on two
-# expected refusals, and stops at the first command whose exit code is not
-# the expected one.  Run it from the repository root:
+# Runs the installed `ftqc` console script on every demo config, on a vote
+# search past 63 repetitions and on three expected refusals, and stops at the
+# first command whose exit code (or search answer) is not the expected one.
+# Run it from the repository root:
 #
 #     sh demo/run_all.sh
 set -eu
@@ -34,6 +35,15 @@ cat > "$tmp/verify_noiseless.json" <<'JSON'
 JSON
 ftqc verify --config "$tmp/verify_noiseless.json"
 
+# a search past 63 repetitions, which starts at its Cornish-Fisher estimate
+echo '{"p_prime": 0.485, "target": 0.99}' > "$tmp/vote_search.json"
+ftqc vote --config "$tmp/vote_search.json" > "$tmp/vote_search.out"
+cat "$tmp/vote_search.out"
+if ! grep -q '"repetitions": 6011' "$tmp/vote_search.out"; then
+    echo "run_all.sh: the vote search did not answer 6011 repetitions" >&2
+    exit 1
+fi
+
 # expected refusals: the console script passes main's exit code through
 expect() {
     want=$1
@@ -49,3 +59,5 @@ echo '{"p_prime": 0.15, "k": 4}' > "$tmp/vote_even.json"
 expect 1 ftqc vote --config "$tmp/vote_even.json"
 echo '{"p_prime": 0.15, "k": 3, "repetitions": 3}' > "$tmp/vote_unknown_key.json"
 expect 2 ftqc vote --config "$tmp/vote_unknown_key.json"
+echo '{"p_prime": 0.4996, "target": 0.97}' > "$tmp/vote_cap.json"
+expect 1 ftqc vote --config "$tmp/vote_cap.json"

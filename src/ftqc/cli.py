@@ -14,6 +14,7 @@ wrong JSON type are config errors, and null reads as an absent key.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import math
@@ -450,9 +451,21 @@ def main(argv=None) -> int:
     text = _emit_csv(header, rows) if cfg["format"] == "csv" else _emit_json(payload)
     path = cfg["output_path"]
     if path is None:
+        out = sys.stdout
         try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            if out is None:  # descriptor 1 was closed at start-up
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sink = getattr(out, "buffer", None)
+            if sink is None:  # a text-only stream such as io.StringIO
+                out.write(text)
+            else:
+                # bytes until every one is taken: unbuffered, the buffer is a
+                # raw FileIO, whose short writes the text layer ignores
+                data = memoryview(text.encode(out.encoding, out.errors))
+                out.flush()
+                while data:
+                    data = data[sink.write(data):]
+            out.flush()
         except OSError as exc:  # a full device, a reader that closed the pipe
             print(f"error: cannot write the report to stdout: {exc.strerror}", file=sys.stderr)
             return 1

@@ -475,6 +475,14 @@ class TestVote:
         assert out.splitlines()[0] == "per_run_failure,repetitions,success_probability"
         assert out.splitlines()[1] == "0.15,3,0.93925"
 
+    def test_search_past_the_exact_path_keeps_its_bytes(self, tmp_path, capsys):
+        # the answer lies above k = 63, where the search leaves the doubling
+        code, out, _ = run_cli(
+            capsys, ["vote", "--config", write_cfg(tmp_path, {"p_prime": 0.485, "target": 0.99})]
+        )
+        assert (code, out) == (0, '{\n  "per_run_failure": 0.485,\n  "repetitions": 6011,\n'
+                                  '  "success_probability": 0.99000510683,\n  "target": 0.99\n}\n')
+
     def test_half_or_worse_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -861,6 +869,13 @@ cli.run()
         assert (done.returncode, done.stderr) == (0, b"")
         assert (tmp_path / "report.json").is_file()
 
+    def test_closed_stdout_exits_one_with_one_line(self):
+        # descriptor 1 closed and no --out: the report has nowhere to go
+        argv = [sys.executable, "-m", "ftqc.cli", "plan", "--config", "demo/plan.json"]
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], capture_output=True, cwd=ROOT,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_DIR), text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (1, unwritable_stdout_error(errno.EBADF))
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     def test_full_device_exits_one_with_one_line(self, buffered):
@@ -868,13 +883,15 @@ cli.run()
             done = run_entry(["plan", "--config", "demo/plan.json"], env=stdout_env(buffered), stdout=full, text=True)
         assert (done.returncode, done.stderr) == (1, unwritable_stdout_error(errno.ENOSPC))
 
-    def test_reader_that_closes_the_pipe_early_gets_one_line(self, tmp_path):
-        # 10^5 rows are megabytes, far more than a pipe holds
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_reader_that_closes_the_pipe_early_gets_one_line(self, tmp_path, buffered):
+        # 10^5 rows are megabytes, far more than a pipe holds; unbuffered, a
+        # short write to the pipe must not drop the rest of the report unseen
         cfg = write_cfg(tmp_path, dict(TestTradeoff.CFG, points=10 ** 5))
         proc = subprocess.Popen(
             [sys.executable, "-m", "ftqc.cli", "tradeoff", "--config", cfg],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=dict(stdout_env(True), PYTHONPATH=PACKAGE_DIR),
+            env=dict(stdout_env(buffered), PYTHONPATH=PACKAGE_DIR),
         )
         assert proc.stdout.read(100).startswith("eps0,levels,")
         proc.stdout.close()

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Runs the installed `ftqc` console script on every demo config, on a vote
 # search past 63 repetitions and on three expected refusals, and stops at the
-# first command whose exit code (or search answer) is not the expected one.
+# first command whose exit code (or search answer, or repetition-code bound)
+# is not the expected one.
 # Run it from the repository root:
 #
 #     sh demo/run_all.sh
@@ -41,6 +42,15 @@ ftqc vote --config "$tmp/vote_search.json" > "$tmp/vote_search.out"
 cat "$tmp/vote_search.out"
 if ! grep -q '"repetitions": 6011' "$tmp/vote_search.out"; then
     echo "run_all.sh: the vote search did not answer 6011 repetitions" >&2
+    exit 1
+fi
+
+# a 3-qubit repetition code read out by majority vote: the combined bound
+# must hold, though alpha bounds the state and not the decoded result
+ftqc verify --config demo/repetition.json > "$tmp/repetition.out"
+cat "$tmp/repetition.out"
+if ! grep -q '"bound_holds": true' "$tmp/repetition.out"; then
+    echo "run_all.sh: the repetition-code report does not hold its bound" >&2
     exit 1
 fi
 

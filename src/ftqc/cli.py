@@ -1,10 +1,12 @@
 """Command-line front end: config ingestion, dispatch, deterministic emission.
 
-Exit codes: 0 success, 1 infeasible or domain error, or a report that
-could not be written to stdout, 2 config error, 3 internal theorem
-violation.  Numbers are emitted with 12 significant digits so repeated
-runs produce byte-identical files.  JSON renders non-finite floats as
-null; CSV prints them as inf/-inf/nan.
+Exit codes: 0 success, 1 infeasible or domain error, out of memory, or a
+report that could not be written to stdout, 2 config error, 3 internal
+theorem violation; main alone picks them, with one stderr line each.  The
+report goes as bytes straight to stdout's descriptor (or to --out).
+Numbers are emitted with 12 significant digits so repeated runs produce
+byte-identical files.  JSON renders non-finite floats as null; CSV prints
+them as inf/-inf/nan.
 
 Every JSON object of a config is read once, here, through its own key
 table: a key outside the table, a missing required key and a value of the
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import io
 import json
 import math
 import os
@@ -431,11 +434,41 @@ def _assemble(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _write_stdout(text: str) -> None:
+    """text to stdout's descriptor as bytes, until every one is taken; a
+    stream with no descriptor (io.StringIO, pytest's capsys) gets write(text)."""
+    out = sys.stdout
+    try:
+        if out is None:  # descriptor 1 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        try:
+            fd = out.fileno()
+        except (AttributeError, io.UnsupportedOperation):
+            out.write(text)
+            return
+        data = memoryview(text.encode(out.encoding, out.errors))
+        out.flush()  # whatever was printed before the report goes first
+        while data:
+            data = data[os.write(fd, data):]
+    except OSError as exc:  # a full device, a reader that closed the pipe
+        raise FtqcError(f"cannot write the report to stdout: {exc.strerror}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _assemble(args)
         payload, header, rows = _COMMANDS[args.command].run(cfg)
+        text = _emit_csv(header, rows) if cfg["format"] == "csv" else _emit_json(payload)
+        path = cfg["output_path"]
+        if path is None:
+            _write_stdout(text)
+        else:
+            try:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path!r}: {exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -448,54 +481,19 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # NumPy's message names the array that did not fit
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
-    text = _emit_csv(header, rows) if cfg["format"] == "csv" else _emit_json(payload)
-    path = cfg["output_path"]
-    if path is None:
-        out = sys.stdout
-        try:
-            if out is None:  # descriptor 1 was closed at start-up
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sink = getattr(out, "buffer", None)
-            if sink is None:  # a text-only stream such as io.StringIO
-                out.write(text)
-            else:
-                # bytes until every one is taken: unbuffered, the buffer is a
-                # raw FileIO, whose short writes the text layer ignores
-                data = memoryview(text.encode(out.encoding, out.errors))
-                out.flush()
-                while data:
-                    data = data[sink.write(data):]
-            out.flush()
-        except OSError as exc:  # a full device, a reader that closed the pipe
-            print(f"error: cannot write the report to stdout: {exc.strerror}", file=sys.stderr)
-            return 1
-        return 0
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"config error: cannot write {path!r}: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 
 def run() -> None:
     """The process entry of `ftqc` and `python -m ftqc.cli`: exits with main's code.
 
-    Whatever main could not write to stdout is dropped by pointing the
-    descriptor at the null device, so the interpreter's exit-time flush does
-    not report it a second time.  Freezing every live object, also on
-    argparse's own exit, leaves the collections at interpreter shutdown
-    nothing to traverse; the operating system reclaims the memory anyway.
+    main leaves no report bytes in a Python buffer, so the exit-time flush
+    has none to fail on.  Freezing every live object, also on argparse's own
+    exit, leaves the collections at interpreter shutdown nothing to traverse;
+    the operating system reclaims the memory anyway.
     """
     try:
-        code = main()
-        if sys.stdout is not None:  # None when descriptor 1 was closed at start-up
-            try:
-                sys.stdout.flush()
-            except OSError:  # main has reported it
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(code)
+        sys.exit(main())
     finally:
         gc.freeze()
 

@@ -94,6 +94,19 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def main_within(argv, limit):
+    """cli.main(argv) in a fresh interpreter whose address space is capped at limit bytes."""
+    code = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+sys.path.insert(0, {PACKAGE_DIR!r})
+from ftqc import cli
+sys.exit(cli.main({argv!r}))
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+
+
 class TestPlan:
     def test_golden_json(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, ["plan", "--config", write_cfg(tmp_path, PLAN_CFG)])
@@ -262,6 +275,14 @@ class TestTradeoff:
         assert out == ""
         assert err == "error: points = 1000000000000000 exceeds the cap of 100000\n"
 
+    def test_out_of_memory_while_emitting_exits_one_with_a_message(self, tmp_path):
+        # 10^5 rows fit in 100 MB, but their JSON report does not
+        cfg = write_cfg(tmp_path, dict(self.CFG, points=10 ** 5))
+        done = main_within(["tradeoff", "--config", cfg, "--format", "json"], 100 * 1024 ** 2)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
 
 class TestVerify:
     def test_golden_csv(self, tmp_path, capsys):
@@ -321,17 +342,7 @@ class TestVerify:
     @staticmethod
     def verify_within(cfg, gib):
         """verify on cfg in a fresh interpreter whose address space is capped at gib GiB."""
-        code = f"""
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, ({gib} * 1024 ** 3, {gib} * 1024 ** 3))
-sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
-from ftqc import cli
-sys.exit(cli.main(["verify", "--config", {cfg!r}]))
-"""
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        return subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
-        )
+        return main_within(["verify", "--config", cfg], gib * 1024 ** 3)
 
     def test_eight_qubit_search_exits_zero(self, tmp_path):
         # the search on the widest register runs within a 2 GB address space
@@ -788,6 +799,23 @@ def test_recorded_outputs_replay_byte_identical(tmp_path, capsys, monkeypatch):
     for key, want in golden.items():
         code, out, _ = run_cli(capsys, key.split())
         assert (code, out.encode()) == (want["exit"], want["stdout"].encode()), key
+
+
+def test_stdout_with_only_write_gets_the_report(monkeypatch):
+    # no fileno and no buffer: the report goes through write(text)
+    class WriteOnly:
+        def __init__(self):
+            self.parts = []
+
+        def write(self, text):
+            self.parts.append(text)
+
+    key = "plan --config demo/plan.json --eps0 1e-10"
+    want = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text())[key]
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "stdout", WriteOnly())
+    assert cli.main(key.split()) == want["exit"]
+    assert "".join(sys.stdout.parts).encode() == want["stdout"].encode()
 
 
 def run_entry(argv, *, env=None, **kwargs):

@@ -20,6 +20,7 @@ from ftqc import (
     compile_ideal,
     evolve,
     implemented_channel,
+    logical_gate_error,
     make_state,
     mix_error_state,
     mixing_inaccuracy_bound_check,
@@ -424,6 +425,37 @@ class TestCertify:
         d = report.to_dict()
         assert list(d) == ["per_input", "alpha", "p", "bound_holds", "worst_margin"]
         assert list(d["per_input"][0]) == ["x", "ideal_success", "actual_success", "inaccuracy_x"]
+
+
+class TestRepetitionCode:
+    """A 3-qubit bit-flip code read out by majority vote: the final result
+    fails far less often than the final state differs from the ideal one."""
+
+    @staticmethod
+    def majority_vote():
+        weight = np.array([bin(b).count("1") for b in range(8)])
+        effects = {"0": np.diag((weight <= 1).astype(float)), "1": np.diag((weight >= 2).astype(float))}
+        return OverallComputation(
+            inputs=("000", "111"),
+            outputs=("0", "1"),
+            truth_table={"000": "0", "111": "1"},
+            init=basis_encoding(3, ["000", "111"]),
+            povm=effects,
+        )
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.6, 1.0])
+    def test_decoded_failure_and_alpha_match_their_closed_forms(self, s):
+        # depolarizing s on one I gate per qubit flips each qubit with q = s/2
+        circ = Circuit(num_qubits=3, gates=[Gate(name="I", targets=(k,)) for k in range(3)])
+        report = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=s), self.majority_vote())
+        q = s / 2
+        failure = 3 * q ** 2 - 2 * q ** 3  # two or three of the three bits flipped
+        assert report.p == pytest.approx(0.0, abs=1e-12)
+        assert report.alpha == pytest.approx(2 * (1 - (1 - q) ** 3), abs=1e-12)
+        for rec in report.per_input:
+            assert 1.0 - rec.actual_success == pytest.approx(failure, abs=1e-12)
+        # the planner's level-1 law lies on the safe side of this code
+        assert logical_gate_error(q, 1 / 3, 1) >= failure - 1e-12
 
 
 class TestMixing:

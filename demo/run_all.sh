@@ -1,6 +1,6 @@
 #!/bin/sh
 # Runs the installed `ftqc` console script on every demo config, on a vote
-# search past 63 repetitions and on three expected refusals, and stops at the
+# search past 63 repetitions and on four expected refusals, and stops at the
 # first command whose exit code (or search answer, or repetition-code bound)
 # is not the expected one.
 # Run it from the repository root:
@@ -71,3 +71,12 @@ echo '{"p_prime": 0.15, "k": 3, "repetitions": 3}' > "$tmp/vote_unknown_key.json
 expect 2 ftqc vote --config "$tmp/vote_unknown_key.json"
 echo '{"p_prime": 0.4996, "target": 0.97}' > "$tmp/vote_cap.json"
 expect 1 ftqc vote --config "$tmp/vote_cap.json"
+# a mistyped key beside an unknown gate: the whole config is read before
+# anything is built, so the config error (exit 2) is the one reported
+cat > "$tmp/verify_mixed_faults.json" <<'JSON'
+{"circuit": {"num_qubits": 2, "gates": [{"name": "HH", "targets": [0]}]},
+ "computation": "demo/bell_parity_computation.json",
+ "noise": {"kind": "depolarizing", "strength": 0.1},
+ "random_search_trials": "many"}
+JSON
+expect 2 ftqc verify --config "$tmp/verify_mixed_faults.json"

@@ -10,7 +10,9 @@ them as inf/-inf/nan.
 
 Every JSON object of a config is read once, here, through its own key
 table: a key outside the table, a missing required key and a value of the
-wrong JSON type are config errors, and null reads as an absent key.
+wrong JSON type are config errors, and null reads as an absent key.  The
+readers only decode; a command builds its library objects from the whole
+decoded config, so a config error (exit 2) comes before any range check.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .errors import ConfigError, FtqcError, TheoremViolationError, _check_unit_i
 # A table maps each key of one JSON object to (reader, required).  A reader
 # takes a present, non-null value and its dotted path, and returns the value
 # decoded or raises ConfigError.  Range checks are left to the library
-# (exit 1); the circuit and computation readers build their library
-# objects, so those checks run as each is read.
+# (exit 1), which runs only once the whole config is read.
 
 _q = json.dumps  # a key, path or label in a message: double-quoted, on one line
 
@@ -163,20 +164,15 @@ def _section(v) -> dict:
     return _load_json_file(v) if isinstance(v, str) else v
 
 
-def _gate(v, name: str):
-    from .channels import Gate
-
+def _gate(v, name: str) -> dict:
     gate = _read(v, _GATE, name)
     if (gate["name"] is None) == (gate["matrix"] is None):
         raise ConfigError(f'{_q(name)} needs exactly one of "name" or "matrix"')
-    return Gate(**gate)
+    return gate
 
 
-def _circuit(v, name: str):
-    from .channels import Circuit
-
-    circ = _read(_section(v), _CIRCUIT, name)
-    return Circuit(circ["num_qubits"], circ["gates"] or ())
+def _circuit(v, name: str) -> dict:
+    return _read(_section(v), _CIRCUIT, name)
 
 
 def _povm(v, name: str):
@@ -187,24 +183,13 @@ def _povm(v, name: str):
     return _map(_matrix)(v, name)
 
 
-def _computation(v, name: str):
-    from .kitaev import OverallComputation, basis_encoding, basis_readout
-
-    comp = _read(_section(v), _COMPUTATION, name)
-    inputs, povm = comp["inputs"], comp["povm"]
-    num_qubits = len(inputs[0])  # the register size is the labels' common length
-    init = basis_encoding(num_qubits, inputs)
-    if povm == "computational_basis":
-        povm = basis_readout(num_qubits)
-    return OverallComputation(inputs, comp["outputs"], comp["truth_table"], init, povm)
+def _computation(v, name: str) -> dict:
+    return _read(_section(v), _COMPUTATION, name)
 
 
-def _noise(v, name: str) -> tuple:
-    """NoiseModel's arguments, from "none" or a {"kind", "strength"} object."""
-    if v == "none":
-        return "none", 0.0
-    noise = _read(v, _NOISE, name)
-    return noise["kind"], 0.0 if noise["strength"] is None else noise["strength"]
+def _noise(v, name: str) -> dict:
+    """A {"kind", "strength"} object; "none" reads as {"kind": "none"}."""
+    return _read({"kind": "none"} if v == "none" else v, _NOISE, name)
 
 
 _GATE = {"targets": (_list(_index), True), "name": (_string, False), "matrix": (_matrix, False)}
@@ -334,16 +319,24 @@ def _cmd_tradeoff(cfg: dict):
 
 def _cmd_verify(cfg: dict):
     from . import qcc
-    from .channels import NoiseModel, compile_ideal
+    from .channels import Circuit, Gate, NoiseModel, compile_ideal
+    from .kitaev import OverallComputation, basis_encoding, basis_readout
 
-    circ, comp, trials = cfg["circuit"], cfg["computation"], cfg["random_search_trials"]
-    if circ.dim != comp.dim:
+    circ, comp, noise = cfg["circuit"], cfg["computation"], cfg["noise"]
+    circ = Circuit(circ["num_qubits"], [Gate(**gate) for gate in circ["gates"] or ()])
+    inputs, povm = comp["inputs"], comp["povm"]
+    num_qubits = len(inputs[0])  # the register size is the labels' common length
+    init = basis_encoding(num_qubits, inputs)
+    if povm == "computational_basis":
+        povm = basis_readout(num_qubits)
+    comp = OverallComputation(inputs, comp["outputs"], comp["truth_table"], init, povm)
+    if circ.num_qubits != num_qubits:
         raise ConfigError(
-            f"circuit has {circ.num_qubits} qubit(s) but the computation has "
-            f"{comp.dim.bit_length() - 1} qubit(s)"
+            f"circuit has {circ.num_qubits} qubit(s) but the computation has {num_qubits} qubit(s)"
         )
-    noise = NoiseModel(*cfg["noise"])
+    noise = NoiseModel(noise["kind"], 0.0 if noise["strength"] is None else noise["strength"])
     link = qcc.LinkingMaps() if cfg["ancilla_dim"] is None else qcc.LinkingMaps(cfg["ancilla_dim"])
+    trials = cfg["random_search_trials"]
     if trials is not None:
         # refuse an oversized search before certifying anything
         qcc._check_trials(trials)
@@ -352,7 +345,7 @@ def _cmd_verify(cfg: dict):
     summary = {key: v for key, v in payload.items() if key != "per_input"}
     header = [*payload["per_input"][0], *summary]
     rows = [[*rec.values(), *summary.values()] for rec in payload["per_input"]]
-    if trials is not None:
+    if trials is not None and cfg["format"] == "json":  # the CSV report has no column for it
         payload["alpha_random_search"] = qcc.alpha_random_search(
             qcc.implemented_channel(circ, noise, link), compile_ideal(circ), link, trials, cfg["seed"]
         )
@@ -426,7 +419,7 @@ def _assemble(args: argparse.Namespace) -> dict:
     for key, _ in _FLAGS.values():
         if getattr(args, key, None) is not None:
             prm[key] = getattr(args, key)
-    # checked first, so a bad FTQC_SEED exits 2 before the verify readers build anything
+    # read before the config, so a bad FTQC_SEED is the first config error reported
     env_seed = _env_seed() if prm.get("seed") is None else None
     cfg = _read(prm, _COMMANDS[args.command].keys, "")
     cfg["seed"] = next(s for s in (cfg["seed"], env_seed, 0) if s is not None)

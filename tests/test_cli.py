@@ -207,6 +207,16 @@ class TestPlan:
         assert out == ""
         assert dest.read_text() == PLAN_GOLDEN_JSON
 
+    def test_non_finite_float_is_null_in_json_and_as_is_in_csv(self, tmp_path, capsys):
+        # one gate needs no level: the closed form takes the log of zero
+        path = write_cfg(tmp_path, dict(PLAN_CFG, gate_count=1))
+        code, out, _ = run_cli(capsys, ["plan", "--config", path])
+        assert code == 0
+        assert out.endswith('  "alpha_required": 0.2,\n  "closed_form_levels": null\n}\n')
+        code, out, _ = run_cli(capsys, ["plan", "--config", path, "--format", "csv"])
+        assert (code, out) == (0, "levels,eps_n,eps_qc,budget,alpha_required,closed_form_levels\n"
+                                  "0,1e-10,1e-10,0.1,0.2,-inf\n")
+
     def test_both_p_hat_forms_rejected(self, tmp_path, capsys):
         cfg = dict(PLAN_CFG, success_target=0.6)
         code, _, err = run_cli(capsys, ["plan", "--config", write_cfg(tmp_path, cfg)])
@@ -322,6 +332,44 @@ class TestVerify:
         # every pure state sits at exactly lambda from its depolarized image
         assert payload["alpha_random_search"] == 0.3
 
+    def test_only_a_json_report_runs_the_random_search(self, tmp_path, capsys, monkeypatch):
+        from ftqc import qcc
+
+        search, calls = qcc.alpha_random_search, []
+
+        def counting_search(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(qcc, "alpha_random_search", counting_search)
+        path = write_cfg(tmp_path, dict(VERIFY_CFG, random_search_trials=10))
+        assert run_cli(capsys, ["verify", "--config", path, "--format", "csv"]) == (0, VERIFY_GOLDEN_CSV, "")
+        assert calls == []
+        code, out, _ = run_cli(capsys, ["verify", "--config", path])
+        assert (code, len(calls), json.loads(out)["alpha_random_search"]) == (0, 1, 0.3)
+        # the trial cap still holds for a CSV report, before anything is certified
+        path = write_cfg(tmp_path, dict(VERIFY_CFG, random_search_trials=10 ** 9), "cap.json")
+        code, out, err = run_cli(capsys, ["verify", "--config", path, "--format", "csv"])
+        assert (code, out, err) == (1, "", "error: trials = 1000000000 exceeds the cap of 100000\n")
+
+    def test_matrix_gate_and_explicit_povm_reach_the_report(self, tmp_path, capsys):
+        # Y as [re, im] pairs sends |0> to i|1>; the effects are given as matrices
+        gate = {"matrix": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]], "targets": [0]}
+        computation = dict(
+            VERIFY_CFG["computation"],
+            truth_table={"0": "1", "1": "0"},
+            povm={"0": [[1, 0], [0, 0]], "1": [[0, 0], [0, 1]]},
+        )
+        cfg = dict(VERIFY_CFG, circuit={"num_qubits": 1, "gates": [gate]}, computation=computation)
+        code, out, _ = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg), "--format", "csv"])
+        assert (code, out) == (0, VERIFY_GOLDEN_CSV)
+
+    def test_noise_none_as_a_string_reads_as_its_object(self, tmp_path, capsys):
+        as_object = write_cfg(tmp_path, dict(VERIFY_CFG, noise={"kind": "none"}), "object.json")
+        as_string = write_cfg(tmp_path, dict(VERIFY_CFG, noise="none"), "string.json")
+        want = run_cli(capsys, ["verify", "--config", as_object])
+        assert run_cli(capsys, ["verify", "--config", as_string]) == want and want[0] == 0
+
     def test_oversized_random_search_exits_one_at_once(self, tmp_path, capsys):
         cfg = dict(VERIFY_CFG, random_search_trials=10 ** 9)
         started = time.perf_counter()
@@ -360,6 +408,16 @@ class TestVerify:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+
+    def test_type_error_exits_two_before_a_wide_build(self, tmp_path):
+        # all 256 basis inputs of the widest register take more than the
+        # 700 MB cap to build; the mistyped key is reported before any of it
+        labels = [format(i, "08b") for i in range(256)]
+        cfg = ladder_verify_cfg(8, random_search_trials="x")
+        cfg["computation"].update(inputs=labels, truth_table=dict(zip(labels, labels)))
+        done = main_within(["verify", "--config", write_cfg(tmp_path, cfg)], 700 * 1024 ** 2)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == 'config error: "random_search_trials" must be an integer, got \'x\'\n'
 
     def test_seed_flag_beats_config_and_env(self, tmp_path, capsys, monkeypatch):
         cfg = dict(VERIFY_CFG, random_search_trials=5, seed=1)
@@ -688,6 +746,25 @@ class TestSchema:
         code, out, err = run_cli(capsys, [command, "--config", write_cfg(tmp_path, cfg), *flags])
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "cfg, err",
+        [
+            ({"circuit": {"num_qubits": 2, "gates": [{"name": "HH", "targets": [0]}]},
+              "computation": str(ROOT / "demo" / "bell_parity_computation.json"),
+              "noise": {"kind": "depolarizing", "strength": 0.1},
+              "random_search_trials": "many"},
+             '"random_search_trials" must be an integer, got \'many\''),
+            (dict(VERIFY_CFG,
+                  computation=dict(VERIFY_CFG["computation"], povm={"0": [[1, 0], [0, 0]], "1": [[0, 0], [0, 0.5]]}),
+                  noise={"kind": "depolarizing", "strength": "high"}),
+             '"noise.strength" must be a number, got \'high\''),
+        ],
+        ids=["unknown_gate", "incomplete_povm"],
+    )
+    def test_a_type_error_wins_over_a_library_refusal(self, tmp_path, capsys, cfg, err):
+        # the whole config is read before anything is built from it
+        assert run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)]) == (2, "", f"config error: {err}\n")
 
     def test_null_reads_as_absent(self, tmp_path, capsys):
         want = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, VERIFY_CFG, "a.json")])

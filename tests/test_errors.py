@@ -174,6 +174,30 @@ def test_refusal_messages(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "error, call, message",
+    [
+        (CircuitError, lambda: Gate((0,), matrix=np.eye(4)), "matrix dim 4 does not match 2**1 targets"),
+        (CircuitError, lambda: Circuit(1, ["X"]), "gates must be Gate instances"),
+        (DimensionMismatchError, lambda: HermitianOperator(np.zeros((0, 0))), "matrix must be at least 1x1"),
+        (BadBitstringError, lambda: basis_encoding(1, ["0", "0"]), "duplicate input labels"),
+        (DimensionMismatchError, lambda: OverallComputation((), ("0",), {}, {}, {}),
+         "inputs and outputs must be nonempty"),
+        (DimensionMismatchError, lambda: OverallComputation(("0", "0"), ("0",), {}, {}, {}),
+         "input/output labels must be distinct"),
+        (DimensionMismatchError, lambda: certify_combined_bound(
+            Circuit(2, [Gate((0, 1), name="CNOT")]), NOISE, computation_of(GROUND.entries)),
+         "circuit dim 4 does not match computation dim 2"),
+    ],
+    ids=["gate_matrix_width", "circuit_gate_type", "empty_operator", "duplicate_inputs",
+         "no_inputs", "repeated_inputs", "certify_width"],
+)
+def test_refusal_class_and_message(error, call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_numpy_counts_act_as_python_ints():
     got = majority_success(0.15, np.int64(3))
     assert got == majority_success(0.15, 3) and type(got) is float

@@ -432,14 +432,15 @@ class TestRepetitionCode:
     fails far less often than the final state differs from the ideal one."""
 
     @staticmethod
-    def majority_vote():
+    def majority_vote(inputs=("000", "111")):
+        """inputs[0] and inputs[1] decode to "0" and "1" by majority vote."""
         weight = np.array([bin(b).count("1") for b in range(8)])
         effects = {"0": np.diag((weight <= 1).astype(float)), "1": np.diag((weight >= 2).astype(float))}
         return OverallComputation(
-            inputs=("000", "111"),
+            inputs=inputs,
             outputs=("0", "1"),
-            truth_table={"000": "0", "111": "1"},
-            init=basis_encoding(3, ["000", "111"]),
+            truth_table=dict(zip(inputs, ("0", "1"))),
+            init=basis_encoding(3, inputs),
             povm=effects,
         )
 
@@ -456,6 +457,21 @@ class TestRepetitionCode:
             assert 1.0 - rec.actual_success == pytest.approx(failure, abs=1e-12)
         # the planner's level-1 law lies on the safe side of this code
         assert logical_gate_error(q, 1 / 3, 1) >= failure - 1e-12
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-2, 0.1])
+    def test_noisy_encoding_matches_the_sequential_oracle(self, s):
+        # the encoder copies qubit 0 onto qubits 1 and 2, and is itself noisy
+        gates = [Gate(name="CNOT", targets=(0, 1)), Gate(name="CNOT", targets=(0, 2))]
+        circ = Circuit(num_qubits=3, gates=gates + [Gate(name="I", targets=(k,)) for k in range(3)])
+        comp = self.majority_vote(("000", "100"))
+        report = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=s), comp)
+        assert report.bound_holds is True
+        for rec, rho, y in zip(report.per_input, comp.init, comp.truth_table):
+            actual = helpers.sequential_noisy_oracle(circ, s, rho)
+            ideal = helpers.sequential_noisy_oracle(circ, 0.0, rho)
+            effect = comp.povm[comp.outputs.index(y)]
+            assert rec.actual_success == pytest.approx(np.trace(effect @ actual).real, abs=1e-12)
+            assert rec.inaccuracy_x == pytest.approx(helpers.svd_trace_norm(actual - ideal), abs=1e-12)
 
 
 class TestMixing:

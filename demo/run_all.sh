@@ -1,8 +1,8 @@
 #!/bin/sh
 # Runs the installed `ftqc` console script on every demo config, on a vote
-# search past 63 repetitions and on four expected refusals, and stops at the
-# first command whose exit code (or search answer, or repetition-code bound)
-# is not the expected one.
+# search past 63 repetitions, on a plan under a malformed FTQC_SEED and on
+# four expected refusals, and stops at the first command whose exit code (or
+# search answer, or repetition-code bound) is not the expected one.
 # Run it from the repository root:
 #
 #     sh demo/run_all.sh
@@ -13,6 +13,8 @@ ftqc tradeoff --config demo/tradeoff.json
 ftqc vote --config demo/vote.json
 ftqc verify --config demo/verify.json
 ftqc verify --format csv --config demo/verify.json
+# only verify reads FTQC_SEED, so a malformed value must not stop a plan
+FTQC_SEED=x ftqc plan --config demo/plan.json
 
 # demo/verify.json reads out explicit effects; this one the computational basis
 tmp=$(mktemp -d)

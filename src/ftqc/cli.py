@@ -419,8 +419,8 @@ def _assemble(args: argparse.Namespace) -> dict:
     for key, _ in _FLAGS.values():
         if getattr(args, key, None) is not None:
             prm[key] = getattr(args, key)
-    # read before the config, so a bad FTQC_SEED is the first config error reported
-    env_seed = _env_seed() if prm.get("seed") is None else None
+    # only verify draws random numbers; a bad FTQC_SEED is its first config error
+    env_seed = _env_seed() if args.command == "verify" and prm.get("seed") is None else None
     cfg = _read(prm, _COMMANDS[args.command].keys, "")
     cfg["seed"] = next(s for s in (cfg["seed"], env_seed, 0) if s is not None)
     cfg["format"] = cfg["format"] or _COMMANDS[args.command].format

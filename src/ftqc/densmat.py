@@ -30,6 +30,7 @@ from .errors import (
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
+    _SetOnce,
     _check_type,
     _is_index,
     _shown,
@@ -99,22 +100,15 @@ def _check_qubits(qubits, what: str, error, num_qubits=None) -> tuple[int, ...]:
     return qubits
 
 
-class _ReadOnly:
-    """Slots that take one assignment each, while unset, as pickle and copy
-    fill them too; a later assignment or a deletion raises AttributeError.
-    An array is stored read-only, so a constructor hands over one it owns."""
+class _ReadOnly(_SetOnce):
+    """Set-once slots; an array is stored read-only, so a constructor hands over one it owns."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-        super().__setattr__(name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # --- checks on (B, d, d) stacks; a failing stack reports its worst matrix ---

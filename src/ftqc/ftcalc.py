@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 from .errors import (
@@ -33,6 +32,7 @@ from .errors import (
     CapExceededError,
     DomainError,
     InfeasibleError,
+    _SetOnce,
     _as_float,
     _check_count,
     _check_type,
@@ -64,58 +64,59 @@ def _check_gate_count(gate_count) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class FtParams:
-    """Scalar planning inputs: gate errors, circuit size, failure bounds."""
+class FtParams(_SetOnce):
+    """Scalar planning inputs, each validated by __init__ and set once; ==, hash and repr go by them."""
 
-    eps0: float
-    eps_th: float
-    gate_count: int
-    p: float
-    p_hat: float
+    __slots__ = ("eps0", "eps_th", "gate_count", "p", "p_hat")
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps0", _check_unit_interval("eps0", self.eps0))
-        object.__setattr__(self, "eps_th", _check_unit_interval("eps_th", self.eps_th))
-        object.__setattr__(self, "gate_count", _check_gate_count(self.gate_count))
-        object.__setattr__(self, "p", _check_unit_interval("p", self.p, lo_open=False))
-        object.__setattr__(self, "p_hat", _check_unit_interval("p_hat", self.p_hat, hi_open=False))
+    def __init__(self, eps0: float, eps_th: float, gate_count: int, p: float, p_hat: float):
+        self.eps0 = _check_unit_interval("eps0", eps0)
+        self.eps_th = _check_unit_interval("eps_th", eps_th)
+        self.gate_count = _check_gate_count(gate_count)
+        self.p = _check_unit_interval("p", p, lo_open=False)
+        self.p_hat = _check_unit_interval("p_hat", p_hat, hi_open=False)
         if self.p_hat <= self.p:
             raise InfeasibleError(_INFEASIBLE_MSG)
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
-@dataclass(frozen=True)
-class PlanResult:
-    levels: int
-    eps_n: float
-    eps_qc: float
-    budget: float
-    alpha_required: float
-    closed_form_levels: float
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class _DataclassFields:
+    """A named tuple's __dataclass_fields__, for dataclasses.replace, fields and asdict:
+    made on first access and cached on the class, so the planner never loads dataclasses."""
+
+    def __get__(self, obj, cls):
+        from dataclasses import make_dataclass
+
+        cls.__dataclass_fields__ = fields = make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+        return fields
+
+
+class PlanResult(namedtuple("PlanResult", "levels eps_n eps_qc budget alpha_required closed_form_levels")):
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class TradeoffPoint(namedtuple("TradeoffPoint", "eps0 levels eps_qc closed_form")):
     """One grid point of the levels-vs-gate-error curve; levels = -1 marks
     a point at or above the threshold (sentinel, kept so the grid stays
-    rectangular).
-
-    A named tuple, since a curve builds one per grid point and a tuple is
-    built in a fraction of a frozen dataclass's time.  It keeps the tuple's
-    constructor, repr and equality, and is declared a dataclass as well, so
-    dataclasses.replace, fields and asdict still work on it.
-    """
+    rectangular).  A named tuple, as a curve builds one per grid point."""
 
     __slots__ = ()
-    # field() keeps the fields free of defaults; dataclass then deletes these
-    # class attributes, so the tuple's accessors stay in use
-    eps0: float = field()
-    levels: int = field()
-    eps_qc: float = field()
-    closed_form: float = field()
+    __dataclass_fields__ = _DataclassFields()
 
 
 def required_alpha(p_hat: float, p: float) -> float:

@@ -436,9 +436,10 @@ class TestVerify:
 
     def test_bad_env_seed_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FTQC_SEED", "eleven")
-        code, _, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, VERIFY_CFG)])
-        assert code == 2
-        assert "FTQC_SEED" in err
+        # it is verify's first config error, before a mistyped key
+        for cfg in (VERIFY_CFG, dict(VERIFY_CFG, random_search_trials="many")):
+            code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
+            assert (code, out, err) == (2, "", "config error: FTQC_SEED = 'eleven' is not an integer\n")
 
     def test_missing_circuit_file_exits_two(self, tmp_path, capsys):
         cfg = dict(VERIFY_CFG, circuit=str(tmp_path / "nope.json"))
@@ -852,6 +853,26 @@ sys.exit(ftqc.cli.main({key.split()!r}))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=ROOT, timeout=60)
         assert (done.returncode, done.stdout.decode()) == (want["exit"], want["stdout"]), done.stderr.decode()
 
+    def test_planner_runs_without_dataclasses(self):
+        # a fresh interpreter in which importing dataclasses or inspect fails
+        golden = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text())
+        keys = [key for key in golden if key.split()[0] in ("plan", "tradeoff")]
+        code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {PACKAGE_DIR!r})
+sys.modules["dataclasses"] = sys.modules["inspect"] = None
+import ftqc.cli
+runs = []
+for key in {keys!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append({{"exit": ftqc.cli.main(key.split()), "stdout": out.getvalue()}})
+print(json.dumps(runs))
+"""
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=ROOT, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        assert len(keys) == 15 and json.loads(done.stdout) == [golden[key] for key in keys]
+
 
 def golden_workdir(tmp_path) -> dict:
     """perfbench/cli_golden.json, with tmp_path holding a copy of demo/ and
@@ -876,6 +897,12 @@ def test_recorded_outputs_replay_byte_identical(tmp_path, capsys, monkeypatch):
     for key, want in golden.items():
         code, out, _ = run_cli(capsys, key.split())
         assert (code, out.encode()) == (want["exit"], want["stdout"].encode()), key
+
+
+def test_recorded_outputs_replay_under_a_bad_env_seed(tmp_path, capsys, monkeypatch):
+    # only verify reads FTQC_SEED, and each recorded verify run passes --seed
+    monkeypatch.setenv("FTQC_SEED", "x")
+    test_recorded_outputs_replay_byte_identical(tmp_path, capsys, monkeypatch)
 
 
 def test_stdout_with_only_write_gets_the_report(monkeypatch):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import sys
 
@@ -340,6 +343,71 @@ class TestRequiredLevels:
         if math.isfinite(cf):
             assert abs(result.levels - max(0, math.ceil(cf))) <= 1
         assert result.levels <= LEVEL_CAP
+
+
+class TestValueTypes:
+    FIELDS = dict(eps0=1e-10, eps_th=1e-9, gate_count=10, p=0.2, p_hat=0.4)
+
+    def test_params_print_compare_and_hash_by_their_fields(self):
+        prm = FtParams(**self.FIELDS)
+        assert repr(prm) == "FtParams(eps0=1e-10, eps_th=1e-09, gate_count=10, p=0.2, p_hat=0.4)"
+        # each field is stored as its check returns it
+        assert repr(FtParams(1e-10, 1e-9, 10, 0, 1)) == (
+            "FtParams(eps0=1e-10, eps_th=1e-09, gate_count=10, p=0.0, p_hat=1.0)")
+        same = FtParams(**self.FIELDS)
+        assert prm == same and not prm != same and hash(prm) == hash(same)
+        assert hash(prm) == hash((1e-10, 1e-9, 10, 0.2, 0.4))
+        assert prm != FtParams(**dict(self.FIELDS, gate_count=11))
+        assert prm != (1e-10, 1e-9, 10, 0.2, 0.4) and len({prm, same}) == 1
+
+    @pytest.mark.parametrize("name", list(FIELDS) + ["other"])
+    def test_params_fields_cannot_be_assigned_or_deleted(self, name):
+        prm = FtParams(**self.FIELDS)
+        with pytest.raises(AttributeError):
+            setattr(prm, name, 0.3)
+        with pytest.raises(AttributeError):
+            delattr(prm, name)
+        assert prm == FtParams(**self.FIELDS)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda prm: pickle.loads(pickle.dumps(prm)),
+    ])
+    def test_params_copy_and_pickle_to_an_equal_value(self, clone):
+        prm = FtParams(**self.FIELDS)
+        twin = clone(prm)
+        assert type(twin) is FtParams and twin == prm and repr(twin) == repr(prm)
+        with pytest.raises(AttributeError):
+            twin.p = 0.1
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("eps0", 0.0, BadProbabilityError),
+        ("eps0", "x", BadProbabilityError),
+        ("eps_th", 1.0, BadProbabilityError),
+        ("gate_count", 0, DomainError),
+        ("gate_count", 10.0, DomainError),
+        ("gate_count", True, DomainError),
+        ("gate_count", 10 ** 309, DomainError),
+        ("p", -0.1, BadProbabilityError),
+        ("p", math.nan, BadProbabilityError),
+        ("p_hat", 1.5, BadProbabilityError),
+        ("p_hat", 0.2, InfeasibleError),
+    ])
+    def test_params_refuse_every_bad_field(self, field, value, error):
+        with pytest.raises(error) as info:
+            FtParams(**dict(self.FIELDS, **{field: value}))
+        assert type(info.value) is error
+
+    def test_plan_result_keeps_the_dataclass_interface(self):
+        # the benchmark's injected faults build wrong rows with dataclasses.replace
+        result = plan(1e-10)
+        assert isinstance(result, tuple) and result.to_dict() == result._asdict()
+        assert [f.name for f in dataclasses.fields(result)] == list(result._fields) == [
+            "levels", "eps_n", "eps_qc", "budget", "alpha_required", "closed_form_levels"]
+        assert dataclasses.fields(result) == dataclasses.fields(type(result))
+        assert dataclasses.asdict(result) == result.to_dict()
+        wrong = dataclasses.replace(result, levels=result.levels + 1)
+        assert type(wrong) is type(result) and wrong == result._replace(levels=result.levels + 1)
+        assert dataclasses.is_dataclass(result)
 
 
 class TestMaxGateError:

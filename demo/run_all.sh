@@ -1,8 +1,7 @@
 #!/bin/sh
-# Runs the installed `ftqc` console script on every demo config, on a vote
-# search past 63 repetitions, on a plan under a malformed FTQC_SEED and on
-# four expected refusals, and stops at the first command whose exit code (or
-# search answer, or repetition-code bound) is not the expected one.
+# Runs the installed `ftqc` console script on the demo configs and on further
+# cases written below, each with its expected exit code and, where it checks
+# one, its expected output, and stops at the first case that differs.
 # Run it from the repository root:
 #
 #     sh demo/run_all.sh
@@ -73,6 +72,10 @@ echo '{"p_prime": 0.15, "k": 3, "repetitions": 3}' > "$tmp/vote_unknown_key.json
 expect 2 ftqc vote --config "$tmp/vote_unknown_key.json"
 echo '{"p_prime": 0.4996, "target": 0.97}' > "$tmp/vote_cap.json"
 expect 1 ftqc vote --config "$tmp/vote_cap.json"
+# only verify draws random numbers, so only verify takes a seed
+expect 2 ftqc plan --config demo/plan.json --seed 3
+echo '{"p_prime": 0.15, "k": 3, "seed": 1}' > "$tmp/vote_seed.json"
+expect 2 ftqc vote --config "$tmp/vote_seed.json"
 # a mistyped key beside an unknown gate: the whole config is read before
 # anything is built, so the config error (exit 2) is the one reported
 cat > "$tmp/verify_mixed_faults.json" <<'JSON'

@@ -31,10 +31,11 @@ from .errors import ConfigError, FtqcError, TheoremViolationError, _check_unit_i
 
 
 # --- config plumbing --------------------------------------------------------
-# A table maps each key of one JSON object to (reader, required).  A reader
-# takes a present, non-null value and its dotted path, and returns the value
-# decoded or raises ConfigError.  Range checks are left to the library
-# (exit 1), which runs only once the whole config is read.
+# A table maps each key of one JSON object to (reader, default), where a
+# default of ... marks a required key.  A reader takes a present, non-null
+# value and its dotted path, and returns the value decoded or raises
+# ConfigError.  Range checks are left to the library (exit 1), which runs
+# only once the whole config is read.
 
 _q = json.dumps  # a key, path or label in a message: double-quoted, on one line
 
@@ -63,22 +64,20 @@ def _env_seed() -> int | None:
 
 
 def _read(obj, table: dict, path: str) -> dict:
-    """obj's value for each key of table, decoded in table order, or None
-    where the key is absent or null.  A key outside the table, and a
-    required key that is absent or null, are config errors."""
+    """obj's value for each key of table, decoded in table order, or the
+    key's default where it is absent or null.  A key outside the table, and
+    a required key that is absent or null, are config errors."""
     where = _q(path) if path else "the config"
     for key in _object(obj, path):
         if key not in table:
             known = ", ".join(map(_q, table))
             raise ConfigError(f"unknown key {_q(key)} in {where}; known keys: {known}")
     out = {}
-    for key, (reader, required) in table.items():
+    for key, (reader, default) in table.items():
         value = obj.get(key)
-        if value is not None:
-            value = reader(value, f"{path}.{key}" if path else key)
-        elif required:
+        if value is None and default is ...:
             raise ConfigError(f"missing key {_q(key)} in {where}")
-        out[key] = value
+        out[key] = default if value is None else reader(value, f"{path}.{key}" if path else key)
     return out
 
 
@@ -192,35 +191,34 @@ def _noise(v, name: str) -> dict:
     return _read({"kind": "none"} if v == "none" else v, _NOISE, name)
 
 
-_GATE = {"targets": (_list(_index), True), "name": (_string, False), "matrix": (_matrix, False)}
-_CIRCUIT = {"num_qubits": (_index, True), "gates": (_list(_gate), False)}
+_GATE = {"targets": (_list(_index), ...), "name": (_string, None), "matrix": (_matrix, None)}
+_CIRCUIT = {"num_qubits": (_index, ...), "gates": (_list(_gate), ())}
 _COMPUTATION = {
-    "inputs": (_labels, True),
-    "outputs": (_strings, True),
-    "truth_table": (_map(_string), True),
-    "povm": (_povm, True),
+    "inputs": (_labels, ...),
+    "outputs": (_strings, ...),
+    "truth_table": (_map(_string), ...),
+    "povm": (_povm, ...),
 }
-_NOISE = {"kind": (_one_of("none", "depolarizing"), True), "strength": (_number, False)}
+_NOISE = {"kind": (_one_of("none", "depolarizing"), ...), "strength": (_number, 0.0)}
 
-# keys of every command; "" for "format" picks the command's default
-_RESERVED = {
-    "seed": (_integer, False),
-    "format": (_one_of("json", "csv", ""), False),
-    "output_path": (_string, False),
-}
+
+def _output(default_format: str) -> dict:  # the keys of every command
+    return {"format": (_one_of("json", "csv"), default_format), "output_path": (_string, None)}
+
+
 _BUDGET = {
-    "eps_th": (_number, True),
-    "gate_count": (_integer, True),
-    "p": (_number, True),
-    "p_hat": (_number, False),
-    "success_target": (_number, False),
+    "eps_th": (_number, ...),
+    "gate_count": (_integer, ...),
+    "p": (_number, ...),
+    "p_hat": (_number, None),
+    "success_target": (_number, None),
 }
 
 # Each flag, the config key it overrides and its argparse keywords; a command
 # offers the flags whose keys its table holds.
 _FLAGS = {
     "--out": ("output_path", {"metavar": "FILE", "help": "output path (default stdout)"}),
-    "--seed": ("seed", {"type": int, "help": "seed for randomized reporting"}),
+    "--seed": ("seed", {"type": int, "help": "seed of the random search (random_search_trials)"}),
     "--format": ("format", {"choices": ("json", "csv"), "help": "output format"}),
     "--eps0": ("eps0", {"type": float, "help": "override eps0"}),
     "--levels": ("levels", {"type": int, "help": "inverse query: report max eps0 at this level"}),
@@ -236,8 +234,6 @@ def _round12(x: float):
 
 
 def _json_ready(obj):
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return _round12(obj)
     if isinstance(obj, dict):
@@ -323,7 +319,7 @@ def _cmd_verify(cfg: dict):
     from .kitaev import OverallComputation, basis_encoding, basis_readout
 
     circ, comp, noise = cfg["circuit"], cfg["computation"], cfg["noise"]
-    circ = Circuit(circ["num_qubits"], [Gate(**gate) for gate in circ["gates"] or ()])
+    circ = Circuit(circ["num_qubits"], [Gate(**gate) for gate in circ["gates"]])
     inputs, povm = comp["inputs"], comp["povm"]
     num_qubits = len(inputs[0])  # the register size is the labels' common length
     init = basis_encoding(num_qubits, inputs)
@@ -334,8 +330,8 @@ def _cmd_verify(cfg: dict):
         raise ConfigError(
             f"circuit has {circ.num_qubits} qubit(s) but the computation has {num_qubits} qubit(s)"
         )
-    noise = NoiseModel(noise["kind"], 0.0 if noise["strength"] is None else noise["strength"])
-    link = qcc.LinkingMaps() if cfg["ancilla_dim"] is None else qcc.LinkingMaps(cfg["ancilla_dim"])
+    noise = NoiseModel(noise["kind"], noise["strength"])
+    link = qcc.LinkingMaps(cfg["ancilla_dim"])
     trials = cfg["random_search_trials"]
     if trials is not None:
         # refuse an oversized search before certifying anything
@@ -372,24 +368,24 @@ def _cmd_vote(cfg: dict):
     return payload, header, rows
 
 
-_Command = namedtuple("_Command", "run format help keys")  # format: the default one
+_Command = namedtuple("_Command", "run help keys")
 
 _COMMANDS = {
     "plan": _Command(
-        _cmd_plan, "json",
-        "minimal concatenation level for a parameter set (or --levels N for the inverse query)",
-        {**_RESERVED, "eps0": (_number, False), **_BUDGET, "levels": (_integer, False)}),
+        _cmd_plan, "minimal concatenation level for a parameter set (or --levels N for the inverse query)",
+        {**_output("json"), "eps0": (_number, None), **_BUDGET, "levels": (_integer, None)}),
     "tradeoff": _Command(
-        _cmd_tradeoff, "csv", "levels-vs-gate-error staircase over a log-spaced grid",
-        {**_RESERVED, "eps0_min": (_number, True), "eps0_max": (_number, True),
-         "points": (_integer, True), **_BUDGET}),
+        _cmd_tradeoff, "levels-vs-gate-error staircase over a log-spaced grid",
+        {**_output("csv"), "eps0_min": (_number, ...), "eps0_max": (_number, ...),
+         "points": (_integer, ...), **_BUDGET}),
     "verify": _Command(
-        _cmd_verify, "json", "simulate a circuit and certify per-input failure <= p + alpha",
-        {**_RESERVED, "circuit": (_circuit, True), "computation": (_computation, True),
-         "noise": (_noise, True), "ancilla_dim": (_integer, False), "random_search_trials": (_integer, False)}),
+        _cmd_verify, "simulate a circuit and certify per-input failure <= p + alpha",
+        {"seed": (_integer, 0), **_output("json"), "circuit": (_circuit, ...),
+         "computation": (_computation, ...), "noise": (_noise, ...),
+         "ancilla_dim": (_integer, 1), "random_search_trials": (_integer, None)}),
     "vote": _Command(
-        _cmd_vote, "json", "majority-vote success for fixed k, or minimal k for a target",
-        {**_RESERVED, "p_prime": (_number, True), "k": (_integer, False), "target": (_number, False)}),
+        _cmd_vote, "majority-vote success for fixed k, or minimal k for a target",
+        {**_output("json"), "p_prime": (_number, ...), "k": (_integer, None), "target": (_number, None)}),
 }
 
 
@@ -414,16 +410,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble(args: argparse.Namespace) -> dict:
-    """The decoded config of the command, flags applied, seed and format resolved."""
+    """The decoded config of the command, flags applied."""
     prm = _load_json_file(args.config) if args.config else {}
     for key, _ in _FLAGS.values():
         if getattr(args, key, None) is not None:
             prm[key] = getattr(args, key)
-    # only verify draws random numbers; a bad FTQC_SEED is its first config error
-    env_seed = _env_seed() if args.command == "verify" and prm.get("seed") is None else None
-    cfg = _read(prm, _COMMANDS[args.command].keys, "")
-    cfg["seed"] = next(s for s in (cfg["seed"], env_seed, 0) if s is not None)
-    cfg["format"] = cfg["format"] or _COMMANDS[args.command].format
+    table = _COMMANDS[args.command].keys
+    # a seed that no flag or key gives comes from FTQC_SEED, read first: a
+    # bad value is the first config error, and no float range applies
+    env_seed = _env_seed() if "seed" in table and prm.get("seed") is None else None
+    cfg = _read(prm, table, "")
+    if env_seed is not None:
+        cfg["seed"] = env_seed
     return cfg
 
 

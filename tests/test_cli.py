@@ -666,17 +666,16 @@ class TestParser:
         (("-h", "--help"), "help"),
         (("--config",), "config"),
         (("--out",), "output_path"),
-        (("--seed",), "seed"),
-        (("--format",), "format"),
     ]
+    FORMAT = [(("--format",), "format")]
 
     @pytest.mark.parametrize(
         "command, extra",
         [
-            ("plan", [(("--eps0",), "eps0"), (("--levels",), "levels")]),
-            ("tradeoff", []),
-            ("verify", []),
-            ("vote", []),
+            ("plan", FORMAT + [(("--eps0",), "eps0"), (("--levels",), "levels")]),
+            ("tradeoff", FORMAT),
+            ("verify", [(("--seed",), "seed")] + FORMAT),  # only verify draws random numbers
+            ("vote", FORMAT),
         ],
     )
     def test_flags_and_their_config_keys(self, command, extra):
@@ -685,6 +684,14 @@ class TestParser:
         assert list(sub.choices) == ["plan", "tradeoff", "verify", "vote"]
         flags = [(tuple(a.option_strings), a.dest) for a in sub.choices[command]._actions]
         assert flags == self.COMMON + extra
+
+    @pytest.mark.parametrize(
+        "command, cfg", [("plan", PLAN_CFG), ("tradeoff", TestTradeoff.CFG), ("vote", {"p_prime": 0.15, "k": 3})]
+    )
+    def test_seed_flag_is_refused_where_nothing_is_random(self, tmp_path, command, cfg):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--config", write_cfg(tmp_path, cfg), "--seed", "3"])
+        assert info.value.code == 2
 
     def test_a_flag_overrides_its_config_key(self, tmp_path, capsys):
         path = tmp_path / "plan.csv"
@@ -718,6 +725,36 @@ class TestSchema:
             'config error: unknown key "random_search_trails" in the config; known keys: '
             '"seed", "format", "output_path", "circuit", "computation", "noise", '
             '"ancilla_dim", "random_search_trials"\n'
+        )
+
+    @pytest.mark.parametrize(
+        "command, cfg, known",
+        [
+            ("plan", PLAN_CFG,
+             '"format", "output_path", "eps0", "eps_th", "gate_count", "p", "p_hat", "success_target", "levels"'),
+            ("tradeoff", TestTradeoff.CFG,
+             '"format", "output_path", "eps0_min", "eps0_max", "points", "eps_th", "gate_count", "p", '
+             '"p_hat", "success_target"'),
+            ("vote", {"p_prime": 0.15, "k": 3}, '"format", "output_path", "p_prime", "k", "target"'),
+        ],
+        ids=["plan", "tradeoff", "vote"],
+    )
+    def test_seed_key_is_unknown_where_nothing_is_random(self, tmp_path, capsys, command, cfg, known):
+        path = write_cfg(tmp_path, dict(cfg, seed=1))
+        assert run_cli(capsys, [command, "--config", path]) == (
+            2, "", f'config error: unknown key "seed" in the config; known keys: {known}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [("plan", PLAN_CFG), ("tradeoff", TestTradeoff.CFG), ("verify", VERIFY_CFG),
+         ("vote", {"p_prime": 0.15, "k": 3})],
+    )
+    def test_empty_format_is_refused(self, tmp_path, capsys, command, cfg):
+        # each command's table holds its default format; "" does not stand for it
+        path = write_cfg(tmp_path, dict(cfg, format=""))
+        assert run_cli(capsys, [command, "--config", path]) == (
+            2, "", 'config error: "format" must be one of "json", "csv", got \'\'\n'
         )
 
     def test_misspelt_gate_key_names_the_gate(self, tmp_path, capsys):

@@ -474,6 +474,53 @@ class TestRepetitionCode:
             assert rec.inaccuracy_x == pytest.approx(helpers.svd_trace_norm(actual - ideal), abs=1e-12)
 
 
+class TestFiveQubitCode:
+    """The [[5,1,3]] code corrects any single-qubit error: decoded, its
+    logical bit fails at O(s^2) while alpha, which bounds the state, is O(s)."""
+
+    STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
+
+    @staticmethod
+    def pauli(word):
+        return helpers._pauli_string(dict(enumerate(word)), len(word))
+
+    @classmethod
+    def computation(cls):
+        """Inputs "0" and "1" prepared as the codewords (ZZZZZ = +1 and -1),
+        read out by E_b = sum over F of F |b_L><b_L| F+, F in I and the 15
+        weight-1 Paulis."""
+        code = np.eye(32)
+        for g in cls.STABILIZERS:
+            code = code @ (np.eye(32) + cls.pauli(g)) / 2
+        zzzzz = cls.pauli("ZZZZZ")
+        words = [code @ (np.eye(32) + sign * zzzzz) / 2 for sign in (1, -1)]  # rank-1 projectors
+        errors = [cls.pauli("IIIII")] + [
+            cls.pauli("I" * q + e + "I" * (4 - q)) for q in range(5) for e in "XYZ"
+        ]
+        effects = {b: sum(f @ w @ f.conj().T for f in errors) for b, w in zip("01", words)}
+        return OverallComputation(
+            inputs=("0", "1"), outputs=("0", "1"), truth_table={"0": "0", "1": "1"},
+            init=dict(zip("01", words)), povm=effects,
+        )
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-2, 0.1])
+    def test_decoded_failure_is_quadratic_and_matches_the_sequential_oracle(self, s):
+        comp = self.computation()
+        np.testing.assert_allclose(comp.povm.sum(axis=0), np.eye(32), atol=1e-12)
+        circ = Circuit(num_qubits=5, gates=[Gate(name="I", targets=(k,)) for k in range(5)])
+        report = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=s), comp)
+        assert report.bound_holds is True
+        for rec, rho, effect in zip(report.per_input, comp.init, comp.povm):
+            actual = helpers.sequential_noisy_oracle(circ, s, rho)
+            assert rec.actual_success == pytest.approx(np.trace(effect @ actual).real, abs=1e-12)
+        failure = max(1.0 - rec.actual_success for rec in report.per_input)
+        if s <= 1e-2:
+            # two of the five qubits hit, X or Y on the logical bit: about 3.75 s^2
+            assert failure <= 4 * s ** 2
+        if s == 1e-3:
+            assert report.alpha >= 1000 * failure
+
+
 class TestMixing:
     def test_frozen_mixture(self):
         # frozen: 0.9 |0><0| + 0.1 I/2 -> diag(0.95, 0.05)

@@ -85,3 +85,13 @@ cat > "$tmp/verify_mixed_faults.json" <<'JSON'
  "random_search_trials": "many"}
 JSON
 expect 2 ftqc verify --config "$tmp/verify_mixed_faults.json"
+# a 2-qubit circuit under 3-bit labels, one of which is also too short: the
+# width mismatch is a config error, reported before any basis state is built
+cat > "$tmp/verify_width_mismatch.json" <<'JSON'
+{"circuit": "demo/bell_circuit.json",
+ "computation": {"inputs": ["000", "01"], "outputs": ["000", "01"],
+                 "truth_table": {"000": "000", "01": "01"},
+                 "povm": "computational_basis"},
+ "noise": {"kind": "none"}}
+JSON
+expect 2 ftqc verify --config "$tmp/verify_width_mismatch.json"

@@ -27,7 +27,7 @@ import os
 import sys
 from collections import namedtuple
 
-from .errors import ConfigError, FtqcError, TheoremViolationError, _check_unit_interval
+from .errors import ConfigError, FtqcError, TheoremViolationError, _check_unit_interval, _shown
 
 
 # --- config plumbing --------------------------------------------------------
@@ -319,17 +319,18 @@ def _cmd_verify(cfg: dict):
     from .kitaev import OverallComputation, basis_encoding, basis_readout
 
     circ, comp, noise = cfg["circuit"], cfg["computation"], cfg["noise"]
-    circ = Circuit(circ["num_qubits"], [Gate(**gate) for gate in circ["gates"]])
     inputs, povm = comp["inputs"], comp["povm"]
     num_qubits = len(inputs[0])  # the register size is the labels' common length
-    init = basis_encoding(num_qubits, inputs)
-    if povm == "computational_basis":
-        povm = basis_readout(num_qubits)
-    comp = OverallComputation(inputs, comp["outputs"], comp["truth_table"], init, povm)
-    if circ.num_qubits != num_qubits:
+    if circ["num_qubits"] != num_qubits:
         raise ConfigError(
-            f"circuit has {circ.num_qubits} qubit(s) but the computation has {num_qubits} qubit(s)"
+            f"circuit has {_shown(circ['num_qubits'])} qubit(s) but the computation has {num_qubits} qubit(s)"
         )
+    circ = Circuit(num_qubits, [Gate(**gate) for gate in circ["gates"]])
+    # the basis stacks go straight in: the computation holds its own copies
+    comp = OverallComputation(
+        inputs, comp["outputs"], comp["truth_table"], basis_encoding(num_qubits, inputs),
+        basis_readout(num_qubits) if povm == "computational_basis" else povm,
+    )
     noise = NoiseModel(noise["kind"], noise["strength"])
     link = qcc.LinkingMaps(cfg["ancilla_dim"])
     trials = cfg["random_search_trials"]

@@ -2,13 +2,14 @@
 
 The tolerances live here with the one implementation of each check, and
 each check takes a (B, d, d) stack: certification and the random search
-check whole stacks of evolved outputs, the two wrapper types, ``trace_norm``
-and ``effect_probability`` a stack of one.  No silent repair is performed:
-a matrix either passes validation as given or is rejected.  Every matrix
+check whole stacks of evolved outputs, the wrappers, ``trace_norm`` and
+``effect_probability`` a stack of one.  No silent repair is performed: a
+matrix either passes validation as given or is rejected.  Every matrix
 given to the package passes ``_as_square_matrix``, every stack
 ``_as_complex``, and a function that takes a wrapper refuses anything else
-(``_entries``).  The simulator's types,
-these two wrappers and the gates, circuits, noise models, computations and
+(``_check_type``).  A ``DensityMatrix`` is a ``HermitianOperator`` whose
+class check also asks for unit trace and positivity.  The simulator's
+types, the wrappers and the gates, circuits, noise models, computations and
 reports built on them, are ``_ReadOnly``: each attribute is set once, by the
 validating ``__init__``, and every array is stored read-only, in a pickled or
 deep-copied value too.  They compare and hash by identity: == between
@@ -166,19 +167,15 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
 
 # --- one-matrix wrappers -------------------------------------------------------
 
-def _entries(value, kinds: tuple, name: str) -> np.ndarray:
-    """The matrix of a wrapper argument; DomainError naming `kinds` for anything else."""
-    return _check_type(value, kinds, name).entries
-
-
 class HermitianOperator(_ReadOnly):
     """A square complex matrix checked to be Hermitian within VALIDATION_TOL."""
 
     __slots__ = ("entries",)
+    _check = staticmethod(_check_hermitian)  # a subclass narrows it
 
     def __init__(self, entries):
         m = _as_square_matrix(entries)
-        _check_hermitian(m[np.newaxis])
+        self._check(m[np.newaxis])
         self.entries = m.copy()
 
     @property
@@ -186,7 +183,7 @@ class HermitianOperator(_ReadOnly):
         return self.entries.shape[0]
 
 
-class DensityMatrix(_ReadOnly):
+class DensityMatrix(HermitianOperator):
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
     Tolerances: Hermiticity defect and |tr - 1| at most 1e-9, smallest
@@ -194,16 +191,8 @@ class DensityMatrix(_ReadOnly):
     round-off are accepted but never rewritten.
     """
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        m = _as_square_matrix(entries)
-        _check_states(m[np.newaxis])
-        self.entries = m.copy()
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    __slots__ = ()
+    _check = staticmethod(_check_states)
 
 
 def make_state(entries) -> DensityMatrix:
@@ -222,7 +211,7 @@ def trace_norm(op) -> float:
     Note the convention: no factor 1/2.  Orthogonal pure states are at
     distance 2.
     """
-    m = op.entries if isinstance(op, (HermitianOperator, DensityMatrix)) else op
+    m = op.entries if isinstance(op, HermitianOperator) else op
     return float(_trace_norms(_as_square_matrix(m)[np.newaxis])[0])
 
 
@@ -232,8 +221,8 @@ def effect_probability(state: DensityMatrix, effect: HermitianOperator) -> float
     E must satisfy 0 <= E <= I within VALIDATION_TOL on its spectrum.
     The result is clamped to [0, 1] to absorb float round-off.
     """
-    rho = _entries(state, (DensityMatrix,), "state")
-    e = _entries(effect, (HermitianOperator, DensityMatrix), "effect")
+    rho = _check_type(state, (DensityMatrix,), "state").entries
+    e = _check_type(effect, (HermitianOperator, DensityMatrix), "effect").entries
     if len(e) != len(rho):
         raise DimensionMismatchError(f"effect dim {len(e)} does not match state dim {len(rho)}")
     _check_effects(e[np.newaxis])

@@ -25,7 +25,6 @@ from .channels import Circuit, NoiseModel, compile_ideal, evolve
 from .densmat import (
     VALIDATION_TOL,
     DensityMatrix,
-    _entries,
     _ReadOnly,
     _as_square_matrix,
     _check_states,
@@ -201,8 +200,8 @@ def certify_combined_bound(circ: Circuit, noise: NoiseModel, comp: OverallComput
 def mix_error_state(ideal_out: DensityMatrix, rho_err: DensityMatrix, eps_qc: float) -> DensityMatrix:
     """Convex mixture (1 - eps) ideal + eps err modeling residual circuit error."""
     e = _check_unit_interval("eps_qc", eps_qc, lo_open=False, hi_open=False)
-    ideal = _entries(ideal_out, (DensityMatrix,), "ideal_out")
-    err = _entries(rho_err, (DensityMatrix,), "rho_err")
+    ideal = _check_type(ideal_out, (DensityMatrix,), "ideal_out").entries
+    err = _check_type(rho_err, (DensityMatrix,), "rho_err").entries
     if len(ideal) != len(err):
         raise DimensionMismatchError(f"state dims differ: {len(ideal)} vs {len(err)}")
     return DensityMatrix((1.0 - e) * ideal + e * err)

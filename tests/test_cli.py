@@ -419,6 +419,14 @@ class TestVerify:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == 'config error: "random_search_trials" must be an integer, got \'x\'\n'
 
+    def test_width_mismatch_exits_two_before_a_wide_build(self, tmp_path):
+        # the readout of 8-bit labels takes more than the 700 MB cap to
+        # build; the 2-qubit circuit is refused before any of it
+        cfg = dict(ladder_verify_cfg(8), circuit=ladder_verify_cfg(2)["circuit"])
+        done = main_within(["verify", "--config", write_cfg(tmp_path, cfg)], 700 * 1024 ** 2)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "config error: circuit has 2 qubit(s) but the computation has 8 qubit(s)\n"
+
     def test_seed_flag_beats_config_and_env(self, tmp_path, capsys, monkeypatch):
         cfg = dict(VERIFY_CFG, random_search_trials=5, seed=1)
         path = write_cfg(tmp_path, cfg)
@@ -503,7 +511,8 @@ class TestVerify:
     def test_over_wide_input_label_exits_one(self, tmp_path, capsys, width):
         label = "0" * width
         comp = dict(VERIFY_CFG["computation"], inputs=[label], truth_table={label: "0"})
-        cfg = dict(VERIFY_CFG, computation=comp)
+        circ = dict(VERIFY_CFG["circuit"], num_qubits=width)
+        cfg = dict(VERIFY_CFG, circuit=circ, computation=comp)
         code, out, err = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, cfg)])
         assert (code, out) == (1, "")
         assert err == f"error: dimension 2**{width} exceeds the dense-simulation cap 256\n"

@@ -77,6 +77,13 @@ class TestValidation:
         with pytest.raises(DomainError, match="non-finite"):
             build(m)
 
+    def test_a_state_is_a_hermitian_operator_but_not_conversely(self):
+        rho = DensityMatrix(np.eye(2) / 2)
+        assert isinstance(rho, HermitianOperator)
+        assert effect_probability(rho, rho) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(DomainError, match="^state must be a DensityMatrix, got HermitianOperator$"):
+            effect_probability(HermitianOperator(rho.entries), rho)
+
 
 class TestTraceNorm:
     def test_ground_vs_maximally_mixed(self):

@@ -21,7 +21,9 @@ from ftqc import (
     evolve,
     implemented_channel,
     logical_gate_error,
+    majority_success,
     make_state,
+    min_repetitions,
     mix_error_state,
     mixing_inaccuracy_bound_check,
 )
@@ -519,6 +521,35 @@ class TestFiveQubitCode:
             assert failure <= 4 * s ** 2
         if s == 1e-3:
             assert report.alpha >= 1000 * failure
+
+
+class TestRepetitionsFromResult:
+    """The repetitions a majority vote needs for success t: fed the
+    certified bound p + alpha, which covers the final state, or the decoded
+    failure, which is exact for the final result of the simulated instance."""
+
+    TARGETS = (1 - 1e-6, 1 - 1e-9, 1 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "num_qubits, computation, k_bound, k_decoded",
+        [
+            (3, TestRepetitionCode.majority_vote, [5, 9, 11], [1, 3, 5]),
+            (5, TestFiveQubitCode.computation, [7, 11, 15], [3, 3, 5]),
+        ],
+        ids=["repetition", "five_qubit"],
+    )
+    def test_counts_from_the_bound_and_from_the_decoded_failure(
+        self, num_qubits, computation, k_bound, k_decoded
+    ):
+        circ = Circuit(num_qubits=num_qubits, gates=[Gate(name="I", targets=(k,)) for k in range(num_qubits)])
+        report = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=1e-3), computation())
+        failures = (report.p + report.alpha, max(1.0 - rec.actual_success for rec in report.per_input))
+        counts = [[min_repetitions(f, t) for t in self.TARGETS] for f in failures]
+        assert counts == [k_bound, k_decoded]
+        for f, ks in zip(failures, counts):
+            for k, t in zip(ks, self.TARGETS):
+                assert majority_success(f, k) >= t
+        assert all(kb >= kd for kb, kd in zip(*counts))
 
 
 class TestMixing:

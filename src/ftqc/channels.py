@@ -14,8 +14,6 @@ verifier's only ideal map: certification reads its ideal outputs as
 U rho U+ and the random search applies U to pure vectors.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .densmat import (

@@ -15,8 +15,6 @@ readers only decode; a command builds its library objects from the whole
 decoded config, so a config error (exit 2) comes before any range check.
 """
 
-from __future__ import annotations
-
 import argparse
 import errno
 import gc

@@ -20,8 +20,6 @@ absolute eigenvalues, with no factor 1/2.  Two orthogonal pure states are
 at distance 2 under this convention.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .errors import (

@@ -20,8 +20,6 @@ eps_qc reported is that failure, not 0.  Values beyond the float range
 report as inf and are clamped by circuit_failure.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

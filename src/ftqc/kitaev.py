@@ -10,8 +10,6 @@ index 2 on two qubits.  A computation, like every simulator type, is
 read-only once built and compares and hashes by identity.
 """
 
-from __future__ import annotations
-
 from collections.abc import Mapping
 
 import numpy as np

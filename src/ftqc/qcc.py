@@ -14,8 +14,6 @@ G is compile_ideal's unitary U, rho -> U rho U+, and only P runs gate by
 gate (channels.evolve); every gap goes through one checked step, _distances.
 """
 
-from __future__ import annotations
-
 import functools
 from typing import NamedTuple
 

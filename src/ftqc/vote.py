@@ -24,8 +24,6 @@ delta = 1/2 - p' and the skew term c = (z**2 - 1)(1 - 2p')/6, and from a miss
 gallops up in doubling steps from 1% of k before the bracket is narrowed.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import (

@@ -4,10 +4,14 @@ Oracles here deliberately avoid the implementation's code paths: embedding
 by explicit bit manipulation instead of tensordot, noise by Pauli twirl
 instead of partial trace, norms by SVD instead of eigvalsh, channel
 application by plain Python loops instead of einsum, the minimal vote
-repetition count by plain bisection instead of interpolation.
+repetition count by plain bisection instead of interpolation, a decoded
+failure by counting faults on classical bits instead of simulating states.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
@@ -220,3 +224,54 @@ def sequential_noisy_oracle(circ: Circuit, lam: float, rho: np.ndarray) -> np.nd
         if lam > 0.0:
             state = depolarize_oracle(state, gate.targets, circ.num_qubits, lam)
     return state
+
+
+# --- fault counting and channel bounds -------------------------------------------
+
+def fault_counts(circ: Circuit, x: str, decode) -> tuple[Fraction, Fraction]:
+    """Exact coefficients (c1, c2) of the decoded failure f(s) = c1 s +
+    c2 s^2 + O(s^3) of a circuit of I and CNOT gates on the basis input x,
+    read out in the Z basis and decoded by decode(bits).
+
+    Depolarizing noise of strength s makes a gate faulty with probability
+    s, and a faulty gate applies a uniform Pauli (identity included) to its
+    targets.  Only the X part flips a Z readout: each target of a faulty
+    gate flips with probability 1/2, and a later CNOT copies a flip from
+    its control to its target.  With N_k the failing fraction summed over
+    every set of k faulty gates among G, c1 = N_1 and c2 = N_2 - (G-1) N_1.
+    A fault-tolerant gadget has c1 = 0, and c2 is then its count A of
+    malignant fault pairs (Aliferis, Gottesman and Preskill, quant-ph/0504218).
+    """
+    gates = circ.gates
+    assert all(g.name in ("I", "CNOT") for g in gates)
+
+    def decoded(flips):
+        bits = [int(b) for b in x]
+        for i, gate in enumerate(gates):
+            if gate.name == "CNOT":
+                bits[gate.targets[1]] ^= bits[gate.targets[0]]
+            for q in flips.get(i, ()):
+                bits[q] ^= 1
+        return decode("".join(map(str, bits)))
+
+    def failing(faulty):
+        # every X part of the faulty gates' Paulis: one subset of each gate's targets
+        subsets = [[c for r in range(len(gates[i].targets) + 1) for c in combinations(gates[i].targets, r)]
+                   for i in faulty]
+        cases = list(product(*subsets))
+        return Fraction(sum(decoded(dict(zip(faulty, c))) != ideal for c in cases), len(cases))
+
+    ideal = decoded({})
+    n1 = sum(failing((i,)) for i in range(len(gates)))
+    n2 = sum(failing(pair) for pair in combinations(range(len(gates)), 2))
+    return n1, n2 - (len(gates) - 1) * n1
+
+
+def diamond_bound(circ: Circuit, noise: NoiseModel) -> float:
+    """An upper bound on alpha over all inputs: min(2, sum over the gates of
+    ||id - Phi_s||_diamond = 2 s (1 - 4**-|T|)), Phi_s being depolarizing
+    noise of strength s on the gate's targets T.  The diamond norm is
+    unitarily invariant and contracts under channels, so the per-gate
+    distances add up along the circuit (Watrous, arXiv:1207.5726)."""
+    s = noise.strength
+    return min(2.0, sum(2.0 * s * (1.0 - 4.0 ** -len(g.targets)) for g in circ.gates))

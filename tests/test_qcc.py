@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +177,27 @@ class TestAlpha:
         alpha = alpha_random_search(P, compile_ideal(circ), LinkingMaps(), trials=200, seed=0)
         assert time.perf_counter() - start < 2.0
         assert 0.0 < alpha <= 2.0
+
+    def test_alpha_stays_under_the_telescoped_diamond_bound(self):
+        # the basis alpha and the search are lower estimates of an alpha that
+        # no input, entangled ones included, exceeds: criterion 02's
+        # instances, then criterion 04's closed form (alpha = lam against a
+        # bound of 1.5 lam) and a noiseless run (a bound of 0)
+        rng = np.random.default_rng(20260817)
+        cases = [helpers.random_instance(rng) for _ in range(200)]
+        cases += [(identity_circuit(), NoiseModel(kind="depolarizing", strength=lam), identity_parity())
+                  for lam in (0.1, 0.2, 0.3, 0.5)]
+        cases.append((cases[0][0], NoiseModel(kind="none"), cases[0][2]))
+        for seed, (circ, noise, comp) in enumerate(cases):
+            bound = helpers.diamond_bound(circ, noise)
+            report = certify_combined_bound(circ, noise, comp)
+            P, G = implemented_channel(circ, noise), compile_ideal(circ)
+            search = alpha_random_search(P, G, LinkingMaps(), trials=16, seed=seed)
+            assert report.alpha <= bound + 1e-9
+            assert search <= bound + 1e-9
+        for (circ, noise, _), lam in zip(cases[200:204], (0.1, 0.2, 0.3, 0.5)):
+            assert helpers.diamond_bound(circ, noise) == pytest.approx(1.5 * lam, abs=1e-15)
+        assert helpers.diamond_bound(cases[-1][0], cases[-1][1]) == 0.0
 
     def test_random_search_rejects_zero_trials(self):
         P = implemented_channel(identity_circuit(), NoiseModel(kind="none"))
@@ -550,6 +572,110 @@ class TestRepetitionsFromResult:
             for k, t in zip(ks, self.TARGETS):
                 assert majority_success(f, k) >= t
         assert all(kb >= kd for kb, kd in zip(*counts))
+
+
+# syndrome (d0 ^ d1, d1 ^ d2) -> the data qubit it blames
+BLAMED = {"10": 0, "11": 1, "01": 2}
+
+
+def corrected_majority(bits, syndrome):
+    """Majority of data bits 0-2 after flipping the one that syndrome blames."""
+    data = [int(b) for b in bits[:3]]
+    if syndrome in BLAMED:
+        data[BLAMED[syndrome]] ^= 1
+    return str(int(sum(data) >= 2))
+
+
+def data_majority(bits):
+    return corrected_majority(bits, "00")
+
+
+def one_syndrome(bits):
+    return corrected_majority(bits, bits[3:5])
+
+
+def agreeing_syndromes(bits):
+    return corrected_majority(bits, bits[3:5] if bits[3:5] == bits[5:7] else "00")
+
+
+class TestFaultPairCounts:
+    """The planner's level-1 law eps0^2 / eps_th, checked on small gadgets
+    of the bit-flip code: a gadget's exact decoded failure f(s) under the
+    verifier's depolarizing noise against its count of failing faults.  A
+    fault-tolerant gadget fails at order s^2 with coefficient A, the count
+    of malignant fault pairs, and eps_th = 1/A (Aliferis, Gottesman and
+    Preskill, quant-ph/0504218).  One I per data qubit 0-2 opens each
+    gadget; each extraction round then copies the parities d0^d1 and d1^d2
+    onto a fresh ancilla pair (a, b) by the CNOTs 0->a, 1->a, 1->b, 2->b."""
+
+    ROWS = [
+        # rounds, decoder, order of the leading term, its exact coefficient
+        pytest.param(0, data_majority, 2, Fraction(3, 4), id="idle"),
+        pytest.param(1, data_majority, 2, Fraction(4), id="one_round_majority"),
+        # one CNOT fault both flips a data bit and writes a wrong syndrome
+        # (Shor, quant-ph/9605011): correcting by it fails at first order
+        pytest.param(1, one_syndrome, 1, Fraction(1, 2), id="one_round_syndrome"),
+        pytest.param(2, agreeing_syndromes, 2, Fraction(73, 8), id="two_rounds_agreeing"),
+    ]
+    FAULT_TOLERANT = [row for row in ROWS if row.values[2] == 2]
+
+    @staticmethod
+    def gadget(rounds, decode):
+        n = 3 + 2 * rounds
+        gates = [Gate(name="I", targets=(q,)) for q in range(3)]
+        for a in range(3, n, 2):
+            gates += [Gate(name="CNOT", targets=t) for t in ((0, a), (1, a), (1, a + 1), (2, a + 1))]
+        inputs = ("000".ljust(n, "0"), "111".ljust(n, "0"))
+        outcome = np.array([decode(format(b, f"0{n}b")) for b in range(2 ** n)])
+        comp = OverallComputation(
+            inputs=inputs, outputs=("0", "1"), truth_table={x: decode(x) for x in inputs},
+            init=basis_encoding(n, inputs), povm={y: np.diag((outcome == y).astype(float)) for y in "01"},
+        )
+        return Circuit(num_qubits=n, gates=gates), comp
+
+    @staticmethod
+    def failures(circ, comp, s):
+        """Per input, the probability of the wrong outcome: a sum of small
+        terms, so it keeps its relative precision as s goes to 0."""
+        out = evolve(circ, NoiseModel(kind="depolarizing", strength=s), comp.init)
+        wrong = comp.povm[[1 - comp.outputs.index(y) for y in comp.truth_table]]
+        return np.einsum("kij,kji->k", wrong, out).real
+
+    @pytest.mark.parametrize("rounds, decode, order, count", ROWS)
+    def test_count_matches_the_simulated_coefficient(self, rounds, decode, order, count):
+        circ, comp = self.gadget(rounds, decode)
+        for x in comp.inputs:
+            coefficients = helpers.fault_counts(circ, x, decode)
+            assert coefficients[order - 1] == count
+            if order == 2:
+                assert coefficients[0] == 0
+        # h(s) = f(s) / s^order; 2 h(s) - h(2s) cancels the next order's term
+        h1, h2 = (self.failures(circ, comp, s) / s ** order for s in (1e-5, 2e-5))
+        np.testing.assert_allclose(2 * h1 - h2, float(count), rtol=1e-5)
+
+    @pytest.mark.parametrize("rounds, decode, order, count", FAULT_TOLERANT)
+    def test_planner_law_covers_the_failure(self, rounds, decode, order, count):
+        circ, comp = self.gadget(rounds, decode)
+        for s in (1e-4, 1e-3, 1e-2, 0.1):
+            assert np.all(self.failures(circ, comp, s) <= float(count) * s ** 2)
+            if count > 1:
+                assert logical_gate_error(s, float(1 / count), 1) == pytest.approx(float(count) * s ** 2)
+            else:  # the idle gadget's 1/A lies above 1, outside the planner's domain
+                with pytest.raises(BadProbabilityError, match="eps_th"):
+                    logical_gate_error(s, float(1 / count), 1)
+
+    @pytest.mark.parametrize("rounds, decode, order, count", ROWS)
+    def test_success_matches_the_sequential_oracle(self, rounds, decode, order, count):
+        circ, comp = self.gadget(rounds, decode)
+        s = 1e-2
+        report = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=s), comp)
+        assert report.bound_holds is True
+        failures = self.failures(circ, comp, s)
+        for rec, rho, y, failure in zip(report.per_input, comp.init, comp.truth_table, failures):
+            actual = helpers.sequential_noisy_oracle(circ, s, rho)
+            effect = comp.povm[comp.outputs.index(y)]
+            assert rec.actual_success == pytest.approx(np.trace(effect @ actual).real, abs=1e-12)
+            assert 1.0 - rec.actual_success == pytest.approx(failure, abs=1e-12)
 
 
 class TestMixing:

@@ -17,7 +17,7 @@ _EXPORTS = {
     name: home
     for home, names in (
         ("errors", "errors"),
-        ("densmat", "DensityMatrix HermitianOperator effect_probability make_state trace_norm"),
+        ("densmat", "DensityMatrix HermitianOperator effect_probability trace_norm"),
         ("channels", "Circuit Gate NoiseModel compile_ideal evolve"),
         ("kitaev", "OverallComputation basis_encoding basis_readout"),
         ("qcc", "InputRecord LinkingMaps MixingCheck QccReport alpha_random_search"

@@ -291,7 +291,7 @@ def _cmd_plan(cfg: dict):
         raise ConfigError('missing key "eps0" in the config')
     budget = _budget(cfg)
     if levels is None:
-        return _one_row(ftcalc.required_levels(ftcalc.FtParams(eps0=cfg["eps0"], **budget)).to_dict())
+        return _one_row(ftcalc.required_levels(ftcalc.FtParams(eps0=cfg["eps0"], **budget))._asdict())
     # inverse query: admissible gate error at a fixed level
     p_hat, p = budget["p_hat"], budget["p"]
     return _one_row({

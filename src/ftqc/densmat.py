@@ -193,11 +193,6 @@ class DensityMatrix(HermitianOperator):
     _check = staticmethod(_check_states)
 
 
-def make_state(entries) -> DensityMatrix:
-    """Construct a DensityMatrix from anything array-like, with full validation."""
-    return DensityMatrix(entries)
-
-
 def trace_norm(op) -> float:
     """Schatten 1-norm of a Hermitian operator (sum of |eigenvalues|).
 

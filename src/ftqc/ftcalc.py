@@ -104,9 +104,6 @@ class PlanResult(namedtuple("PlanResult", "levels eps_n eps_qc budget alpha_requ
     __slots__ = ()
     __dataclass_fields__ = _DataclassFields()
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class TradeoffPoint(namedtuple("TradeoffPoint", "eps0 levels eps_qc closed_form")):
     """One grid point of the levels-vs-gate-error curve; levels = -1 marks

@@ -18,10 +18,10 @@ terms in log space over a window of about 40 standard deviations around
 the mean, so the cost grows as sqrt(k), not k; a window above
 TAIL_TERM_CAP terms, or any k above 2**53, is refused up front.
 
-min_repetitions doubles k through 1, 3, ..., 63, then probes the Cornish-Fisher
-crossing delta k = sigma z sqrt(k) + c, with z = Phi^-1(t), sigma = sqrt(p'(1 - p')),
-delta = 1/2 - p' and the skew term c = (z**2 - 1)(1 - 2p')/6, and from a miss
-gallops up in doubling steps from 1% of k before the bracket is narrowed.
+min_repetitions doubles k through 1, 3, ..., 63, then probes the Cornish-Fisher crossing
+delta k = sigma z sqrt(k) + c, with z = Phi^-1(t) from statistics.NormalDist (loaded only by
+a search past 63), sigma = sqrt(p'(1 - p')), delta = 1/2 - p', skew c = (z**2 - 1)(1 - 2p')/6,
+and from a miss gallops up in doubling steps from 1% of k before the bracket is narrowed.
 """
 
 import math
@@ -131,7 +131,9 @@ def min_repetitions(p_prime: float, target: float) -> int:
             )
         miss, low = k, hit
         if k == EXACT_K_LIMIT - 1:  # past the exact path: the Cornish-Fisher crossing
-            z, sigma, delta = _normal_quantile(t), math.sqrt(p * (1.0 - p)), 0.5 - p
+            from statistics import NormalDist
+
+            z, sigma, delta = NormalDist().inv_cdf(t), math.sqrt(p * (1.0 - p)), 0.5 - p
             disc = (sigma * z) ** 2 + 4.0 * delta * (z * z - 1.0) * (1.0 - 2.0 * p) / 6.0
             root = (sigma * z + (math.sqrt(disc) if disc >= 0.0 else sigma * z)) / (2.0 * delta)
             k = max(int(min(root * root, top)) | 1, k + 2)
@@ -140,18 +142,6 @@ def min_repetitions(p_prime: float, target: float) -> int:
             k, step = min(k + step, top), 2 * step
         hit = majority_success(p, k)
     return _narrow(p, t, miss, low, k, hit)
-
-
-def _normal_quantile(t: float) -> float:
-    """The z with Phi(z) = t, for 1/2 <= t < 1, by Newton steps on log Q = log(1 - t), Q = 1 - Phi:
-    log Q is concave and the start lies at or past z, as Q(z) <= exp(-z**2/2) / 2."""
-    u = 1.0 - t  # exact for t >= 1/2
-    x = math.sqrt(-math.log(2.0 * u))  # z / sqrt(2)
-    for _ in range(5):
-        # Q(z) - u, from erf near 0, where erfc's value would cancel against u
-        d = 0.5 * math.erfc(x) - u if x > 0.7 else (t - 0.5) - 0.5 * math.erf(x)
-        x += math.log1p(d / u) * (u + d) * math.sqrt(math.pi) * math.exp(x * x)
-    return x * math.sqrt(2.0)
 
 
 def _narrow(p: float, t: float, miss: int, low: float, k: int, hit: float) -> int:

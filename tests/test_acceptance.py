@@ -17,6 +17,7 @@ import pytest
 import helpers
 from ftqc import (
     Circuit,
+    DensityMatrix,
     FtParams,
     Gate,
     HermitianOperator,
@@ -30,7 +31,6 @@ from ftqc import (
     effect_probability,
     logical_gate_error,
     majority_success,
-    make_state,
     min_repetitions,
     mixing_inaccuracy_bound_check,
     required_levels,
@@ -151,14 +151,14 @@ def test_criterion_04_analytic_depolarizing_match(capsys):
 
 
 def test_criterion_05_mixture_saturation(capsys):
-    ideal = make_state([[1, 0], [0, 0]])
-    orthogonal = make_state([[0, 0], [0, 1]])
+    ideal = DensityMatrix([[1, 0], [0, 0]])
+    orthogonal = DensityMatrix([[0, 0], [0, 1]])
     for eps in (0.01, 0.05, 0.25):
         check = mixing_inaccuracy_bound_check(ideal, orthogonal, eps)
         assert check.measured == pytest.approx(2.0 * eps, abs=1e-12)
         assert check.holds is True
         # non-orthogonal error states stay strictly inside the ceiling
-        plus = make_state(np.full((2, 2), 0.5))
+        plus = DensityMatrix(np.full((2, 2), 0.5))
         softer = mixing_inaccuracy_bound_check(ideal, plus, eps)
         assert softer.measured < 2.0 * eps - 1e-15
         assert softer.holds is True
@@ -254,7 +254,7 @@ def test_criterion_09_norm_and_cptp_property_suite(capsys):
             HermitianOperator(basis @ np.diag(row).astype(complex) @ basis.conj().T)
             for row in np.eye(dim)
         ]
-        total = sum(effect_probability(make_state(a), e) for e in effects)
+        total = sum(effect_probability(DensityMatrix(a), e) for e in effects)
         assert total == pytest.approx(1.0, abs=1e-9)
         checks += 1
     elapsed = time.perf_counter() - started

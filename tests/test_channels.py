@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 import helpers
 from ftqc import (
     Circuit,
+    DensityMatrix,
     Gate,
     NoiseModel,
     compile_ideal,
     evolve,
-    make_state,
     trace_norm,
 )
 from ftqc import cli
@@ -25,12 +25,12 @@ from ftqc.errors import (
     NotUnitaryError,
 )
 
-GROUND = make_state([[1, 0], [0, 0]])
+GROUND = DensityMatrix([[1, 0], [0, 0]])
 
 
 def run(circ, noise, rho):
     """One state through the noisy circuit by `evolve`; the output is validated."""
-    return make_state(evolve(circ, noise, np.asarray(rho, dtype=complex)[np.newaxis])[0])
+    return DensityMatrix(evolve(circ, noise, np.asarray(rho, dtype=complex)[np.newaxis])[0])
 
 
 def depolarize(rho, strength):
@@ -110,7 +110,7 @@ class TestComposeAndApply:
         second = Gate(matrix=helpers.haar_unitary(2, rng), targets=(1,))
         rho = helpers.ginibre_density(4, rng)
         whole = run(Circuit(num_qubits=2, gates=[first, second]), noise, rho)
-        step = make_state(rho)
+        step = DensityMatrix(rho)
         for g in (first, second):
             step = run(Circuit(num_qubits=2, gates=[g]), noise, step.entries)
         np.testing.assert_allclose(whole.entries, step.entries, atol=1e-12)

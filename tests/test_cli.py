@@ -848,7 +848,7 @@ class TestStartup:
     def test_planner_runs_without_numpy(self, tmp_path, capsys):
         # a fresh interpreter: import the CLI, then make any import of numpy
         # fail; the CLI alone loads no command's module, and no command
-        # here loads fractions or __future__
+        # here loads fractions, __future__ or statistics (no vote passes k = 63)
         no_eps0 = {k: v for k, v in PLAN_CFG.items() if k != "eps0"}
         tradeoff = write_cfg(tmp_path, TestTradeoff.CFG, "tradeoff.json")
         argvs = [
@@ -873,12 +873,14 @@ for argv in {argvs!r}:
     with contextlib.redirect_stdout(out):
         runs.append([ftqc.cli.main(argv), out.getvalue()])
 print(json.dumps({{"loaded": loaded, "fractions": "fractions" in sys.modules,
-                  "future": "__future__" in sys.modules, "runs": runs}}))
+                  "future": "__future__" in sys.modules,
+                  "statistics": "statistics" in sys.modules, "runs": runs}}))
 """
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
         assert done.returncode == 0, done.stderr.decode()
         result = json.loads(done.stdout)
         assert result["loaded"] == ["ftqc", "ftqc.cli", "ftqc.errors"]
+        assert not result["statistics"]
         assert not result["fractions"]
         assert not result["future"]
         expected = [list(run_cli(capsys, argv)[:2]) for argv in argvs]

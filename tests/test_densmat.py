@@ -8,7 +8,6 @@ from ftqc import (
     DensityMatrix,
     HermitianOperator,
     effect_probability,
-    make_state,
     trace_norm,
 )
 from ftqc.errors import (
@@ -20,43 +19,43 @@ from ftqc.errors import (
     NotUnitTraceError,
 )
 
-PLUS = make_state(np.full((2, 2), 0.5))
+PLUS = DensityMatrix(np.full((2, 2), 0.5))
 
 
 def maximally_mixed(dim):
-    return make_state(np.eye(dim) / dim)
+    return DensityMatrix(np.eye(dim) / dim)
 
 
 class TestValidation:
     def test_valid_state_roundtrip(self):
-        rho = make_state([[0.5, 0.5], [0.5, 0.5]])
+        rho = DensityMatrix([[0.5, 0.5], [0.5, 0.5]])
         assert rho.dim == 2
         np.testing.assert_allclose(rho.entries, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(NotHermitianError):
-            make_state([[1.0, 0.5], [0.0, 0.0]])
+            DensityMatrix([[1.0, 0.5], [0.0, 0.0]])
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(NotUnitTraceError):
-            make_state([[0.7, 0.0], [0.0, 0.7]])
+            DensityMatrix([[0.7, 0.0], [0.0, 0.7]])
 
     def test_rejects_negative_eigenvalue(self):
         # Hermitian, unit trace, but indefinite
         with pytest.raises(NotPositiveError):
-            make_state([[1.5, 0.0], [0.0, -0.5]])
+            DensityMatrix([[1.5, 0.0], [0.0, -0.5]])
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
-            make_state(np.ones((2, 3)))
+            DensityMatrix(np.ones((2, 3)))
 
     def test_rejects_above_dimension_cap(self):
         big = np.eye(512) / 512.0
         with pytest.raises(DimensionMismatchError):
-            make_state(big)
+            DensityMatrix(big)
 
     def test_tolerates_tiny_defects(self):
-        rho = make_state([[1.0 + 1e-12, 1e-12j], [0.0, -1e-12]])
+        rho = DensityMatrix([[1.0 + 1e-12, 1e-12j], [0.0, -1e-12]])
         assert rho.dim == 2
 
     def test_entries_are_read_only(self):
@@ -88,15 +87,15 @@ class TestValidation:
 class TestTraceNorm:
     def test_ground_vs_maximally_mixed(self):
         # frozen: eigenvalues of |0><0| - I/2 are +1/2 and -1/2
-        assert trace_norm(make_state([[1, 0], [0, 0]]).entries - maximally_mixed(2).entries) == pytest.approx(1.0, abs=1e-12)
+        assert trace_norm(DensityMatrix([[1, 0], [0, 0]]).entries - maximally_mixed(2).entries) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure_states_at_two(self):
-        a = make_state([[1, 0], [0, 0]])
-        b = make_state([[0, 0], [0, 1]])
+        a = DensityMatrix([[1, 0], [0, 0]])
+        b = DensityMatrix([[0, 0], [0, 1]])
         assert trace_norm(a.entries - b.entries) == pytest.approx(2.0, abs=1e-12)
 
     def test_identical_states_exactly_zero(self):
-        rho = make_state(helpers.ginibre_density(3, np.random.default_rng(0)))
+        rho = DensityMatrix(helpers.ginibre_density(3, np.random.default_rng(0)))
         assert trace_norm(rho.entries - rho.entries) == 0.0
 
     def test_accepts_wrapper_types(self):
@@ -172,7 +171,7 @@ class TestEffectProbability:
     def test_complete_povm_sums_to_one(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 6))
-        rho = make_state(helpers.ginibre_density(dim, rng))
+        rho = DensityMatrix(helpers.ginibre_density(dim, rng))
         # random complete POVM: unitary conjugates of a projector resolution
         u = helpers.haar_unitary(dim, rng)
         effects = [

@@ -13,7 +13,7 @@ import pytest
 
 from ftqc import channels, cli, densmat, errors, ftcalc, kitaev, qcc, vote
 from ftqc.channels import Circuit, Gate, NoiseModel, compile_ideal, evolve
-from ftqc.densmat import DensityMatrix, HermitianOperator, effect_probability, make_state
+from ftqc.densmat import DensityMatrix, HermitianOperator, effect_probability
 from ftqc.errors import (
     BadBitstringError,
     BadProbabilityError,
@@ -46,7 +46,7 @@ from ftqc.vote import majority_success, min_repetitions
 
 HUGE = 10 ** 5000  # str() of it raises ValueError
 BUDGET = dict(eps_th=1e-9, gate_count=10 ** 12, p=0.2, p_hat=0.4)
-GROUND, EXCITED = make_state([[1, 0], [0, 0]]), make_state([[0, 0], [0, 1]])
+GROUND, EXCITED = DensityMatrix([[1, 0], [0, 0]]), DensityMatrix([[0, 0], [0, 1]])
 CIRC = Circuit(num_qubits=1, gates=[Gate(name="H", targets=(0,))])
 NOISE = NoiseModel("depolarizing", 0.1)
 # the Hadamard as an explicit unitary, a gate whose field is an array
@@ -93,8 +93,8 @@ BAD_CALLS = {
         CircuitError, lambda: Circuit(num_qubits=2, gates=[Gate(name="H", targets=(HUGE,))])),
     "basis_encoding width past the digit limit": (DimensionMismatchError, lambda: basis_encoding(HUGE, [])),
     "basis_readout qubit past the digit limit": (DimensionMismatchError, lambda: basis_readout(2, measured=(HUGE,))),
-    "make_state a string": (DomainError, lambda: make_state("ab")),
-    "make_state ragged rows": (DomainError, lambda: make_state([[1, 0], [0]])),
+    "DensityMatrix a string": (DomainError, lambda: DensityMatrix("ab")),
+    "DensityMatrix ragged rows": (DomainError, lambda: DensityMatrix([[1, 0], [0]])),
     "OverallComputation given a DensityMatrix object": (DomainError, lambda: computation_of(GROUND)),
     "Gate targets not iterable": (CircuitError, lambda: Gate(0, name="X")),
     "Circuit gates not iterable": (CircuitError, lambda: Circuit(1, 5)),
@@ -212,7 +212,7 @@ def test_numpy_counts_act_as_python_ints():
     assert {type(v) for row in curve for v in row} == {float, int}
     assert type(LinkingMaps(np.int64(2)).ancilla_dim) is int
     assert type(Circuit(num_qubits=np.int64(2)).num_qubits) is int
-    assert json.dumps(cli._json_ready(required_levels(prm).to_dict()))
+    assert json.dumps(cli._json_ready(required_levels(prm)._asdict()))
 
 
 @pytest.mark.parametrize("count", [np.bool_(True), np.float64(3.0), "3", None, 3.0])

@@ -400,11 +400,11 @@ class TestValueTypes:
     def test_plan_result_keeps_the_dataclass_interface(self):
         # the benchmark's injected faults build wrong rows with dataclasses.replace
         result = plan(1e-10)
-        assert isinstance(result, tuple) and result.to_dict() == result._asdict()
+        assert isinstance(result, tuple)
         assert [f.name for f in dataclasses.fields(result)] == list(result._fields) == [
             "levels", "eps_n", "eps_qc", "budget", "alpha_required", "closed_form_levels"]
         assert dataclasses.fields(result) == dataclasses.fields(type(result))
-        assert dataclasses.asdict(result) == result.to_dict()
+        assert dataclasses.asdict(result) == result._asdict()
         wrong = dataclasses.replace(result, levels=result.levels + 1)
         assert type(wrong) is type(result) and wrong == result._replace(levels=result.levels + 1)
         assert dataclasses.is_dataclass(result)

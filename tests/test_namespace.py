@@ -10,7 +10,7 @@ import ftqc
 # the package's public names, in the order they were published
 EXPORTED = [
     "errors",
-    "DensityMatrix", "HermitianOperator", "effect_probability", "make_state", "trace_norm",
+    "DensityMatrix", "HermitianOperator", "effect_probability", "trace_norm",
     "Circuit", "Gate", "NoiseModel", "compile_ideal", "evolve",
     "OverallComputation", "basis_encoding", "basis_readout",
     "InputRecord", "LinkingMaps", "MixingCheck", "QccReport", "alpha_random_search",
@@ -25,7 +25,7 @@ EXPORTED = [
 
 def test_all_keeps_names_and_order():
     assert ftqc.__all__ == EXPORTED
-    assert len(EXPORTED) == 35
+    assert len(EXPORTED) == 34
 
 
 @pytest.mark.parametrize("name", EXPORTED[1:])

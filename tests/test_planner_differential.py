@@ -75,7 +75,7 @@ def _scalar_queries(rng: random.Random):
         eth = 10.0 ** -rng.uniform(1.0, 11.0)
         kw = dict(eps0=_eps0(rng, eth), eps_th=eth, gate_count=_gate_count(rng), **_budget(rng))
         result = _outcome(lambda: required_levels(FtParams(**kw)))
-        yield "required_levels", repr(result if isinstance(result, str) else tuple(result.to_dict().values()))
+        yield "required_levels", repr(result if isinstance(result, str) else tuple(result))
     for _ in range(QUERIES["max_gate_error"]):
         levels = rng.randrange(1024, 1100) if rng.random() < 0.05 else rng.randrange(71)
         b = _budget(rng)

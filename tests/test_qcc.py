@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import helpers
 from ftqc import (
     Circuit,
+    DensityMatrix,
     Gate,
     InputRecord,
     LinkingMaps,
@@ -23,7 +24,6 @@ from ftqc import (
     implemented_channel,
     logical_gate_error,
     majority_success,
-    make_state,
     min_repetitions,
     mix_error_state,
     mixing_inaccuracy_bound_check,
@@ -38,8 +38,8 @@ from ftqc.errors import (
 )
 from ftqc.kitaev import OverallComputation
 
-GROUND = make_state([[1, 0], [0, 0]])
-MIXED = make_state(np.eye(2) / 2.0)
+GROUND = DensityMatrix([[1, 0], [0, 0]])
+MIXED = DensityMatrix(np.eye(2) / 2.0)
 
 
 def identity_parity(n=1):
@@ -686,7 +686,7 @@ class TestMixing:
 
     def test_orthogonal_error_saturates_bound(self):
         # frozen: err orthogonal to ideal gives measured == 2*eps exactly
-        err = make_state([[0, 0], [0, 1]])
+        err = DensityMatrix([[0, 0], [0, 1]])
         for eps in (0.01, 0.05, 0.25):
             check = mixing_inaccuracy_bound_check(GROUND, err, eps)
             assert check.holds is True
@@ -694,7 +694,7 @@ class TestMixing:
             assert check.bound == pytest.approx(2.0 * eps, abs=1e-15)
 
     def test_nonorthogonal_error_stays_strictly_below(self):
-        plus = make_state(np.full((2, 2), 0.5))
+        plus = DensityMatrix(np.full((2, 2), 0.5))
         check = mixing_inaccuracy_bound_check(GROUND, plus, 0.2)
         assert check.holds is True
         assert check.measured < check.bound - 1e-6
@@ -718,15 +718,15 @@ class TestMixing:
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            mix_error_state(GROUND, make_state(np.eye(4) / 4.0), 0.1)
+            mix_error_state(GROUND, DensityMatrix(np.eye(4) / 4.0), 0.1)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
     def test_bound_holds_for_random_pairs(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 6))
-        ideal = make_state(helpers.ginibre_density(dim, rng))
-        err = make_state(helpers.ginibre_density(dim, rng))
+        ideal = DensityMatrix(helpers.ginibre_density(dim, rng))
+        err = DensityMatrix(helpers.ginibre_density(dim, rng))
         eps = float(rng.uniform(0.0, 1.0))
         check = mixing_inaccuracy_bound_check(ideal, err, eps)
         assert check.holds is True

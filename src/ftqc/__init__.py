@@ -22,7 +22,7 @@ _EXPORTS = {
         ("kitaev", "OverallComputation basis_encoding basis_readout"),
         ("qcc", "InputRecord LinkingMaps MixingCheck QccReport alpha_random_search"
                 " certify_combined_bound implemented_channel"
-                " mix_error_state mixing_inaccuracy_bound_check"),
+                " mixing_inaccuracy_bound_check"),
         ("ftcalc", "FtParams PlanResult TradeoffPoint circuit_failure epsilon_budget"
                    " logical_gate_error max_gate_error required_alpha required_levels"
                    " tradeoff_curve"),

@@ -353,8 +353,6 @@ def tradeoff_curve(
                 eps_qc = n_float * exp(log_val)
             start = level + 1
         else:
-            if not 0.0 < e0 < 1.0:
-                _check_unit_interval("eps0", e0)  # raises
             eps_qc, start = math.inf, 0
         prev = e0
         if eps_qc > limit:

@@ -195,26 +195,22 @@ def certify_combined_bound(circ: Circuit, noise: NoiseModel, comp: OverallComput
     return report
 
 
-def mix_error_state(ideal_out: DensityMatrix, rho_err: DensityMatrix, eps_qc: float) -> DensityMatrix:
-    """Convex mixture (1 - eps) ideal + eps err modeling residual circuit error."""
-    e = _check_unit_interval("eps_qc", eps_qc, lo_open=False, hi_open=False)
-    ideal = _check_type(ideal_out, (DensityMatrix,), "ideal_out").entries
-    err = _check_type(rho_err, (DensityMatrix,), "rho_err").entries
-    if len(ideal) != len(err):
-        raise DimensionMismatchError(f"state dims differ: {len(ideal)} vs {len(err)}")
-    return DensityMatrix((1.0 - e) * ideal + e * err)
-
-
 def mixing_inaccuracy_bound_check(
     ideal_out: DensityMatrix, rho_err: DensityMatrix, eps_qc: float
 ) -> MixingCheck:
-    """Check the mixture's inaccuracy against its generic 2*eps ceiling.
+    """Check the mixture (1 - eps) ideal + eps err, which models residual
+    circuit error, against its generic 2*eps ceiling.
 
     measured = ||mixture - ideal||_1, which equals eps * ||err - ideal||_1
     and therefore never exceeds 2*eps.  holds is always true for valid
     states; a false value would mean broken numerics.
     """
-    mixture = mix_error_state(ideal_out, rho_err, eps_qc)  # refuses a bad eps_qc
-    measured = trace_norm(mixture.entries - ideal_out.entries)
-    bound = 2.0 * float(eps_qc)
+    e = _check_unit_interval("eps_qc", eps_qc, lo_open=False, hi_open=False)
+    ideal = _check_type(ideal_out, (DensityMatrix,), "ideal_out").entries
+    err = _check_type(rho_err, (DensityMatrix,), "rho_err").entries
+    if len(ideal) != len(err):
+        raise DimensionMismatchError(f"state dims differ: {len(ideal)} vs {len(err)}")
+    mixture = DensityMatrix((1.0 - e) * ideal + e * err)
+    measured = trace_norm(mixture.entries - ideal)
+    bound = 2.0 * e
     return MixingCheck(measured=measured, bound=bound, holds=measured <= bound + BOUND_SLACK)

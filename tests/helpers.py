@@ -52,11 +52,6 @@ def ginibre_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m)
 
 
-def haar_pure_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def random_cptp_kraus(dim: int, n_ops: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Ginibre Kraus stack normalized so that sum K+K = I exactly (to float)."""
     raw = [

@@ -180,3 +180,65 @@ class TestEffectProbability:
         ]
         total = sum(effect_probability(rho, e) for e in effects)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestToleranceEdges:
+    """The positivity and effect checks at 1e-9 relative 1e-3 beyond and
+    within the tolerance, for a spectrum placed on the diagonal or rotated
+    by a Haar unitary, at d = 2, 16 and 256."""
+
+    OUTSIDE, INSIDE = 1e-9 * (1 + 1e-3), 1e-9 * (1 - 1e-3)
+
+    @staticmethod
+    def matrix(spectrum, basis, seed):
+        if basis == "diagonal":
+            return np.diag(spectrum).astype(complex)
+        u = helpers.haar_unitary(len(spectrum), np.random.default_rng(seed))
+        return (u * spectrum) @ u.conj().T
+
+    @staticmethod
+    def state_spectrum(dim, lowest):
+        # the rest share 1 - lowest, so the trace is 1
+        return np.array([lowest] + [(1.0 - lowest) / (dim - 1)] * (dim - 1))
+
+    @pytest.mark.parametrize("basis", ["diagonal", "haar"])
+    @pytest.mark.parametrize("dim", [2, 16, 256])
+    def test_state_just_below_the_positivity_edge_is_refused(self, dim, basis):
+        m = self.matrix(self.state_spectrum(dim, -self.OUTSIDE), basis, dim)
+        with pytest.raises(NotPositiveError, match=r"^smallest eigenvalue -1\.001e-09 below -1e-09$"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("basis", ["diagonal", "haar"])
+    @pytest.mark.parametrize("dim", [2, 16, 256])
+    def test_state_just_above_the_positivity_edge_passes(self, dim, basis):
+        assert DensityMatrix(self.matrix(self.state_spectrum(dim, -self.INSIDE), basis, dim)).dim == dim
+
+    @staticmethod
+    def effect_spectrum(dim, end, value):
+        # one eigenvalue at the edge, the rest at 1/2
+        spectrum = np.full(dim, 0.5)
+        spectrum[0 if end == "lowest" else -1] = value
+        return spectrum
+
+    @pytest.mark.parametrize("basis", ["diagonal", "haar"])
+    @pytest.mark.parametrize("dim", [2, 16, 256])
+    @pytest.mark.parametrize(
+        "end, value, message",
+        [
+            ("lowest", -OUTSIDE, r"^effect spectrum \[-1\.001e-09, 5\.000e-01\] leaves \[0, 1\]$"),
+            ("highest", 1.0 + OUTSIDE, r"^effect spectrum \[5\.000e-01, 1\.000e\+00\] leaves \[0, 1\]$"),
+        ],
+        ids=["lowest", "highest"],
+    )
+    def test_effect_just_outside_the_unit_interval_is_refused(self, dim, basis, end, value, message):
+        effect = HermitianOperator(self.matrix(self.effect_spectrum(dim, end, value), basis, dim))
+        with pytest.raises(NotAnEffectError, match=message):
+            effect_probability(maximally_mixed(dim), effect)
+
+    @pytest.mark.parametrize("basis", ["diagonal", "haar"])
+    @pytest.mark.parametrize("dim", [2, 16, 256])
+    @pytest.mark.parametrize("end, value", [("lowest", -INSIDE), ("highest", 1.0 + INSIDE)], ids=["lowest", "highest"])
+    def test_effect_just_inside_the_unit_interval_passes(self, dim, basis, end, value):
+        spectrum = self.effect_spectrum(dim, end, value)
+        effect = HermitianOperator(self.matrix(spectrum, basis, dim))
+        assert effect_probability(maximally_mixed(dim), effect) == pytest.approx(spectrum.mean(), abs=1e-12)

@@ -40,7 +40,7 @@ from ftqc.qcc import (
     alpha_random_search,
     certify_combined_bound,
     implemented_channel,
-    mix_error_state,
+    mixing_inaccuracy_bound_check,
 )
 from ftqc.vote import majority_success, min_repetitions
 
@@ -78,7 +78,8 @@ BAD_CALLS = {
     "NoiseModel strength a string": (BadStrengthError, lambda: NoiseModel("depolarizing", "x")),
     "NoiseModel strength None": (BadStrengthError, lambda: NoiseModel("depolarizing", None)),
     "NoiseModel strength past the float range": (BadStrengthError, lambda: NoiseModel("depolarizing", 10 ** 400)),
-    "mix_error_state eps_qc a string": (BadProbabilityError, lambda: mix_error_state(GROUND, EXCITED, "x")),
+    "mixing check eps_qc a string": (
+        BadProbabilityError, lambda: mixing_inaccuracy_bound_check(GROUND, EXCITED, "x")),
     "tradeoff_curve points past the digit limit": (DomainError, lambda: tradeoff_curve(1e-13, 1e-9, -HUGE, **BUDGET)),
     "tradeoff_curve eps0_min a string": (DomainError, lambda: tradeoff_curve("a", 1e-10, 5, **BUDGET)),
     "alpha_random_search trials past the digit limit": (DomainError, lambda: search(-HUGE)),
@@ -111,7 +112,8 @@ BAD_CALLS = {
     "effect_probability state a raw array": (
         DomainError, lambda: effect_probability(GROUND.entries, HermitianOperator(np.eye(2)))),
     "effect_probability effect a raw array": (DomainError, lambda: effect_probability(GROUND, np.eye(2))),
-    "mix_error_state state a raw array": (DomainError, lambda: mix_error_state(GROUND.entries, EXCITED, 0.1)),
+    "mixing check state a raw array": (
+        DomainError, lambda: mixing_inaccuracy_bound_check(GROUND.entries, EXCITED, 0.1)),
     "evolve states a string": (DomainError, lambda: evolve(CIRC, NOISE, "ab")),
     "compile_ideal circuit None": (DomainError, lambda: compile_ideal(None)),
     "evolve circuit a string": (DomainError, lambda: evolve("c", NOISE, GROUND.entries[np.newaxis])),
@@ -144,7 +146,7 @@ def test_bad_argument_raises_its_error_class(error, call):
         (lambda: tradeoff_curve(1e-13, 1e-9, 10 ** 400, **BUDGET),
          "points = <1329-bit integer> exceeds the cap of 100000"),
         (lambda: NoiseModel("depolarizing", 2.0), "strength = 2.0 outside [0, 1]"),
-        (lambda: mix_error_state(GROUND, EXCITED, -1), "eps_qc = -1 outside [0, 1]"),
+        (lambda: mixing_inaccuracy_bound_check(GROUND, EXCITED, -1), "eps_qc = -1 outside [0, 1]"),
         (lambda: basis_readout(2, measured=(HUGE,)),
          "measured qubits (<16610-bit integer>,) out of range for 2 qubit(s)"),
         (lambda: basis_readout(2, measured=()), "measured qubits must be nonempty"),
@@ -158,7 +160,8 @@ def test_bad_argument_raises_its_error_class(error, call):
         (lambda: search(1, seed="x"), "seed must be an integer, got 'x'"),
         (lambda: effect_probability(GROUND, np.eye(2)),
          "effect must be a HermitianOperator or DensityMatrix, got ndarray"),
-        (lambda: mix_error_state(GROUND, EXCITED.entries, 0.1), "rho_err must be a DensityMatrix, got ndarray"),
+        (lambda: mixing_inaccuracy_bound_check(GROUND, EXCITED.entries, 0.1),
+         "rho_err must be a DensityMatrix, got ndarray"),
         (lambda: OverallComputation((["0"],), ("0",), {}, {}, {}), "input/output labels must be hashable"),
         (lambda: compile_ideal(None), "circ must be a Circuit, got NoneType"),
         (lambda: certify_combined_bound(CIRC, 0.1, computation_of(GROUND.entries)),

@@ -591,7 +591,7 @@ class TestTradeoffCurve:
         assert starts == [1, 2, 6]
         assert rows == _per_point_curve(grid[0], eps_th, len(grid), **kw)
 
-    @pytest.mark.parametrize("hi", [1e-300, 1e-9, 1e-3, 0.5])
+    @pytest.mark.parametrize("hi", [1e-300, 1e-9, 1e-3, 0.5, math.nextafter(1.0, 0.0)])
     def test_grid_excludes_right_endpoint_one_ulp_away(self, hi):
         # the logarithms of endpoints one ulp apart can round to one value,
         # which put every point after the first on hi before the clamp
@@ -618,7 +618,16 @@ class TestTradeoffCurve:
             assert len(grid) == points
             assert grid[0] == lo
             assert all(type(x) is float for x in grid)
+            assert all(0.0 < x < hi for x in grid)
             np.testing.assert_allclose(grid, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("points", [2, 300])
+    @pytest.mark.parametrize("lo, hi", [(5e-324, math.nextafter(1.0, 0.0)), (5e-324, 1e-9)])
+    def test_grid_stays_inside_the_open_interval_at_the_float_extremes(self, lo, hi, points):
+        # tradeoff_curve relies on this: every point is a valid eps0 below eps0_max
+        grid = ftcalc._log_grid(lo, hi, points)
+        assert len(grid) == points and grid[0] == lo
+        assert all(type(x) is float and 0.0 < x < hi for x in grid)
 
     @given(st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)

@@ -15,7 +15,7 @@ EXPORTED = [
     "OverallComputation", "basis_encoding", "basis_readout",
     "InputRecord", "LinkingMaps", "MixingCheck", "QccReport", "alpha_random_search",
     "certify_combined_bound", "implemented_channel",
-    "mix_error_state", "mixing_inaccuracy_bound_check",
+    "mixing_inaccuracy_bound_check",
     "FtParams", "PlanResult", "TradeoffPoint", "circuit_failure", "epsilon_budget",
     "logical_gate_error", "max_gate_error", "required_alpha", "required_levels",
     "tradeoff_curve",
@@ -25,7 +25,7 @@ EXPORTED = [
 
 def test_all_keeps_names_and_order():
     assert ftqc.__all__ == EXPORTED
-    assert len(EXPORTED) == 34
+    assert len(EXPORTED) == 33
 
 
 @pytest.mark.parametrize("name", EXPORTED[1:])

@@ -25,7 +25,6 @@ from ftqc import (
     logical_gate_error,
     majority_success,
     min_repetitions,
-    mix_error_state,
     mixing_inaccuracy_bound_check,
 )
 from ftqc.errors import (
@@ -680,9 +679,9 @@ class TestFaultPairCounts:
 
 class TestMixing:
     def test_frozen_mixture(self):
-        # frozen: 0.9 |0><0| + 0.1 I/2 -> diag(0.95, 0.05)
-        mixed = mix_error_state(GROUND, MIXED, 0.1)
-        np.testing.assert_allclose(mixed.entries, np.diag([0.95, 0.05]), atol=1e-15)
+        # frozen: 0.9 |0><0| + 0.1 I/2 -> diag(0.95, 0.05), at trace distance 0.1 from |0><0|
+        check = mixing_inaccuracy_bound_check(GROUND, MIXED, 0.1)
+        assert check.measured == pytest.approx(0.1, abs=1e-15)
 
     def test_orthogonal_error_saturates_bound(self):
         # frozen: err orthogonal to ideal gives measured == 2*eps exactly
@@ -714,11 +713,11 @@ class TestMixing:
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(BadProbabilityError):
-            mix_error_state(GROUND, MIXED, 1.5)
+            mixing_inaccuracy_bound_check(GROUND, MIXED, 1.5)
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            mix_error_state(GROUND, DensityMatrix(np.eye(4) / 4.0), 0.1)
+            mixing_inaccuracy_bound_check(GROUND, DensityMatrix(np.eye(4) / 4.0), 0.1)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)

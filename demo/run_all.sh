@@ -95,3 +95,20 @@ cat > "$tmp/verify_width_mismatch.json" <<'JSON'
  "noise": {"kind": "none"}}
 JSON
 expect 2 ftqc verify --config "$tmp/verify_width_mismatch.json"
+# a gate matrix whose unitarity defect overflows to NaN is refused, with one
+# stderr line and no NumPy warning before it
+cat > "$tmp/verify_nan_gate.json" <<'JSON'
+{"circuit": {"num_qubits": 1,
+             "gates": [{"matrix": [[[0, -1e200], [0, -1e200]], [[0, -1e200], -1e200]], "targets": [0]}]},
+ "computation": {"inputs": ["0"], "outputs": ["0", "1"], "truth_table": {"0": "0"},
+                 "povm": "computational_basis"},
+ "noise": {"kind": "none"}}
+JSON
+code=0
+ftqc verify --config "$tmp/verify_nan_gate.json" 2> "$tmp/nan_gate.err" || code=$?
+lines=$(wc -l < "$tmp/nan_gate.err")
+if [ "$code" -ne 1 ] || [ "$lines" -ne 1 ]; then
+    echo "run_all.sh: the NaN gate exited $code with $lines stderr line(s), expected 1 and 1" >&2
+    cat "$tmp/nan_gate.err" >&2
+    exit 1
+fi

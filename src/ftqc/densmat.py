@@ -1,18 +1,21 @@
 """Validated density-operator primitives on dense complex matrices.
 
-The tolerances live here with the one implementation of each check, and
-each check takes a (B, d, d) stack: certification and the random search
-check whole stacks of evolved outputs, the wrappers, ``trace_norm`` and
-``effect_probability`` a stack of one.  No silent repair is performed: a
-matrix either passes validation as given or is rejected.  Every matrix
-given to the package passes ``_as_square_matrix``, every stack
+The tolerance lives here with the one implementation of each check
+(Hermiticity, trace, positivity, effect spectrum, POVM completeness, gate
+unitarity, outcome totals), and every verdict refuses a NaN: run under
+``np.errstate``, an overflowing defect is refused, as inf or NaN, with no
+warning.  The state and effect checks take a (B, d, d) stack: certification
+and the random search check whole stacks of evolved outputs, the wrappers,
+``trace_norm`` and ``effect_probability`` a stack of one.  No silent repair
+is performed: a matrix either passes validation as given or is rejected.
+Every matrix given to the package passes ``_as_square_matrix``, every stack
 ``_as_complex``, and a function that takes a wrapper refuses anything else
 (``_check_type``).  A ``DensityMatrix`` is a ``HermitianOperator`` whose
-class check also asks for unit trace and positivity.  The simulator's
-types, the wrappers and the gates, circuits, noise models, computations and
-reports built on them, are ``_ReadOnly``: each attribute is set once, by the
-validating ``__init__``, and every array is stored read-only, in a pickled or
-deep-copied value too.  They compare and hash by identity: == between
+class check also asks for unit trace and positivity.  The simulator's types,
+the wrappers and the gates, circuits, noise models, computations and reports
+built on them, are ``_ReadOnly``: each attribute is set once, by the
+validating ``__init__``, and every array is stored read-only, in a pickled
+or deep-copied value too.  They compare and hash by identity: == between
 arrays has no single truth value.
 
 Norm convention: ``trace_norm`` is the plain Schatten 1-norm, the sum of
@@ -29,14 +32,14 @@ from .errors import (
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
+    NotUnitaryError,
     _SetOnce,
     _check_type,
     _is_index,
     _shown,
 )
 
-# Validation tolerance used across the package for Hermiticity, trace,
-# positivity, unitarity and POVM completeness checks.
+# Validation tolerance of every check below.
 VALIDATION_TOL = 1e-9
 
 # Eigenvalues with absolute value below this are treated as exact zeros
@@ -110,33 +113,41 @@ class _ReadOnly(_SetOnce):
             value.flags.writeable = False
 
 
-# --- checks on (B, d, d) stacks; a failing stack reports its worst matrix ---
+# --- checks; a failing (B, d, d) stack reports its worst matrix ---
+
+def _check_defect(defect, what: str, error) -> None:
+    if not defect <= VALIDATION_TOL:  # a NaN defect is refused too
+        raise error(f"{what} defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}")
+
+
+def _check_near_one(values: np.ndarray, what: str, error) -> None:
+    i = np.argmax(np.abs(values - 1.0))  # the entry farthest from 1, a NaN first
+    if not abs(values[i] - 1.0) <= VALIDATION_TOL:
+        raise error(f"{what} {values[i].item():.12g}, expected 1")
+
 
 def _check_finite(stack: np.ndarray) -> None:
-    # NaN passes every `defect > tol` check downstream, so refuse it first
+    # eigvalsh cannot take a nan or inf, so refuse one first, under its own text
     if not np.isfinite(stack).all():
         raise DomainError("matrix has a non-finite (nan or inf) entry")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_hermitian(stack: np.ndarray) -> None:
     _check_finite(stack)
     # |M - M+| entrywise from real temporaries, half the size of complex ones
     re, im = stack.real, stack.imag
     gap = re - re.swapaxes(1, 2)
-    defect = np.hypot(gap, im + im.swapaxes(1, 2), out=gap).max()
-    if defect > VALIDATION_TOL:
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}")
+    _check_defect(np.hypot(gap, im + im.swapaxes(1, 2), out=gap).max(), "Hermiticity", NotHermitianError)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_states(stack: np.ndarray) -> None:
     """Every matrix is Hermitian, of unit trace and positive semidefinite."""
     _check_hermitian(stack)
-    tr = np.trace(stack, axis1=1, axis2=2)
-    i = np.argmax(np.abs(tr - 1.0))
-    if abs(tr[i] - 1.0) > VALIDATION_TOL:
-        raise NotUnitTraceError(f"trace is {complex(tr[i]):.12g}, expected 1")
+    _check_near_one(np.trace(stack, axis1=1, axis2=2), "trace is", NotUnitTraceError)
     lo = np.linalg.eigvalsh(stack)[:, 0].min()
-    if lo < -VALIDATION_TOL:
+    if not lo >= -VALIDATION_TOL:
         raise NotPositiveError(f"smallest eigenvalue {lo:.3e} below -{VALIDATION_TOL:.0e}")
 
 
@@ -145,8 +156,21 @@ def _check_effects(effects: np.ndarray) -> None:
     eigs = np.linalg.eigvalsh(effects)
     lo, hi = eigs[:, 0], eigs[:, -1]
     i = np.argmax(np.maximum(-lo, hi - 1.0))
-    if lo[i] < -VALIDATION_TOL or hi[i] > 1.0 + VALIDATION_TOL:
+    if not (lo[i] >= -VALIDATION_TOL and hi[i] <= 1.0 + VALIDATION_TOL):
         raise NotAnEffectError(f"effect spectrum [{lo[i]:.3e}, {hi[i]:.3e}] leaves [0, 1]")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _check_povm(povm: np.ndarray) -> None:
+    _check_hermitian(povm)
+    defect = np.abs(povm.sum(axis=0) - np.eye(povm.shape[1])).max()
+    _check_defect(defect, "POVM completeness", NotAnEffectError)
+    _check_effects(povm)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _check_unitary(m: np.ndarray) -> None:
+    _check_defect(np.abs(m.conj().T @ m - np.eye(len(m))).max(), "gate matrix unitarity", NotUnitaryError)
 
 
 def _readout(states: np.ndarray, effects: np.ndarray) -> np.ndarray:

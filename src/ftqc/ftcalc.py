@@ -308,8 +308,8 @@ def tradeoff_curve(
     fixed level is a chain of monotone float steps in eps0 (log, a product
     with 2**N > 0, exp, the product with gate_count, or for a flushed eps_N
     the capped sum of logarithms of _flushed_failure), so a level that
-    fails at one eps0 fails at every larger one.  A point at or above the
-    threshold, or below its predecessor, searches from level 0.
+    fails at one eps0 fails at every larger one.  A point below its
+    predecessor searches from level 0.
 
     The test at the carried level is _level_error and circuit_failure
     inlined, with 2**N taken only when the level moves and no clamp at 1,
@@ -342,7 +342,7 @@ def tradeoff_curve(
     levels, eps_qcs, closed = [], [], []
     level, scale, prev = 0, 1.0, 0.0
     for e0 in grid:
-        if prev <= e0 < eth:
+        if prev <= e0:
             # _level_error and circuit_failure inlined, on values that need no
             # checks; below the threshold log_val <= log_eth, so no overflow
             if not level:

@@ -15,11 +15,9 @@ from collections.abc import Mapping
 import numpy as np
 
 from .densmat import (
-    VALIDATION_TOL,
     _ReadOnly,
     _as_square_matrix,
-    _check_effects,
-    _check_hermitian,
+    _check_povm,
     _check_qubits,
     _check_states,
     _check_width,
@@ -27,7 +25,6 @@ from .densmat import (
 from .errors import (
     BadBitstringError,
     DimensionMismatchError,
-    NotAnEffectError,
     TooManyInputsError,
     UnknownInputError,
     _shown,
@@ -128,13 +125,7 @@ class OverallComputation(_ReadOnly):
             raise DimensionMismatchError(f"states and effects have mixed dims {dims}")
         init, povm = np.stack(states), np.stack(effects)
         _check_states(init)
-        _check_hermitian(povm)
-        defect = float(np.max(np.abs(povm.sum(axis=0) - np.eye(dims[0]))))
-        if defect > VALIDATION_TOL:
-            raise NotAnEffectError(
-                f"POVM completeness defect {defect:.3e} exceeds {VALIDATION_TOL:.0e}"
-            )
-        _check_effects(povm)
+        _check_povm(povm)
         self.inputs, self.outputs, self.truth_table = inputs, outputs, truth_table
         self.init, self.povm = init, povm
 

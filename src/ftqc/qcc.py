@@ -21,10 +21,10 @@ import numpy as np
 
 from .channels import Circuit, NoiseModel, compile_ideal, evolve
 from .densmat import (
-    VALIDATION_TOL,
     DensityMatrix,
     _ReadOnly,
     _as_square_matrix,
+    _check_near_one,
     _check_states,
     _readout,
     _trace_norms,
@@ -173,10 +173,7 @@ def certify_combined_bound(circ: Circuit, noise: NoiseModel, comp: OverallComput
     actual = evolve(circ, noise, comp.init)
     inaccuracy = _distances(actual, ideal).tolist()
     ideal_probs = _readout(ideal, comp.povm)
-    totals = ideal_probs.sum(axis=1)
-    i = np.argmax(np.abs(totals - 1.0))
-    if abs(totals[i] - 1.0) > VALIDATION_TOL:
-        raise BadProbabilityError(f"outcome probabilities sum to {totals[i]:.12g}, expected 1")
+    _check_near_one(ideal_probs.sum(axis=1), "outcome probabilities sum to", BadProbabilityError)
     # each input succeeds with the probability of its truth-table outcome
     want = [comp.outputs.index(y) for y in comp.truth_table]
     cells = (np.arange(len(want)), want)

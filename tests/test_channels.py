@@ -181,6 +181,11 @@ class TestGateAndCircuit:
         with pytest.raises(NotUnitaryError):
             Gate(matrix=np.array([[1.0, 0.0], [0.0, 2.0]]), targets=(0,))
 
+    def test_rejects_matrix_whose_unitarity_defect_is_nan(self):
+        # m+ m overflows to inf - inf; a NaN defect fails `defect <= tol`, where it passed `defect > tol`
+        with pytest.raises(NotUnitaryError, match="^gate matrix unitarity defect nan exceeds 1e-09$"):
+            Gate(targets=(0,), matrix=[[-1e200j, -1e200j], [-1e200j, -1e200]])
+
     def test_circuit_rejects_out_of_range_target(self):
         with pytest.raises(CircuitError):
             Circuit(num_qubits=1, gates=[Gate(name="CNOT", targets=(0, 1))])

@@ -1029,6 +1029,27 @@ cli.run()
             done = run_entry(key.split(), cwd=tmp_path)
             assert (done.returncode, done.stdout) == (want["exit"], want["stdout"].encode()), key
 
+    @pytest.mark.parametrize(
+        "section, value, verdict",
+        [
+            ("circuit", {"num_qubits": 1, "gates": [{"matrix": [[[0, -1e200], [0, -1e200]], [[0, -1e200], -1e200]],
+                                                     "targets": [0]}]},
+             "gate matrix unitarity defect nan exceeds 1e-09"),
+            ("computation", dict(VERIFY_CFG["computation"],
+                                 povm={"0": [[1, 1e308], [-1e308, 0]], "1": [[0, 0], [0, 1]]}),
+             "Hermiticity defect inf exceeds 1e-09"),
+            ("computation", dict(VERIFY_CFG["computation"], outputs=["0", "1", "2"],
+                                 povm={"0": [[1e308, 0], [0, 0]], "1": [[1e308, 0], [0, 1]], "2": [[0, 0], [0, 0]]}),
+             "POVM completeness defect inf exceeds 1e-09"),
+        ],
+        ids=["nan_unitarity", "inf_hermiticity", "inf_completeness"],
+    )
+    def test_overflowing_entries_exit_one_with_one_line(self, tmp_path, section, value, verdict):
+        # a fresh process shows each NumPy RuntimeWarning on stderr; the checks raise none
+        cfg = write_cfg(tmp_path, dict(VERIFY_CFG, **{section: value}))
+        done = run_entry(["verify", "--config", cfg], text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {verdict}\n")
+
     def test_bad_flag_exits_two_with_usage(self):
         done = run_entry(["plan", "--frobnicate"], text=True)
         assert (done.returncode, done.stdout) == (2, "")

@@ -5,18 +5,25 @@ from hypothesis import strategies as st
 
 import helpers
 from ftqc import (
+    Circuit,
     DensityMatrix,
+    Gate,
     HermitianOperator,
+    NoiseModel,
+    OverallComputation,
+    certify_combined_bound,
     effect_probability,
     trace_norm,
 )
 from ftqc.errors import (
+    BadProbabilityError,
     DimensionMismatchError,
     DomainError,
     NotAnEffectError,
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
+    NotUnitaryError,
 )
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
@@ -70,11 +77,16 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("build", [DensityMatrix, HermitianOperator])
     def test_rejects_non_finite_entry(self, build, bad):
-        # NaN slips past every `defect > tol` comparison, so it is refused first
+        # eigvalsh cannot take a NaN or inf, so one is refused first, under its own text
         m = np.eye(2, dtype=complex) / 2.0
         m[1, 1] = bad
         with pytest.raises(DomainError, match="non-finite"):
             build(m)
+
+    def test_overflowing_trace_is_refused_as_a_trace_without_a_warning(self):
+        # the suite turns a RuntimeWarning into an error; the trace is inf or NaN
+        with pytest.raises(NotUnitTraceError, match="^trace is "):
+            DensityMatrix(np.diag([1e308, 1e308, -1e308, -1e308]))
 
     def test_a_state_is_a_hermitian_operator_but_not_conversely(self):
         rho = DensityMatrix(np.eye(2) / 2)
@@ -242,3 +254,41 @@ class TestToleranceEdges:
         spectrum = self.effect_spectrum(dim, end, value)
         effect = HermitianOperator(self.matrix(spectrum, basis, dim))
         assert effect_probability(maximally_mixed(dim), effect) == pytest.approx(spectrum.mean(), abs=1e-12)
+
+
+def one_qubit_computation(povm):
+    return OverallComputation(("0",), ("0", "1"), {"0": "0"}, {"0": np.diag([1, 0])}, povm)
+
+
+def tilted_readout_after_h():
+    # each effect is off by d < 1e-9, but the ideal outcome totals are off by 2d
+    d = 0.9e-9
+    comp = one_qubit_computation({"0": [[1 + d, d], [d, 0]], "1": [[0, 0], [0, 1 + d]]})
+    return certify_combined_bound(Circuit(1, [Gate((0,), name="H")]), NoiseModel("none"), comp)
+
+
+class TestVerdictTexts:
+    """Every tolerance verdict, through the public entry that reaches it, word for word."""
+
+    @pytest.mark.parametrize(
+        "build, error, text",
+        [
+            (lambda: HermitianOperator([[0, 1], [0, 0]]), NotHermitianError,
+             "Hermiticity defect 1.000e+00 exceeds 1e-09"),
+            (lambda: DensityMatrix(np.eye(2)), NotUnitTraceError, "trace is 2+0j, expected 1"),
+            (lambda: DensityMatrix([[1.5, 0], [0, -0.5]]), NotPositiveError,
+             "smallest eigenvalue -5.000e-01 below -1e-09"),
+            (lambda: effect_probability(PLUS, HermitianOperator(np.diag([2, 0]))), NotAnEffectError,
+             "effect spectrum [0.000e+00, 2.000e+00] leaves [0, 1]"),
+            (lambda: Gate((0,), matrix=[[1, 1], [0, 1]]), NotUnitaryError,
+             "gate matrix unitarity defect 1.000e+00 exceeds 1e-09"),
+            (lambda: one_qubit_computation({"0": np.eye(2), "1": np.eye(2)}), NotAnEffectError,
+             "POVM completeness defect 1.000e+00 exceeds 1e-09"),
+            (tilted_readout_after_h, BadProbabilityError, "outcome probabilities sum to 1.0000000018, expected 1"),
+        ],
+        ids=["hermiticity", "trace", "positivity", "effect_spectrum", "unitarity", "completeness", "totals"],
+    )
+    def test_refusal_text(self, build, error, text):
+        with pytest.raises(error) as refused:
+            build()
+        assert str(refused.value) == text

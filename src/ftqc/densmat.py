@@ -19,8 +19,11 @@ or deep-copied value too.  They compare and hash by identity: == between
 arrays has no single truth value.
 
 Norm convention: ``trace_norm`` is the plain Schatten 1-norm, the sum of
-absolute eigenvalues, with no factor 1/2.  Two orthogonal pure states are
-at distance 2 under this convention.
+absolute eigenvalues, with no factor 1/2: two orthogonal pure states are at
+distance 2.  Every trace distance between states is taken in one step,
+``_distances``, which checks each operand stack as states and not their
+difference: two states each within the Hermiticity tolerance may differ by
+twice it.
 """
 
 import numpy as np
@@ -134,7 +137,6 @@ def _check_finite(stack: np.ndarray) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _check_hermitian(stack: np.ndarray) -> None:
-    _check_finite(stack)
     # |M - M+| entrywise from real temporaries, half the size of complex ones
     re, im = stack.real, stack.imag
     gap = re - re.swapaxes(1, 2)
@@ -143,7 +145,8 @@ def _check_hermitian(stack: np.ndarray) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _check_states(stack: np.ndarray) -> None:
-    """Every matrix is Hermitian, of unit trace and positive semidefinite."""
+    """Every matrix is finite, Hermitian, of unit trace and positive semidefinite."""
+    _check_finite(stack)
     _check_hermitian(stack)
     _check_near_one(np.trace(stack, axis1=1, axis2=2), "trace is", NotUnitTraceError)
     lo = np.linalg.eigvalsh(stack)[:, 0].min()
@@ -181,10 +184,16 @@ def _readout(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
 
 
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
-    """Schatten 1-norms of a Hermitian stack, |eigenvalues| < EIGENVALUE_ZERO_TOL flushed."""
-    _check_hermitian(stack)
+    """Schatten 1-norms of a checked Hermitian stack, |eigenvalues| < EIGENVALUE_ZERO_TOL flushed."""
     eigs = np.linalg.eigvalsh(stack)
     return np.abs(np.where(np.abs(eigs) < EIGENVALUE_ZERO_TOL, 0.0, eigs)).sum(axis=1)
+
+
+def _distances(actual: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """Trace distances between two (B, d, d) stacks, each checked as states."""
+    _check_states(actual)
+    _check_states(ideal)
+    return _trace_norms(actual - ideal)
 
 
 # --- one-matrix wrappers -------------------------------------------------------
@@ -223,13 +232,12 @@ def trace_norm(op) -> float:
     Accepts a HermitianOperator, a DensityMatrix, or a raw array (validated
     as Hermitian first).  Eigenvalues smaller in magnitude than
     EIGENVALUE_ZERO_TOL are flushed to zero before summing, so the distance
-    between two copies of the same state is exactly 0.0.
-
-    Note the convention: no factor 1/2.  Orthogonal pure states are at
-    distance 2.
+    between two copies of the same state is exactly 0.0.  No factor 1/2:
+    orthogonal pure states are at distance 2.
     """
-    m = op.entries if isinstance(op, HermitianOperator) else op
-    return float(_trace_norms(_as_square_matrix(m)[np.newaxis])[0])
+    m = _as_square_matrix(op.entries if isinstance(op, HermitianOperator) else op)[np.newaxis]
+    _check_hermitian(m)
+    return float(_trace_norms(m)[0])
 
 
 def effect_probability(state: DensityMatrix, effect: HermitianOperator) -> float:

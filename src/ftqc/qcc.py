@@ -11,7 +11,8 @@ That combined bound is a theorem: if an instance violates it the numerics
 are broken, so the check raises instead of reporting a false flag.  A report
 derives its summary from its per-input records, so the two cannot disagree.
 G is compile_ideal's unitary U, rho -> U rho U+, and only P runs gate by
-gate (channels.evolve); every gap goes through one checked step, _distances.
+gate (channels.evolve); every gap, the mixing check's too, is taken by one
+checked step, densmat._distances.
 """
 
 import functools
@@ -25,10 +26,8 @@ from .densmat import (
     _ReadOnly,
     _as_square_matrix,
     _check_near_one,
-    _check_states,
+    _distances,
     _readout,
-    _trace_norms,
-    trace_norm,
 )
 from .errors import (
     BadProbabilityError,
@@ -107,13 +106,6 @@ class MixingCheck(NamedTuple):
 
 def _check_trials(trials) -> int:
     return _check_count(trials, "trials", 1, SEARCH_TRIAL_CAP, DomainError)
-
-
-def _distances(actual: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    """Trace distances between two (B, d, d) output stacks, each checked as states."""
-    _check_states(actual)
-    _check_states(ideal)
-    return _trace_norms(actual - ideal)
 
 
 def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: int) -> float:
@@ -207,7 +199,7 @@ def mixing_inaccuracy_bound_check(
     err = _check_type(rho_err, (DensityMatrix,), "rho_err").entries
     if len(ideal) != len(err):
         raise DimensionMismatchError(f"state dims differ: {len(ideal)} vs {len(err)}")
-    mixture = DensityMatrix((1.0 - e) * ideal + e * err)
-    measured = trace_norm(mixture.entries - ideal)
+    mixture = (1.0 - e) * ideal + e * err
+    measured = float(_distances(mixture[np.newaxis], ideal[np.newaxis])[0])
     bound = 2.0 * e
     return MixingCheck(measured=measured, bound=bound, holds=measured <= bound + BOUND_SLACK)

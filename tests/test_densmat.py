@@ -119,6 +119,10 @@ class TestTraceNorm:
         with pytest.raises(NotHermitianError):
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_checks_its_operand_as_hermitian(self):
+        with pytest.raises(NotHermitianError, match=r"^Hermiticity defect 1\.000e\+00 exceeds 1e-09$"):
+            trace_norm(np.array([[0, 1], [0, 0]]))
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_matches_svd_oracle(self, seed):

@@ -322,6 +322,14 @@ def test_each_rule_has_one_definition():
             assert getattr(module, name, None) in (None, getattr(errors, name)), (module, name)
 
 
+def test_trace_distances_have_one_definition():
+    # the check before a trace distance is decided in densmat alone
+    assert qcc._distances is densmat._distances
+    assert densmat._trace_norms.__module__ == densmat._distances.__module__ == "ftqc.densmat"
+    for name in ("_trace_norms", "_check_states", "trace_norm"):
+        assert not hasattr(qcc, name), name
+
+
 def test_unit_interval_takes_any_real_number():
     assert errors._check_unit_interval("p", np.float32(0.5)) == 0.5
     assert errors._check_unit_interval("p", 1, hi_open=False) == 1.0

@@ -395,6 +395,22 @@ class TestCertify:
                 identity_circuit(2), NoiseModel(kind="depolarizing", strength=0.1), identity_parity(2)
             )
 
+    def test_outputs_within_tolerance_are_not_refused_for_their_difference(self):
+        # each output stack is Hermitian within 1e-9, their difference is not:
+        # only the outputs are checked, so the distance |+><+| (x) |1><1| to I/4 comes back
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1 + 4.95e-10j
+        rho[1, 3] = rho[3, 1] = 4.95e-10j
+        readout = basis_readout(2)
+        comp = OverallComputation(("x",), tuple(readout), {"x": "01"}, {"x": rho}, readout)
+        circ = Circuit(2, [Gate((0,), "H"), Gate((1,), "X")])
+        report = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=1.0), comp)
+        (rec,) = report.per_input
+        assert rec.ideal_success == pytest.approx(0.5, abs=1e-12)
+        assert rec.actual_success == pytest.approx(0.25, abs=1e-12)
+        assert rec.inaccuracy_x == pytest.approx(1.5, abs=1e-12)
+        assert report.alpha == pytest.approx(1.5, abs=1e-12)
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
     def test_bound_holds_on_random_instances(self, seed):
@@ -408,9 +424,9 @@ class TestCertify:
 
     def test_violation_names_the_first_input_in_inputs_order(self, monkeypatch):
         # with every inaccuracy read as 0, alpha = 0 and each noisy failure breaks p + alpha
-        import ftqc.qcc
+        import ftqc.densmat
 
-        monkeypatch.setattr(ftqc.qcc, "_trace_norms", lambda stack: np.zeros(len(stack)))
+        monkeypatch.setattr(ftqc.densmat, "_trace_norms", lambda stack: np.zeros(len(stack)))
         labels = ("11", "10", "01", "00")
         comp = OverallComputation(labels, labels, {x: x for x in labels},
                                   basis_encoding(2, labels), basis_readout(2))
@@ -710,6 +726,17 @@ class TestMixing:
         monkeypatch.setattr(ftqc.qcc, "_check_unit_interval", counting_check)
         assert mixing_inaccuracy_bound_check(GROUND, MIXED, 0.25).bound == 0.5
         assert calls == [("eps_qc", 0.25)]
+
+    @pytest.mark.parametrize("eps, measured", [(1.0, 2.0), (0.6, 1.2), (0.5, 1.0)])
+    def test_states_within_tolerance_are_not_refused_for_their_difference(self, eps, measured):
+        # each state's Hermiticity defect is 9.9e-10; mixture - ideal has up to 1.98e-9
+        d = 4.95e-10
+        ideal = DensityMatrix([[1, 1j * d], [1j * d, 0]])
+        err = DensityMatrix([[0, -1j * d], [-1j * d, 1]])
+        check = mixing_inaccuracy_bound_check(ideal, err, eps)
+        assert check.holds is True
+        assert check.measured == pytest.approx(measured, abs=1e-12)
+        assert check.bound == pytest.approx(measured, abs=1e-12)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(BadProbabilityError):

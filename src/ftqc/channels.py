@@ -74,7 +74,7 @@ class Gate(_ReadOnly):
             m = _as_square_matrix(matrix)
             if m.shape[0] != 2 ** len(targets):
                 raise CircuitError(f"matrix dim {m.shape[0]} does not match 2**{len(targets)} targets")
-            _check_unitary(m)
+            _check_unitary(m, "gate matrix")
             matrix = m.copy()
         self.targets, self.name, self.matrix = targets, name, matrix
 

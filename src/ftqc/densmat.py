@@ -1,22 +1,23 @@
 """Validated density-operator primitives on dense complex matrices.
 
 The tolerance lives here with the one implementation of each check
-(Hermiticity, trace, positivity, effect spectrum, POVM completeness, gate
-unitarity, outcome totals), and every verdict refuses a NaN: run under
-``np.errstate``, an overflowing defect is refused, as inf or NaN, with no
-warning.  The state and effect checks take a (B, d, d) stack: certification
-and the random search check whole stacks of evolved outputs, the wrappers,
-``trace_norm`` and ``effect_probability`` a stack of one.  No silent repair
-is performed: a matrix either passes validation as given or is rejected.
-Every matrix given to the package passes ``_as_square_matrix``, every stack
-``_as_complex``, and a function that takes a wrapper refuses anything else
-(``_check_type``).  A ``DensityMatrix`` is a ``HermitianOperator`` whose
-class check also asks for unit trace and positivity.  The simulator's types,
-the wrappers and the gates, circuits, noise models, computations and reports
-built on them, are ``_ReadOnly``: each attribute is set once, by the
-validating ``__init__``, and every array is stored read-only, in a pickled
-or deep-copied value too.  They compare and hash by identity: == between
-arrays has no single truth value.
+(Hermiticity, trace, positivity, effect spectrum, POVM completeness,
+unitarity of a gate matrix or the search's G, outcome totals), and every
+verdict refuses a NaN: run under ``np.errstate``, an overflowing defect is
+refused, as inf or NaN, with no warning.  The state and effect checks take a
+(B, d, d) stack: certification and the random search check whole stacks of
+evolved outputs, the wrappers, ``trace_norm`` and ``effect_probability`` a
+stack of one.  No silent repair is performed: a matrix either passes
+validation as given or is rejected.  Every matrix given to the package
+passes ``_as_square_matrix``, every stack ``_as_complex``, and a function
+that takes a wrapper refuses anything else (``_check_type``).  A
+``DensityMatrix`` is a ``HermitianOperator`` whose class check also asks for
+unit trace and positivity.  The simulator's types, the wrappers and the
+gates, circuits, noise models, computations and reports built on them, are
+``_ReadOnly``: each attribute is set once, by the validating ``__init__``,
+and every array is stored read-only, in a pickled or deep-copied value too.
+They compare and hash by identity: == between arrays has no single truth
+value.
 
 Norm convention: ``trace_norm`` is the plain Schatten 1-norm, the sum of
 absolute eigenvalues, with no factor 1/2: two orthogonal pure states are at
@@ -172,8 +173,8 @@ def _check_povm(povm: np.ndarray) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _check_unitary(m: np.ndarray) -> None:
-    _check_defect(np.abs(m.conj().T @ m - np.eye(len(m))).max(), "gate matrix unitarity", NotUnitaryError)
+def _check_unitary(m: np.ndarray, what: str) -> None:
+    _check_defect(np.abs(m.conj().T @ m - np.eye(len(m))).max(), f"{what} unitarity", NotUnitaryError)
 
 
 def _readout(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
@@ -235,9 +236,8 @@ def trace_norm(op) -> float:
     between two copies of the same state is exactly 0.0.  No factor 1/2:
     orthogonal pure states are at distance 2.
     """
-    m = _as_square_matrix(op.entries if isinstance(op, HermitianOperator) else op)[np.newaxis]
-    _check_hermitian(m)
-    return float(_trace_norms(m)[0])
+    m = (op if isinstance(op, HermitianOperator) else HermitianOperator(op)).entries
+    return float(_trace_norms(m[np.newaxis])[0])
 
 
 def effect_probability(state: DensityMatrix, effect: HermitianOperator) -> float:

@@ -173,7 +173,11 @@ class _SetOnce:
 
 
 def _as_float(value) -> float:
-    """float(value), or NaN, which fails every range test, for what float() refuses."""
+    """float(value), or NaN, which fails every range test, for what float() refuses
+    and for text and complex numbers, which float() would parse or truncate."""
+    kind = getattr(getattr(value, "dtype", None), "kind", None)  # "c" for a NumPy complex
+    if kind == "c" or isinstance(value, (str, bytes, bytearray, complex)):
+        return float("nan")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
@@ -185,6 +189,6 @@ def _check_unit_interval(name: str, value, lo_open=True, hi_open=True, error=Bad
     error for anything else, including what float() refuses."""
     v = _as_float(value)
     if not ((v > 0.0 if lo_open else v >= 0.0) and (v < 1.0 if hi_open else v <= 1.0)):
-        shown = _shown(value) if isinstance(value, int) else value
+        shown = _shown(value) if isinstance(value, (int, str)) else value
         raise error(f"{name} = {shown} outside {'(' if lo_open else '['}0, 1{')' if hi_open else ']'}")
     return v

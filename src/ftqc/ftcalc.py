@@ -52,8 +52,6 @@ _LOG_FLUSH = math.log(1e-300)
 _FLUSH = math.exp(_LOG_FLUSH)  # the smallest eps_N that does not flush
 _LOG_MAX = math.log(1.7976931348623157e308)
 
-_INFEASIBLE_MSG = "infeasible: p_hat must exceed p"
-
 
 def _check_gate_count(gate_count) -> int:
     n = _check_count(gate_count, "gate_count", 1, None, DomainError)
@@ -71,10 +69,8 @@ class FtParams(_SetOnce):
         self.eps0 = _check_unit_interval("eps0", eps0)
         self.eps_th = _check_unit_interval("eps_th", eps_th)
         self.gate_count = _check_gate_count(gate_count)
-        self.p = _check_unit_interval("p", p, lo_open=False)
-        self.p_hat = _check_unit_interval("p_hat", p_hat, hi_open=False)
-        if self.p_hat <= self.p:
-            raise InfeasibleError(_INFEASIBLE_MSG)
+        required_alpha(p_hat, p)
+        self.p, self.p_hat = float(p), float(p_hat)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -119,7 +115,7 @@ def required_alpha(p_hat: float, p: float) -> float:
     p = _check_unit_interval("p", p, lo_open=False)
     p_hat = _check_unit_interval("p_hat", p_hat, hi_open=False)
     if p_hat <= p:
-        raise InfeasibleError(_INFEASIBLE_MSG)
+        raise InfeasibleError("infeasible: p_hat must exceed p")
     return p_hat - p
 
 
@@ -212,11 +208,11 @@ def required_levels(params: FtParams) -> PlanResult:
     circuit_failure(logical_gate_error(eps0, eps_th, N), gate_count)
     <= budget * (1 + FEASIBILITY_SLACK).
     """
-    budget = epsilon_budget(_check_type(params, (FtParams,), "params").p_hat, params.p)
+    alpha = _check_type(params, (FtParams,), "params").p_hat - params.p
+    budget = alpha / 2.0 or epsilon_budget(params.p_hat, params.p)  # which refuses a budget of 0
     n, eps_n, eps_qc = _min_level(params.eps0, params.eps_th, params.gate_count, budget, 0)
     return PlanResult(
-        levels=n, eps_n=eps_n, eps_qc=eps_qc, budget=budget,
-        alpha_required=required_alpha(params.p_hat, params.p),
+        levels=n, eps_n=eps_n, eps_qc=eps_qc, budget=budget, alpha_required=alpha,
         closed_form_levels=_closed_form_levels(
             params.eps0, params.eps_th, _closed_form_numerator(params.eps_th, params.gate_count, budget)),
     )
@@ -255,7 +251,9 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
     """Largest eps0 whose circuit failure at the given level fits the budget.
 
     eps_th * (budget / (gate_count * eps_th)) ** (1 / 2**levels), clamped at
-    eps_th when the budget already covers gate_count * eps_th.
+    eps_th when the budget already covers gate_count * eps_th.  Planning at
+    the result needs at most `levels` up to level 19, and from level 20 can
+    need one more: a few ulps in eps0 then outweigh FEASIBILITY_SLACK.
     """
     levels = _check_count(levels, "levels", 0, None, DomainError)
     eth = _check_unit_interval("eps_th", eps_th)
@@ -332,7 +330,7 @@ def tradeoff_curve(
         )
     points = _check_count(points, "points", 2, TRADEOFF_POINT_CAP, DomainError)
     grid = _log_grid(lo, hi, points)
-    budget = epsilon_budget(prm.p_hat, prm.p)
+    budget = (prm.p_hat - prm.p) / 2.0 or epsilon_budget(prm.p_hat, prm.p)  # which refuses a budget of 0
     limit = budget * (1.0 + FEASIBILITY_SLACK)
     log_eth = math.log(eth)
     cf_num = _closed_form_numerator(eth, n_gates, budget)

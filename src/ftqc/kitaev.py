@@ -91,11 +91,12 @@ class OverallComputation(_ReadOnly):
 
     truth_table, init and povm map every input label to its output label and
     prepared state and every output label to its effect; a state or effect is
-    an array-like (a DensityMatrix or HermitianOperator as its ``.entries``).
-    The computation holds the truth table as a tuple of output labels and init
-    as one read-only (B, d, d) complex stack, both in ``inputs`` order, and
-    povm as one read-only (Y, d, d) stack in ``outputs`` order, each checked
-    once here; the POVM must sum to the identity within 1e-9.
+    an array-like, so a DensityMatrix or HermitianOperator goes in as its
+    ``.entries`` (the wrapper itself is refused).  The computation holds the
+    truth table as a tuple of output labels and init as one read-only
+    (B, d, d) complex stack, both in ``inputs`` order, and povm as one
+    read-only (Y, d, d) stack in ``outputs`` order, each checked once here;
+    the POVM must sum to the identity within 1e-9.
     """
 
     __slots__ = ("inputs", "outputs", "truth_table", "init", "povm")

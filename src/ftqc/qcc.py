@@ -26,6 +26,7 @@ from .densmat import (
     _ReadOnly,
     _as_square_matrix,
     _check_near_one,
+    _check_unitary,
     _distances,
     _readout,
 )
@@ -112,17 +113,18 @@ def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: 
     """Estimate the all-states supremum by sampling Haar-random pure states.
 
     P is the noisy circuit as a map on (B, d, d) stacks (implemented_channel)
-    and G the ideal circuit's d x d unitary (compile_ideal).  Each block of
-    pure vectors v goes through P as the stack of v v+, and through G as the
-    outer products of the vectors G v, at d**2 per trial.  A lower bound on
-    the true supremum; reported alongside the input-level alpha, never used
-    in the certified bound.  Counter-based generator keyed by (seed, trial)
-    so serial and parallel evaluation orders agree.
+    and G the ideal circuit's d x d unitary (compile_ideal), checked as a gate
+    matrix is.  Each block of pure vectors v goes through P as the stack of
+    v v+, and through G as the outer products of the vectors G v, at d**2
+    per trial.  A lower bound on the true supremum; reported alongside the
+    input-level alpha, never used in the certified bound.  Counter-based
+    generator keyed by (seed, trial), so serial and parallel orders agree.
     """
     trials = _check_trials(trials)
     if not callable(P):
         raise DomainError(f"P must be callable, got {type(P).__name__}")
     G = _as_square_matrix(G)
+    _check_unitary(G, "G")
     dim = G.shape[0]
     key_hi = _check_count(seed, "seed", None, None, DomainError) % (2 ** 64)
     worst = 0.0

@@ -12,6 +12,7 @@ from ftqc import (
     NoiseModel,
     OverallComputation,
     certify_combined_bound,
+    densmat,
     effect_probability,
     trace_norm,
 )
@@ -122,6 +123,13 @@ class TestTraceNorm:
     def test_checks_its_operand_as_hermitian(self):
         with pytest.raises(NotHermitianError, match=r"^Hermiticity defect 1\.000e\+00 exceeds 1e-09$"):
             trace_norm(np.array([[0, 1], [0, 0]]))
+
+    def test_reads_a_wrapper_as_checked(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(densmat, "_check_hermitian", calls.append)
+        assert trace_norm(HermitianOperator(np.diag([1.0, -1.0]))) == 2.0
+        assert trace_norm(PLUS) == 1.0
+        assert calls == []
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)

@@ -3,9 +3,11 @@ probability given to the library raises an ftqc.errors class with a
 message, and a NumPy integer counts exactly as the same Python int.  The
 simulator's value types are read-only and compare by identity."""
 
+import ast
 import copy
 import json
 import math
+import pathlib
 import pickle
 
 import numpy as np
@@ -44,6 +46,7 @@ from ftqc.qcc import (
 )
 from ftqc.vote import majority_success, min_repetitions
 
+SRC = pathlib.Path(errors.__file__).parent
 HUGE = 10 ** 5000  # str() of it raises ValueError
 BUDGET = dict(eps_th=1e-9, gate_count=10 ** 12, p=0.2, p_hat=0.4)
 GROUND, EXCITED = DensityMatrix([[1, 0], [0, 0]]), DensityMatrix([[0, 0], [0, 1]])
@@ -74,7 +77,12 @@ BAD_CALLS = {
     "epsilon_budget p_hat above 1": (BadProbabilityError, lambda: epsilon_budget(5, 1)),
     "required_alpha p negative": (BadProbabilityError, lambda: required_alpha(0.5, -3)),
     "required_alpha p_hat a string": (BadProbabilityError, lambda: required_alpha("a", 0.1)),
+    "required_alpha p and p_hat numeric text": (BadProbabilityError, lambda: required_alpha("0.4", "0.2")),
     "circuit_failure eps_n a string": (DomainError, lambda: circuit_failure("a", 3)),
+    "circuit_failure eps_n numeric text": (DomainError, lambda: circuit_failure("0.5", 3)),
+    "NoiseModel strength numeric bytes": (BadStrengthError, lambda: NoiseModel("depolarizing", b"0.5")),
+    "FtParams p a NumPy complex": (
+        BadProbabilityError, lambda: FtParams(eps0=1e-10, **dict(BUDGET, p=np.complex128(0.2)))),
     "NoiseModel strength a string": (BadStrengthError, lambda: NoiseModel("depolarizing", "x")),
     "NoiseModel strength None": (BadStrengthError, lambda: NoiseModel("depolarizing", None)),
     "NoiseModel strength past the float range": (BadStrengthError, lambda: NoiseModel("depolarizing", 10 ** 400)),
@@ -169,6 +177,11 @@ def test_bad_argument_raises_its_error_class(error, call):
         (lambda: required_levels({"eps0": 1e-10}), "params must be a FtParams, got dict"),
         (lambda: alpha_random_search(None, compile_ideal(CIRC), LinkingMaps(), 3, 0),
          "P must be callable, got NoneType"),
+        # G passes the gates' unitarity check, which refuses an overflowing defect with no warning
+        (lambda: alpha_random_search(implemented_channel(CIRC, NOISE), 2 * np.eye(2), LinkingMaps(), 4, 1),
+         "G unitarity defect 3.000e+00 exceeds 1e-09"),
+        (lambda: alpha_random_search(implemented_channel(CIRC, NOISE), 1e200 * np.eye(2), LinkingMaps(), 4, 1),
+         "G unitarity defect inf exceeds 1e-09"),
     ],
 )
 def test_refusal_messages(call, message):
@@ -322,6 +335,29 @@ def test_each_rule_has_one_definition():
             assert getattr(module, name, None) in (None, getattr(errors, name)), (module, name)
 
 
+def test_every_private_name_has_a_user():
+    # each private top-level function, class and constant of the package is
+    # read somewhere in it, by its own module or by another
+    defined, read = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    defined.update((path.name, t.id) for t in ast.walk(target) if isinstance(t, ast.Name))
+        read.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    private = {(f, name) for f, name in defined if name.startswith("_") and not name.startswith("__")}
+    assert len(private) > 40
+    assert {(f, name) for f, name in private if name not in read} == set()
+
+
+def test_the_p_hat_rule_is_written_once():
+    assert sum(path.read_text().count("p_hat must exceed p") for path in SRC.glob("*.py")) == 1
+
+
 def test_trace_distances_have_one_definition():
     # the check before a trace distance is decided in densmat alone
     assert qcc._distances is densmat._distances
@@ -332,7 +368,14 @@ def test_trace_distances_have_one_definition():
 
 def test_unit_interval_takes_any_real_number():
     assert errors._check_unit_interval("p", np.float32(0.5)) == 0.5
+    assert errors._check_unit_interval("p", np.array(0.5)) == 0.5
     assert errors._check_unit_interval("p", 1, hi_open=False) == 1.0
-    for bad in (math.nan, math.inf, -math.inf, 1j, [0.5]):
+    assert errors._check_unit_interval("p", True, hi_open=False) == 1.0
+    # float() would parse the text and drop the imaginary parts
+    text = ("0.5", np.str_("0.5"), b"0.5", bytearray(b"0.5"))
+    complex_ = (0.5 + 0j, np.complex128(0.5 + 0.3j), np.complex64(0.5), np.array(0.5 + 0j))
+    for bad in (math.nan, math.inf, -math.inf, 1j, [0.5], *text, *complex_):
         with pytest.raises(BadProbabilityError):
             errors._check_unit_interval("p", bad)
+    with pytest.raises(BadProbabilityError, match=r"^p = '0\.5' outside \(0, 1\)$"):
+        errors._check_unit_interval("p", "0.5")

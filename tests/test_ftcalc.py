@@ -95,6 +95,16 @@ class TestBudgets:
             with pytest.raises(InfeasibleError, match=r"budget \(p_hat - p\) / 2 rounds to 0 at p_hat 5e-324, p 0.0"):
                 call()
 
+    def test_checked_params_are_not_checked_again(self, monkeypatch):
+        # FtParams runs the p < p_hat rule; planning from it runs the rule no more
+        prm, calls = FtParams(eps0=1e-10, **CAPTION), []
+        want = (epsilon_budget(0.4, 0.2), required_alpha(0.4, 0.2))
+        monkeypatch.setattr(ftcalc, "required_alpha", lambda p_hat, p: calls.append(p) or required_alpha(p_hat, p))
+        result = required_levels(prm)
+        assert calls == [] and (result.budget, result.alpha_required) == want
+        tradeoff_curve(1e-12, 1e-10, 3, **CAPTION)
+        assert len(calls) == 1  # the curve's own FtParams
+
 
 class TestLogicalGateError:
     def test_zero_levels_is_identity(self):
@@ -428,12 +438,20 @@ class TestMaxGateError:
         assert max_gate_error(3, 1e-9, 100, 0.6, 0.2) == 1e-9
 
     def test_round_trip_never_needs_more_levels(self):
-        for levels in (0, 1, 2, 3, 5):
-            eps0 = max_gate_error(levels, **{k: CAPTION[k] for k in ("eps_th", "gate_count")}, p_hat=0.4, p=0.2)
-            if eps0 >= CAPTION["eps_th"]:
-                continue
-            result = plan(eps0)
-            assert result.levels <= levels
+        # up to level 19; from level 20 on, the few ulps of error in eps0 can
+        # move the failure past the feasibility slack, and a plan needs one more
+        rng = random.Random(38)
+        budgets = [CAPTION]
+        while len(budgets) < 200:
+            p, p_hat = sorted((rng.random(), rng.random()))
+            if p < p_hat:
+                budgets.append(dict(eps_th=10.0 ** rng.uniform(-12.0, math.log10(0.5)),
+                                    gate_count=int(10.0 ** rng.uniform(0.0, 15.0)), p=p, p_hat=p_hat))
+        for kw in budgets:
+            for levels in range(20):
+                eps0 = max_gate_error(levels, **kw)
+                if eps0 < kw["eps_th"]:
+                    assert required_levels(FtParams(eps0=eps0, **kw)).levels <= levels, (kw, levels)
 
     def test_monotone_in_levels(self):
         values = [max_gate_error(n, 1e-9, 10 ** 12, 0.4, 0.2) for n in range(6)]

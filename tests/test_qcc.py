@@ -38,6 +38,7 @@ from ftqc.errors import (
 from ftqc.kitaev import OverallComputation
 
 GROUND = DensityMatrix([[1, 0], [0, 0]])
+CLIFFORD_GATES = ("I", "X", "Y", "Z", "H", "S", "CNOT", "CZ")
 MIXED = DensityMatrix(np.eye(2) / 2.0)
 
 
@@ -187,6 +188,7 @@ class TestAlpha:
         cases += [(identity_circuit(), NoiseModel(kind="depolarizing", strength=lam), identity_parity())
                   for lam in (0.1, 0.2, 0.3, 0.5)]
         cases.append((cases[0][0], NoiseModel(kind="none"), cases[0][2]))
+        clifford_only = 0
         for seed, (circ, noise, comp) in enumerate(cases):
             bound = helpers.diamond_bound(circ, noise)
             report = certify_combined_bound(circ, noise, comp)
@@ -194,6 +196,13 @@ class TestAlpha:
             search = alpha_random_search(P, G, LinkingMaps(), trials=16, seed=seed)
             assert report.alpha <= bound + 1e-9
             assert search <= bound + 1e-9
+            if all(g.name in CLIFFORD_GATES for g in circ.gates):
+                # the exact supremum sits between the estimates and the bound
+                exact = helpers.clifford_diamond(circ, noise.strength)
+                assert report.alpha <= exact + 1e-9 and search <= exact + 1e-9
+                assert exact <= bound + 1e-12
+                clifford_only += 1
+        assert clifford_only >= 50
         for (circ, noise, _), lam in zip(cases[200:204], (0.1, 0.2, 0.3, 0.5)):
             assert helpers.diamond_bound(circ, noise) == pytest.approx(1.5 * lam, abs=1e-15)
         assert helpers.diamond_bound(cases[-1][0], cases[-1][1]) == 0.0
@@ -203,6 +212,53 @@ class TestAlpha:
         G = compile_ideal(identity_circuit())
         with pytest.raises(DomainError):
             alpha_random_search(P, G, LinkingMaps(), trials=0, seed=0)
+
+
+class TestCliffordDiamond:
+    """helpers.clifford_diamond, the exact alpha over all inputs of a
+    Clifford circuit, against the simulator and the closed forms."""
+
+    @staticmethod
+    def entangled_distance(circ, s):
+        # the circuit on the first half of a doubled register, applied to
+        # the maximally entangled state sum_i |i>|i> / sqrt(d)
+        doubled = Circuit(2 * circ.num_qubits, circ.gates)
+        phi = np.eye(circ.dim).reshape(-1) / np.sqrt(circ.dim)
+        rho = np.outer(phi, phi)[np.newaxis]
+        noisy = evolve(doubled, NoiseModel(kind="depolarizing", strength=s), rho)[0]
+        ideal = evolve(doubled, NoiseModel(kind="none"), rho)[0]
+        return helpers.svd_trace_norm(noisy - ideal)
+
+    def test_equals_the_distance_at_the_maximally_entangled_input(self):
+        # the Paulis move no string, and S moves one only when a later
+        # two-qubit gate spreads it: these draws catch a slip in any other map
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            names = ("H", "S", "CNOT", "CZ")[: 4 if n >= 2 else 2]
+            gates = []
+            for _ in range(int(rng.integers(0, 16))):
+                name = str(rng.choice(names))
+                targets = rng.choice(n, size=1 + (name in helpers.TWO_QUBIT_GATES), replace=False)
+                gates.append(Gate(targets=tuple(map(int, targets)), name=name))
+            circ, s = Circuit(num_qubits=n, gates=gates), float(rng.uniform(0.0, 0.5))
+            assert helpers.clifford_diamond(circ, s) == pytest.approx(self.entangled_distance(circ, s), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_gate_on_k_targets(self, n):
+        gates = [Gate(targets=(n - 1,), name=name) for name in CLIFFORD_GATES[:6]]
+        if n >= 2:
+            gates += [Gate(targets=(n - 1, 0), name="CNOT"), Gate(targets=(0, n - 1), name="CZ")]
+        for gate in gates:
+            for s in (0.0, 0.01, 0.3, 1.0):
+                want = 2.0 * s * (1.0 - 4.0 ** -len(gate.targets))
+                assert helpers.clifford_diamond(Circuit(num_qubits=n, gates=[gate]), s) == pytest.approx(
+                    want, abs=1e-12)
+
+    @pytest.mark.parametrize("gate", [Gate(targets=(0,), name="T"), Gate(targets=(0,), matrix=np.eye(2))])
+    def test_refuses_a_gate_outside_the_clifford_names(self, gate):
+        with pytest.raises(ValueError, match="not a Clifford gate"):
+            helpers.clifford_diamond(Circuit(num_qubits=1, gates=[Gate(targets=(0,), name="H"), gate]), 0.1)
 
 
 class TestCertify:

@@ -237,40 +237,38 @@ def _json_ready(obj):
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if hasattr(obj, "_asdict"):  # a named tuple is an object
+            return {k: _json_ready(v) for k, v in obj._asdict().items()}
         return [_json_ready(v) for v in obj]
     return obj
 
 
-def _emit_json(payload: dict) -> str:
-    return json.dumps(_json_ready(payload), indent=2) + "\n"
+def _emit_json(report: dict) -> str:
+    return json.dumps(_json_ready(report), indent=2) + "\n"
 
 
-def _emit_csv(header: list[str], rows: list) -> str:
-    # one %-template per row shape: floats as %.12g (which prints inf and
-    # nan as they are), bools as true/false, everything else as str()
-    lines = [",".join(header)]
-    templates = {}
-    for row in rows:
-        shape = tuple(map(type, row))
-        template = templates.get(shape)
-        if template is None:
-            template = templates[shape] = ",".join(
-                "%.12g" if issubclass(t, float) else "%s" for t in shape
-            )
-        if bool in shape:
-            row = [("true" if c else "false") if type(c) is bool else c for c in row]
-        lines.append(template % tuple(row))
-    return "\n".join(lines) + "\n"
+def _emit_csv(report: dict) -> str:
+    """One row per record (a named tuple or a dict) of the report's one list
+    field, with its other fields repeated on each row; a report without a
+    list is one row.  One %-template, built from the first row, formats
+    every row: floats as %.12g (which prints inf and nan as they are),
+    bools as true/false, everything else as str()."""
+    list_key = next((k for k, v in report.items() if isinstance(v, (list, tuple))), None)
+    others = {k: v for k, v in report.items() if k != list_key}
+    records = report[list_key] if list_key else [{}]
+    header = [*(records[0]._fields if isinstance(records[0], tuple) else records[0]), *others]
+    rest = tuple(others.values())
+    rows = [(r if isinstance(r, tuple) else tuple(r.values())) + rest for r in records]
+    template = ",".join("%.12g" if isinstance(c, float) else "%s" for c in rows[0])
+    if any(type(c) is bool for c in rows[0]):
+        rows = [tuple(("true" if c else "false") if type(c) is bool else c for c in row) for row in rows]
+    return "\n".join([",".join(header), *(template % row for row in rows)]) + "\n"
 
 
 # --- subcommands --------------------------------------------------------------
-# Each takes the decoded config and returns (payload, header, rows): the JSON
-# report and its CSV form.  Each imports the modules it runs, so a process
-# loads no other command's module.
-
-def _one_row(payload: dict):
-    return payload, list(payload), [list(payload.values())]
-
+# Each takes the decoded config and returns its report, which main renders as
+# JSON or, by _emit_csv's one rule, as CSV.  Each imports the modules it runs,
+# so a process loads no other command's module.
 
 def _budget(cfg: dict) -> dict:
     """The planner's eps_th, gate_count, p and p_hat, where p_hat may be
@@ -291,24 +289,21 @@ def _cmd_plan(cfg: dict):
         raise ConfigError('missing key "eps0" in the config')
     budget = _budget(cfg)
     if levels is None:
-        return _one_row(ftcalc.required_levels(ftcalc.FtParams(eps0=cfg["eps0"], **budget))._asdict())
+        return ftcalc.required_levels(ftcalc.FtParams(eps0=cfg["eps0"], **budget))._asdict()
     # inverse query: admissible gate error at a fixed level
     p_hat, p = budget["p_hat"], budget["p"]
-    return _one_row({
+    return {
         "levels": levels,
         "max_eps0": ftcalc.max_gate_error(levels, **budget),
         "budget": ftcalc.epsilon_budget(p_hat, p),
         "alpha_required": ftcalc.required_alpha(p_hat, p),
-    })
+    }
 
 
 def _cmd_tradeoff(cfg: dict):
     from . import ftcalc
 
-    points = ftcalc.tradeoff_curve(cfg["eps0_min"], cfg["eps0_max"], cfg["points"], **_budget(cfg))
-    # CSV prints the rows as they are; only JSON needs one dict per row
-    payload = {"points": [r._asdict() for r in points]} if cfg["format"] == "json" else None
-    return payload, list(ftcalc.TradeoffPoint._fields), points
+    return {"points": ftcalc.tradeoff_curve(cfg["eps0_min"], cfg["eps0_max"], cfg["points"], **_budget(cfg))}
 
 
 def _cmd_verify(cfg: dict):
@@ -335,16 +330,12 @@ def _cmd_verify(cfg: dict):
     if trials is not None:
         # refuse an oversized search before certifying anything
         qcc._check_trials(trials)
-    payload = qcc.certify_combined_bound(circ, noise, comp).to_dict()
-    # CSV: one row per input, the report-wide fields repeated on each row
-    summary = {key: v for key, v in payload.items() if key != "per_input"}
-    header = [*payload["per_input"][0], *summary]
-    rows = [[*rec.values(), *summary.values()] for rec in payload["per_input"]]
+    report = qcc.certify_combined_bound(circ, noise, comp).to_dict()
     if trials is not None and cfg["format"] == "json":  # the CSV report has no column for it
-        payload["alpha_random_search"] = qcc.alpha_random_search(
+        report["alpha_random_search"] = qcc.alpha_random_search(
             qcc.implemented_channel(circ, noise, link), compile_ideal(circ), link, trials, cfg["seed"]
         )
-    return payload, header, rows
+    return report
 
 
 def _cmd_vote(cfg: dict):
@@ -357,14 +348,10 @@ def _cmd_vote(cfg: dict):
         k = vote.min_repetitions(p_prime, target)
     success = vote.majority_success(p_prime, k)
     _check_unit_interval("per_run_failure", p_prime, lo_open=False)
-    payload, header, rows = _one_row({
-        "per_run_failure": p_prime,
-        "repetitions": k,
-        "success_probability": success,
-    })
-    if target is not None:
-        payload["target"] = target
-    return payload, header, rows
+    report = {"per_run_failure": p_prime, "repetitions": k, "success_probability": success}
+    if target is not None and cfg["format"] == "json":  # the CSV report has no column for it
+        report["target"] = target
+    return report
 
 
 _Command = namedtuple("_Command", "run help keys")
@@ -448,8 +435,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _assemble(args)
-        payload, header, rows = _COMMANDS[args.command].run(cfg)
-        text = _emit_csv(header, rows) if cfg["format"] == "csv" else _emit_json(payload)
+        report = _COMMANDS[args.command].run(cfg)
+        text = _emit_csv(report) if cfg["format"] == "csv" else _emit_json(report)
         path = cfg["output_path"]
         if path is None:
             _write_stdout(text)

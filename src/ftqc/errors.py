@@ -173,10 +173,12 @@ class _SetOnce:
 
 
 def _as_float(value) -> float:
-    """float(value), or NaN, which fails every range test, for what float() refuses
+    """float(value), or NaN, which fails every range test, for what float() refuses,
+    for what has neither __float__ nor __index__ (float() parses text in a buffer),
     and for text and complex numbers, which float() would parse or truncate."""
     kind = getattr(getattr(value, "dtype", None), "kind", None)  # "c" for a NumPy complex
-    if kind == "c" or isinstance(value, (str, bytes, bytearray, complex)):
+    real = hasattr(type(value), "__float__") or hasattr(type(value), "__index__")
+    if not real or kind == "c" or isinstance(value, (str, bytes)):  # NumPy text has __float__
         return float("nan")
     try:
         return float(value)

@@ -251,7 +251,8 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
     """Largest eps0 whose circuit failure at the given level fits the budget.
 
     eps_th * (budget / (gate_count * eps_th)) ** (1 / 2**levels), clamped at
-    eps_th when the budget already covers gate_count * eps_th.  Planning at
+    eps_th, so the result is never above eps_th: it is eps_th when the budget
+    already covers gate_count * eps_th or the root rounds past it.  Planning at
     the result needs at most `levels` up to level 19, and from level 20 can
     need one more: a few ulps in eps0 then outweigh FEASIBILITY_SLACK.
     """
@@ -265,7 +266,7 @@ def max_gate_error(levels: int, eps_th: float, gate_count: int, p_hat: float, p:
         return budget / gate_count
     # ldexp divides by 2**levels without overflowing at levels >= 1024
     log_ratio = math.ldexp(math.log(budget) - math.log(gate_count) - math.log(eth), -levels)
-    return math.exp(math.log(eth) + log_ratio)
+    return min(eth, math.exp(math.log(eth) + log_ratio))
 
 
 def _log_grid(lo: float, hi: float, points: int) -> list[float]:

@@ -174,15 +174,14 @@ def certify_combined_bound(circ: Circuit, noise: NoiseModel, comp: OverallComput
     ideal_success = ideal_probs[cells].tolist()
     actual_success = _readout(actual, comp.povm)[cells].tolist()
     report = QccReport(map(InputRecord, comp.inputs, ideal_success, actual_success, inaccuracy))
-    p, alpha = report.p, report.alpha
-    for r in report.per_input:
-        if not _within_bound(r, p, alpha):
-            failure = 1.0 - r.actual_success
-            raise TheoremViolationError(
-                f"combined bound violated at input {r.x!r}: "
-                f"failure {failure:.12g} > p + alpha = {p + alpha:.12g} + {BOUND_SLACK:.0e}; "
-                "this indicates defective numerics, not a bad input"
-            )
+    if not report.bound_holds:
+        p, alpha = report.p, report.alpha
+        r = next(r for r in report.per_input if not _within_bound(r, p, alpha))
+        raise TheoremViolationError(
+            f"combined bound violated at input {r.x!r}: "
+            f"failure {1.0 - r.actual_success:.12g} > p + alpha = {p + alpha:.12g} + {BOUND_SLACK:.0e}; "
+            "this indicates defective numerics, not a bad input"
+        )
     return report
 
 

@@ -3,6 +3,7 @@ probability given to the library raises an ftqc.errors class with a
 message, and a NumPy integer counts exactly as the same Python int.  The
 simulator's value types are read-only and compare by identity."""
 
+import array
 import ast
 import copy
 import json
@@ -81,6 +82,10 @@ BAD_CALLS = {
     "circuit_failure eps_n a string": (DomainError, lambda: circuit_failure("a", 3)),
     "circuit_failure eps_n numeric text": (DomainError, lambda: circuit_failure("0.5", 3)),
     "NoiseModel strength numeric bytes": (BadStrengthError, lambda: NoiseModel("depolarizing", b"0.5")),
+    "required_alpha p_hat numeric text in a buffer": (
+        BadProbabilityError, lambda: required_alpha(memoryview(b"0.4"), 0.2)),
+    "NoiseModel strength numeric text in an array": (
+        BadStrengthError, lambda: NoiseModel("depolarizing", array.array("b", b"0.5"))),
     "FtParams p a NumPy complex": (
         BadProbabilityError, lambda: FtParams(eps0=1e-10, **dict(BUDGET, p=np.complex128(0.2)))),
     "NoiseModel strength a string": (BadStrengthError, lambda: NoiseModel("depolarizing", "x")),
@@ -372,7 +377,8 @@ def test_unit_interval_takes_any_real_number():
     assert errors._check_unit_interval("p", 1, hi_open=False) == 1.0
     assert errors._check_unit_interval("p", True, hi_open=False) == 1.0
     # float() would parse the text and drop the imaginary parts
-    text = ("0.5", np.str_("0.5"), b"0.5", bytearray(b"0.5"))
+    text = ("0.5", np.str_("0.5"), b"0.5", np.bytes_(b"0.5"), bytearray(b"0.5"), memoryview(b"0.5"),
+            array.array("b", b"0.5"))
     complex_ = (0.5 + 0j, np.complex128(0.5 + 0.3j), np.complex64(0.5), np.array(0.5 + 0j))
     for bad in (math.nan, math.inf, -math.inf, 1j, [0.5], *text, *complex_):
         with pytest.raises(BadProbabilityError):

@@ -437,6 +437,11 @@ class TestMaxGateError:
         # budget 0.2 >= gate_count * eps_th = 1e-7, so the cap is the threshold
         assert max_gate_error(3, 1e-9, 100, 0.6, 0.2) == 1e-9
 
+    def test_never_above_threshold(self):
+        # from level 53 on, the caption's log-space root rounds one ulp past eps_th
+        assert max_gate_error(53, 1e-9, 10 ** 12, 0.4, 0.2) == 1e-9
+        assert all(max_gate_error(n, 1e-9, 10 ** 12, 0.4, 0.2) <= 1e-9 for n in range(40, 1100))
+
     def test_round_trip_never_needs_more_levels(self):
         # up to level 19; from level 20 on, the few ulps of error in eps0 can
         # move the failure past the feasibility slack, and a plan needs one more

@@ -748,6 +748,20 @@ class TestFaultPairCounts:
             assert rec.actual_success == pytest.approx(np.trace(effect @ actual).real, abs=1e-12)
             assert 1.0 - rec.actual_success == pytest.approx(failure, abs=1e-12)
 
+    @pytest.mark.parametrize("rounds, decode, order, count", ROWS)
+    def test_alpha_estimates_sit_under_the_exact_diamond_distance(self, rounds, decode, order, count):
+        # basis alpha <= a 16-trial search <= the exact alpha over all inputs
+        # <= the telescoped bound, on gadgets of I and CNOT only
+        circ, comp = self.gadget(rounds, decode)
+        for seed, s in enumerate((1e-3, 1e-2, 0.1)):
+            noise = NoiseModel(kind="depolarizing", strength=s)
+            alpha = certify_combined_bound(circ, noise, comp).alpha
+            search = alpha_random_search(implemented_channel(circ, noise), compile_ideal(circ),
+                                         LinkingMaps(), trials=16, seed=seed)
+            exact = helpers.clifford_diamond(circ, s)
+            assert alpha <= search + 1e-9 and search <= exact + 1e-9, (s, alpha, search, exact)
+            assert exact <= helpers.diamond_bound(circ, noise) + 1e-12
+
 
 class TestMixing:
     def test_frozen_mixture(self):

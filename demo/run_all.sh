@@ -55,6 +55,37 @@ if ! grep -q '"bound_holds": true' "$tmp/repetition.out"; then
     exit 1
 fi
 
+# a 6-qubit search of 40 trials runs as 3 blocks of 16, each trial drawn from
+# one generator reset to key (seed, trial): the value must be the one that a
+# new generator per trial gave
+cat > "$tmp/verify_six.json" <<'JSON'
+{"circuit": {"num_qubits": 6,
+             "gates": [{"name": "H", "targets": [0]}, {"name": "H", "targets": [1]},
+                       {"name": "H", "targets": [2]}, {"name": "H", "targets": [3]},
+                       {"name": "H", "targets": [4]}, {"name": "H", "targets": [5]},
+                       {"name": "CNOT", "targets": [0, 1]}, {"name": "CNOT", "targets": [1, 2]},
+                       {"name": "CNOT", "targets": [2, 3]}, {"name": "CNOT", "targets": [3, 4]},
+                       {"name": "CNOT", "targets": [4, 5]}]},
+ "computation": {"inputs": ["000000"], "truth_table": {"000000": "000000"},
+                 "povm": "computational_basis",
+                 "outputs": ["000000", "000001", "000010", "000011", "000100", "000101", "000110", "000111",
+                             "001000", "001001", "001010", "001011", "001100", "001101", "001110", "001111",
+                             "010000", "010001", "010010", "010011", "010100", "010101", "010110", "010111",
+                             "011000", "011001", "011010", "011011", "011100", "011101", "011110", "011111",
+                             "100000", "100001", "100010", "100011", "100100", "100101", "100110", "100111",
+                             "101000", "101001", "101010", "101011", "101100", "101101", "101110", "101111",
+                             "110000", "110001", "110010", "110011", "110100", "110101", "110110", "110111",
+                             "111000", "111001", "111010", "111011", "111100", "111101", "111110", "111111"]},
+ "noise": {"kind": "depolarizing", "strength": 0.01},
+ "random_search_trials": 40, "seed": 7}
+JSON
+ftqc verify --config "$tmp/verify_six.json" > "$tmp/verify_six.out"
+cat "$tmp/verify_six.out"
+if ! grep -q '"alpha_random_search": 0.174597759683$' "$tmp/verify_six.out"; then
+    echo "run_all.sh: the 6-qubit search did not give alpha_random_search 0.174597759683" >&2
+    exit 1
+fi
+
 # expected refusals: the console script passes main's exit code through
 expect() {
     want=$1

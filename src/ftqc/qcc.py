@@ -22,6 +22,7 @@ import numpy as np
 
 from .channels import Circuit, NoiseModel, compile_ideal, evolve
 from .densmat import (
+    MAX_DIM,
     DensityMatrix,
     _ReadOnly,
     _as_square_matrix,
@@ -46,9 +47,6 @@ BOUND_SLACK = 1e-9
 
 # Largest trial count alpha_random_search accepts (10**9 trials would run for years).
 SEARCH_TRIAL_CAP = 10 ** 5
-
-# Trials alpha_random_search pushes through the circuit at once.
-SEARCH_BLOCK = 16
 
 
 class LinkingMaps(_ReadOnly):
@@ -114,11 +112,11 @@ def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: 
 
     P is the noisy circuit as a map on (B, d, d) stacks (implemented_channel)
     and G the ideal circuit's d x d unitary (compile_ideal), checked as a gate
-    matrix is.  Each block of pure vectors v goes through P as the stack of
-    v v+, and through G as the outer products of the vectors G v, at d**2
-    per trial.  A lower bound on the true supremum; reported alongside the
-    input-level alpha, never used in the certified bound.  Counter-based
-    generator keyed by (seed, trial), so serial and parallel orders agree.
+    matrix is.  Blocks of (MAX_DIM // d)**2 pure vectors v, 1 MiB per stack, go
+    through P as v v+ and through G as (G v)(G v)+.  Trial t draws from one
+    Philox generator reset to key (seed mod 2**64, t), counter 0, as a new
+    Philox(key=[seed, t]) starts.  A lower bound on the true supremum, reported
+    beside the input-level alpha and never used in the certified bound.
     """
     trials = _check_trials(trials)
     if not callable(P):
@@ -127,14 +125,16 @@ def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: 
     _check_unitary(G, "G")
     dim = G.shape[0]
     key_hi = _check_count(seed, "seed", None, None, DomainError) % (2 ** 64)
-    worst = 0.0
-    for start in range(0, trials, SEARCH_BLOCK):
-        block = range(start, min(start + SEARCH_BLOCK, trials))
-        vectors = np.empty((len(block), dim), dtype=complex)
-        for row, t in enumerate(block):
-            gen = np.random.Generator(np.random.Philox(key=np.array([key_hi, t], dtype=np.uint64)))
-            v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-            vectors[row] = v / np.linalg.norm(v)
+    bits = np.random.Philox(key=np.array([key_hi, 0], dtype=np.uint64))
+    gen, fresh = np.random.Generator(bits), bits.state
+    per_block, worst = (MAX_DIM // dim) ** 2, 0.0
+    for start in range(0, trials, per_block):
+        vectors = np.empty((min(per_block, trials - start), dim), dtype=complex)
+        for t, v in enumerate(vectors, start):
+            fresh["state"]["key"][1] = t
+            bits.state = fresh
+            v[:] = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+            v /= np.linalg.norm(v)
         w = vectors @ G.T
         ideal = w[:, :, np.newaxis] * w[:, np.newaxis, :].conj()
         actual = P(vectors[:, :, np.newaxis] * vectors[:, np.newaxis, :].conj())
@@ -153,11 +153,11 @@ def certify_combined_bound(circ: Circuit, noise: NoiseModel, comp: OverallComput
 
     The ideal outputs are U rho U+ with U = compile_ideal(circ), for basis
     and mixed inputs alike; the input stack goes, uncopied, once through the
-    noisy circuit.  Each input's record holds its ideal and actual success
-    and the trace distance between its two outputs; the report derives p,
-    alpha and the bound from them.  The bound holds by theorem; the first
-    input, in ``inputs`` order, whose failure exceeds p + alpha beyond the
-    1e-9 slack raises TheoremViolationError instead of returning a report.
+    noisy circuit.  Each record holds an input's ideal and actual success and
+    the trace distance of its outputs, from which the report derives p and
+    alpha.  The first input, in ``inputs`` order, whose failure exceeds p +
+    alpha + 1e-9, then the first above ideal failure + inaccuracy_x / 2 (as
+    tr(E D) <= ||D||_1 / 2) + 1e-9 * (1 + inaccuracy_x), raises TheoremViolationError.
     """
     _check_type(comp, (OverallComputation,), "comp")
     if _check_type(circ, (Circuit,), "circ").dim != comp.dim:
@@ -182,6 +182,14 @@ def certify_combined_bound(circ: Circuit, noise: NoiseModel, comp: OverallComput
             f"failure {1.0 - r.actual_success:.12g} > p + alpha = {p + alpha:.12g} + {BOUND_SLACK:.0e}; "
             "this indicates defective numerics, not a bad input"
         )
+    for r in report.per_input:  # an effect may leave [0, 1] by 1e-9, so the slack grows with the distance
+        bound = 1.0 - r.ideal_success + r.inaccuracy_x / 2
+        if not 1.0 - r.actual_success <= bound + BOUND_SLACK * (1.0 + r.inaccuracy_x):
+            raise TheoremViolationError(
+                f"per-input bound violated at input {r.x!r}: failure {1.0 - r.actual_success:.12g} > "
+                f"ideal failure + inaccuracy / 2 = {bound:.12g} + {BOUND_SLACK:.0e} * (1 + inaccuracy); "
+                "this indicates defective numerics, not a bad input"
+            )
     return report
 
 

@@ -2,10 +2,11 @@
 
 Each relation compares the verifier with itself under a change that must
 not matter, so it needs no oracle: relabelling the qubits, reversing the
-inputs, certifying each input alone, and changing the search block size.
-The circuits are seeded and random, about 25 gates each, with named one-
-and two-qubit gates in both orientations and 3-target matrix gates whose
-targets come in any order.
+inputs and certifying each input alone.  The circuits are seeded and
+random, about 25 gates each, with named one- and two-qubit gates in both
+orientations and 3-target matrix gates whose targets come in any order.
+The search, whose blocks shrink as the register grows, is compared with a
+per-trial oracle across its block boundaries instead.
 """
 
 import numpy as np
@@ -29,7 +30,8 @@ from ftqc import (
 TOL = 1e-12
 NUM_GATES = 25
 NUM_INPUTS = 6
-SEARCH_TRIALS = 2
+# blocks hold 64, 16, 4 and 1 trials at n = 5..8, so from n = 6 on each count spans two blocks or more
+SEARCH_TRIALS = {5: 17, 6: 17, 7: 5, 8: 2}
 NOISE = NoiseModel(kind="depolarizing", strength=0.05)
 
 
@@ -113,12 +115,11 @@ def test_each_input_alone_gives_the_joint_records(case):
     assert_same_records(alone, report.per_input)
 
 
-def test_search_value_does_not_depend_on_the_block_size(case, monkeypatch):
-    n, _, circ, _ = case
+@pytest.mark.parametrize("n", range(5, 9), ids=lambda n: f"n{n}")
+def test_search_matches_the_per_trial_oracle_across_blocks(n):
+    # two gates keep the oracle's dense Pauli twirl within the net's time
+    circ = Circuit(n, [Gate((0,), "H"), Gate((n - 1, 0), "CNOT")])
     P, G = implemented_channel(circ, NOISE), compile_ideal(circ)
-    values = []
-    for block in (1, SEARCH_TRIALS):
-        monkeypatch.setattr(qcc, "SEARCH_BLOCK", block)
-        values.append(alpha_random_search(P, G, qcc.LinkingMaps(), SEARCH_TRIALS, seed=n))
-    assert values[0] > 0.0
-    assert values[1] == pytest.approx(values[0], rel=0, abs=TOL)
+    got = alpha_random_search(P, G, qcc.LinkingMaps(), SEARCH_TRIALS[n], seed=n)
+    assert got > 0.0
+    assert got == pytest.approx(helpers.random_search_oracle(circ, NOISE, SEARCH_TRIALS[n], n), rel=0, abs=TOL)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,28 @@ class TestAlpha:
             want = helpers.random_search_oracle(circ, noise, 37, seed)
             got = alpha_random_search(P, G, LinkingMaps(), trials=37, seed=seed)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, -1, 2 ** 64 - 1, 2 ** 64 + 5])
+    def test_random_search_takes_its_seed_modulo_2_64(self, seed):
+        circ, noise = ladder(3), NoiseModel(kind="depolarizing", strength=0.1)
+        P, G = implemented_channel(circ, noise), compile_ideal(circ)
+        got = alpha_random_search(P, G, LinkingMaps(), trials=5, seed=seed)
+        assert got == pytest.approx(helpers.random_search_oracle(circ, noise, 5, seed), rel=0, abs=1e-12)
+        assert got == alpha_random_search(P, G, LinkingMaps(), trials=5, seed=seed % 2 ** 64)
+
+    def test_eight_qubit_search_holds_one_trial_at_a_time(self):
+        # a block holds (256 // d)**2 trials, so at n = 8 each stack is one
+        # 1 MiB matrix; the 16 trials in one block would peak near 81 MiB
+        circ = Circuit(num_qubits=8, gates=[Gate(name="H", targets=(0,)), Gate(name="CNOT", targets=(7, 0))])
+        P = implemented_channel(circ, NoiseModel(kind="depolarizing", strength=0.01))
+        G = compile_ideal(circ)
+        tracemalloc.start()
+        try:
+            alpha_random_search(P, G, LinkingMaps(), trials=16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_random_search_on_four_qubit_ladder_is_fast(self):
         circ = ladder(4)
@@ -477,6 +500,33 @@ class TestCertify:
         assert report.worst_margin >= -1e-9
         for rec in report.per_input:
             assert 1.0 - rec.actual_success <= report.p + report.alpha + 1e-9
+
+    def test_halved_distance_breaks_the_per_input_bound(self, monkeypatch):
+        # criterion 02's 13th instance: 3 qubits, one gate; halving every
+        # trace norm keeps failure <= p + alpha but not the tight per-input form
+        import ftqc.densmat
+
+        rng = np.random.default_rng(20260817)
+        for _ in range(13):
+            circ, noise, comp = helpers.random_instance(rng)
+        assert certify_combined_bound(circ, noise, comp).bound_holds is True
+        trace_norms = ftqc.densmat._trace_norms
+        monkeypatch.setattr(ftqc.densmat, "_trace_norms", lambda stack: trace_norms(stack) / 2)
+        with pytest.raises(TheoremViolationError,
+                           match=r"^per-input bound violated at input '000': failure .* > ideal failure \+ "):
+            certify_combined_bound(circ, noise, comp)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_effect_at_the_tolerance_passes_the_per_input_bound(self, n):
+        # an effect with spectrum [-1e-9, 1 + 1e-9] reads a gap of D as up to
+        # (1/2 + 1e-9) ||D||_1, so the per-input slack grows with inaccuracy_x
+        d, delta, eps = 2 ** n, 1e-9, 1e-8
+        effect = np.diag([1.0 + delta] + [-delta] * (d - 1))
+        state = np.diag([1.0 - eps, eps] + [0.0] * (d - 2))
+        comp = OverallComputation(("x",), ("a", "b"), {"x": "a"}, {"x": state}, {"a": effect, "b": np.eye(d) - effect})
+        circ = Circuit(num_qubits=n, gates=[Gate(name="I", targets=(q,)) for q in range(n)])
+        r = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=1.0), comp).per_input[0]
+        assert (1.0 - r.actual_success) - (1.0 - r.ideal_success + r.inaccuracy_x / 2) > 1.4e-9
 
     def test_violation_names_the_first_input_in_inputs_order(self, monkeypatch):
         # with every inaccuracy read as 0, alpha = 0 and each noisy failure breaks p + alpha

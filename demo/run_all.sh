@@ -5,15 +5,21 @@
 # Run it from the repository root:
 #
 #     sh demo/run_all.sh
+#
+# FTQC names the command to run in place of `ftqc`, split into words, so a
+# checkout runs without installing:
+#
+#     FTQC="python3 -m ftqc.cli" PYTHONPATH=src sh demo/run_all.sh
 set -eu
+FTQC=${FTQC:-ftqc}
 
-ftqc plan --config demo/plan.json
-ftqc tradeoff --config demo/tradeoff.json
-ftqc vote --config demo/vote.json
-ftqc verify --config demo/verify.json
-ftqc verify --format csv --config demo/verify.json
+$FTQC plan --config demo/plan.json
+$FTQC tradeoff --config demo/tradeoff.json
+$FTQC vote --config demo/vote.json
+$FTQC verify --config demo/verify.json
+$FTQC verify --format csv --config demo/verify.json
 # only verify reads FTQC_SEED, so a malformed value must not stop a plan
-FTQC_SEED=x ftqc plan --config demo/plan.json
+FTQC_SEED=x $FTQC plan --config demo/plan.json
 
 # demo/verify.json reads out explicit effects; this one the computational basis
 tmp=$(mktemp -d)
@@ -25,7 +31,7 @@ cat > "$tmp/verify_basis.json" <<'JSON'
                  "povm": "computational_basis"},
  "noise": {"kind": "depolarizing", "strength": 0.05}}
 JSON
-ftqc verify --config "$tmp/verify_basis.json"
+$FTQC verify --config "$tmp/verify_basis.json"
 
 # noiseless: the ideal outputs come from the circuit's unitary and the actual
 # ones from gate-by-gate evolution at strength 0; the combined bound must hold
@@ -35,11 +41,11 @@ cat > "$tmp/verify_noiseless.json" <<'JSON'
  "noise": {"kind": "none"},
  "random_search_trials": 16}
 JSON
-ftqc verify --config "$tmp/verify_noiseless.json"
+$FTQC verify --config "$tmp/verify_noiseless.json"
 
 # a search past 63 repetitions, which starts at its Cornish-Fisher estimate
 echo '{"p_prime": 0.485, "target": 0.99}' > "$tmp/vote_search.json"
-ftqc vote --config "$tmp/vote_search.json" > "$tmp/vote_search.out"
+$FTQC vote --config "$tmp/vote_search.json" > "$tmp/vote_search.out"
 cat "$tmp/vote_search.out"
 if ! grep -q '"repetitions": 6011' "$tmp/vote_search.out"; then
     echo "run_all.sh: the vote search did not answer 6011 repetitions" >&2
@@ -48,7 +54,7 @@ fi
 
 # a 3-qubit repetition code read out by majority vote: the combined bound
 # must hold, though alpha bounds the state and not the decoded result
-ftqc verify --config demo/repetition.json > "$tmp/repetition.out"
+$FTQC verify --config demo/repetition.json > "$tmp/repetition.out"
 cat "$tmp/repetition.out"
 if ! grep -q '"bound_holds": true' "$tmp/repetition.out"; then
     echo "run_all.sh: the repetition-code report does not hold its bound" >&2
@@ -79,7 +85,7 @@ cat > "$tmp/verify_six.json" <<'JSON'
  "noise": {"kind": "depolarizing", "strength": 0.01},
  "random_search_trials": 40, "seed": 7}
 JSON
-ftqc verify --config "$tmp/verify_six.json" > "$tmp/verify_six.out"
+$FTQC verify --config "$tmp/verify_six.json" > "$tmp/verify_six.out"
 cat "$tmp/verify_six.out"
 if ! grep -q '"alpha_random_search": 0.174597759683$' "$tmp/verify_six.out"; then
     echo "run_all.sh: the 6-qubit search did not give alpha_random_search 0.174597759683" >&2
@@ -98,15 +104,15 @@ expect() {
     fi
 }
 echo '{"p_prime": 0.15, "k": 4}' > "$tmp/vote_even.json"
-expect 1 ftqc vote --config "$tmp/vote_even.json"
+expect 1 $FTQC vote --config "$tmp/vote_even.json"
 echo '{"p_prime": 0.15, "k": 3, "repetitions": 3}' > "$tmp/vote_unknown_key.json"
-expect 2 ftqc vote --config "$tmp/vote_unknown_key.json"
+expect 2 $FTQC vote --config "$tmp/vote_unknown_key.json"
 echo '{"p_prime": 0.4996, "target": 0.97}' > "$tmp/vote_cap.json"
-expect 1 ftqc vote --config "$tmp/vote_cap.json"
+expect 1 $FTQC vote --config "$tmp/vote_cap.json"
 # only verify draws random numbers, so only verify takes a seed
-expect 2 ftqc plan --config demo/plan.json --seed 3
+expect 2 $FTQC plan --config demo/plan.json --seed 3
 echo '{"p_prime": 0.15, "k": 3, "seed": 1}' > "$tmp/vote_seed.json"
-expect 2 ftqc vote --config "$tmp/vote_seed.json"
+expect 2 $FTQC vote --config "$tmp/vote_seed.json"
 # a mistyped key beside an unknown gate: the whole config is read before
 # anything is built, so the config error (exit 2) is the one reported
 cat > "$tmp/verify_mixed_faults.json" <<'JSON'
@@ -115,7 +121,7 @@ cat > "$tmp/verify_mixed_faults.json" <<'JSON'
  "noise": {"kind": "depolarizing", "strength": 0.1},
  "random_search_trials": "many"}
 JSON
-expect 2 ftqc verify --config "$tmp/verify_mixed_faults.json"
+expect 2 $FTQC verify --config "$tmp/verify_mixed_faults.json"
 # a 2-qubit circuit under 3-bit labels, one of which is also too short: the
 # width mismatch is a config error, reported before any basis state is built
 cat > "$tmp/verify_width_mismatch.json" <<'JSON'
@@ -125,7 +131,7 @@ cat > "$tmp/verify_width_mismatch.json" <<'JSON'
                  "povm": "computational_basis"},
  "noise": {"kind": "none"}}
 JSON
-expect 2 ftqc verify --config "$tmp/verify_width_mismatch.json"
+expect 2 $FTQC verify --config "$tmp/verify_width_mismatch.json"
 # a gate matrix whose unitarity defect overflows to NaN is refused, with one
 # stderr line and no NumPy warning before it
 cat > "$tmp/verify_nan_gate.json" <<'JSON'
@@ -136,7 +142,7 @@ cat > "$tmp/verify_nan_gate.json" <<'JSON'
  "noise": {"kind": "none"}}
 JSON
 code=0
-ftqc verify --config "$tmp/verify_nan_gate.json" 2> "$tmp/nan_gate.err" || code=$?
+$FTQC verify --config "$tmp/verify_nan_gate.json" 2> "$tmp/nan_gate.err" || code=$?
 lines=$(wc -l < "$tmp/nan_gate.err")
 if [ "$code" -ne 1 ] || [ "$lines" -ne 1 ]; then
     echo "run_all.sh: the NaN gate exited $code with $lines stderr line(s), expected 1 and 1" >&2

@@ -24,7 +24,8 @@ absolute eigenvalues, with no factor 1/2: two orthogonal pure states are at
 distance 2.  Every trace distance between states is taken in one step,
 ``_distances``, which checks each operand stack as states and not their
 difference: two states each within the Hermiticity tolerance may differ by
-twice it.
+twice it.  The norm is that of the Hermitian part (D + D+) / 2 of the
+difference D, not of the lower triangle of D that ``eigvalsh`` reads.
 """
 
 import numpy as np
@@ -194,7 +195,10 @@ def _distances(actual: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     """Trace distances between two (B, d, d) stacks, each checked as states."""
     _check_states(actual)
     _check_states(ideal)
-    return _trace_norms(actual - ideal)
+    diff = actual - ideal  # its Hermitian part, as eigvalsh reads the lower triangle alone
+    diff += diff.conj().swapaxes(1, 2)
+    diff *= 0.5
+    return _trace_norms(diff)
 
 
 # --- one-matrix wrappers -------------------------------------------------------

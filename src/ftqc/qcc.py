@@ -16,7 +16,7 @@ checked step, densmat._distances.
 """
 
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -63,13 +63,10 @@ class LinkingMaps(_ReadOnly):
         self.ancilla_dim = _check_count(ancilla_dim, "ancilla_dim", 1, None, DimensionMismatchError)
 
 
-class InputRecord(NamedTuple):
-    """Per-input certification data."""
+class InputRecord(namedtuple("InputRecord", "x ideal_success actual_success inaccuracy_x")):
+    """Input x's ideal and noisy success probability and its outputs' trace distance."""
 
-    x: str
-    ideal_success: float
-    actual_success: float
-    inaccuracy_x: float
+    __slots__ = ()
 
 
 def _within_bound(r: InputRecord, p: float, alpha: float) -> bool:
@@ -97,10 +94,10 @@ class QccReport(_ReadOnly):
         return {**fields, "per_input": tuple(r._asdict() for r in self.per_input)}
 
 
-class MixingCheck(NamedTuple):
-    measured: float
-    bound: float
-    holds: bool
+class MixingCheck(namedtuple("MixingCheck", "measured bound holds")):
+    """The mixture's measured distance from the ideal state, its 2*eps bound, and whether it holds."""
+
+    __slots__ = ()
 
 
 def _check_trials(trials) -> int:

@@ -7,13 +7,18 @@ application by plain Python loops instead of einsum, the minimal vote
 repetition count by plain bisection instead of interpolation, a decoded
 failure by counting faults on classical bits instead of simulating states,
 a Clifford circuit's exact alpha by tracking Pauli strings instead of
-evolving states.
+evolving states, the planner's level in 80-digit decimal arithmetic instead
+of floats, the majority vote by an exact recurrence in k instead of a
+binomial sum.
 """
 
 from __future__ import annotations
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from ftqc import (
     vote,
 )
 from ftqc.errors import CapExceededError
+from ftqc.ftcalc import LEVEL_CAP
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -133,6 +139,40 @@ def _bisect_min_repetitions(p_prime: float, target: float) -> int:
         else:
             miss = mid
     return k
+
+
+def exact_majority_success(p_prime: float, k: int) -> Fraction:
+    """The probability that the majority of k runs is correct, for any odd
+    k, as an exact fraction over the exact binary value p = num / den of
+    p_prime, q = 1 - p.  Two more runs change the majority only from a
+    margin of one, so s(1) = q and s(j + 2) = s(j) + C(j, m) (p q)**m (q - p)
+    with m = (j + 1) / 2; the sum runs over S(j) = s(j) den**j in integers."""
+    num, den = Fraction(p_prime).as_integer_ratio()
+    good = den - num
+    total, pq_pow = good, num * good
+    for j in range(1, k, 2):
+        total = total * den * den + comb(j, (j + 1) // 2) * pq_pow * (good - num)
+        pq_pow *= num * good
+    return Fraction(total, den ** k)
+
+
+_DIGITS_80 = decimal.Context(prec=80, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def exact_plan(eps0: float, eps_th: float, gate_count: int, p: float, p_hat: float):
+    """The planner's decision in 80-digit decimal arithmetic, on the exact
+    values of the floats given: (the smallest level that meets the budget,
+    or None, and ln(failure / budget) at each level 0..LEVEL_CAP), with
+    failure = gate_count * eps_th * (eps0 / eps_th) ** (2 ** N) unclamped
+    and budget = (p_hat - p) / 2.  A level meets the budget where its log
+    ratio is at most 0."""
+    with decimal.localcontext(_DIGITS_80):
+        ln_eth = Decimal(eps_th).ln()
+        budget = (Decimal(p_hat) - Decimal(p)) / 2
+        base = Decimal(gate_count).ln() + ln_eth - budget.ln()
+        slope = Decimal(eps0).ln() - ln_eth
+        ratios = [base + 2 ** n * slope for n in range(LEVEL_CAP + 1)]
+    return next((n for n, r in enumerate(ratios) if r <= 0), None), ratios
 
 
 def random_search_oracle(circ: Circuit, noise: NoiseModel, trials: int, seed: int) -> float:

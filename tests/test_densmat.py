@@ -159,6 +159,13 @@ class TestTraceNorm:
         rotated = trace_norm(u @ (a - b) @ u.conj().T)
         assert rotated == pytest.approx(d_ab, abs=1e-10)
 
+    def test_distances_of_an_exactly_hermitian_difference_are_unchanged(self):
+        # the Hermitian part of an exactly Hermitian difference is the difference, bit for bit
+        rng = np.random.default_rng(23)
+        a, b = (np.array([helpers.ginibre_density(4, rng) for _ in range(16)]) for _ in range(2))
+        a, b = (a + a.conj().swapaxes(1, 2)) / 2, (b + b.conj().swapaxes(1, 2)) / 2
+        assert densmat._distances(a, b).tolist() == densmat._trace_norms(a - b).tolist()
+
     def test_zero_only_for_zero_operator(self):
         rng = np.random.default_rng(3)
         a = helpers.ginibre_density(4, rng)

@@ -39,6 +39,7 @@ from ftqc.kitaev import OverallComputation, basis_encoding, basis_readout
 from ftqc.qcc import (
     InputRecord,
     LinkingMaps,
+    MixingCheck,
     QccReport,
     alpha_random_search,
     certify_combined_bound,
@@ -263,12 +264,13 @@ def value_types():
     comp = computation_of(np.diag([1.0, 0.0]))
     report = certify_combined_bound(CIRC, NOISE, comp)
     return [HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), MATRIX_GATE,
-            Circuit(1, [MATRIX_GATE]), NOISE, comp, LinkingMaps(), report.per_input[0], report]
+            Circuit(1, [MATRIX_GATE]), NOISE, comp, LinkingMaps(), report.per_input[0], report,
+            mixing_inaccuracy_bound_check(GROUND, EXCITED, 0.1)]
 
 
 @pytest.mark.parametrize("value", value_types(), ids=lambda v: type(v).__name__)
 def test_value_types_are_read_only(value):
-    fields = value._fields if isinstance(value, InputRecord) else type(value).__slots__
+    fields = value._fields if isinstance(value, tuple) else type(value).__slots__
     for name in fields:
         before = getattr(value, name)
         with pytest.raises(AttributeError):
@@ -307,10 +309,11 @@ def test_value_types_pickle():
     # pickle and deepcopy fill each slot through the read-only rule; a
     # computation's arrays are its init and povm stacks
     values = (HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), MATRIX_GATE,
-              Circuit(1, [MATRIX_GATE]), NOISE, computation_of(np.diag([1.0, 0.0])))
+              Circuit(1, [MATRIX_GATE]), NOISE, computation_of(np.diag([1.0, 0.0])),
+              InputRecord("0", 1.0, 0.9, 0.2), MixingCheck(0.1, 0.2, True))
     for value in values:
         for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
-            assert back is not value and plain(back) == plain(value)
+            assert back is not value and type(back) is type(value) and plain(back) == plain(value)
             assert len(arrays(back)) == len(arrays(value))
             assert not any(a.flags.writeable for a in arrays(back))
 
@@ -357,6 +360,16 @@ def test_every_private_name_has_a_user():
     private = {(f, name) for f, name in defined if name.startswith("_") and not name.startswith("__")}
     assert len(private) > 40
     assert {(f, name) for f, name in private if name not in read} == set()
+
+
+def test_no_module_imports_typing():
+    # records are collections.namedtuple classes, so the package needs no typing
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "typing" for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "typing", path.name
 
 
 def test_the_p_hat_rule_is_written_once():

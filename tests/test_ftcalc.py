@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from ftqc import (
     FtParams,
     circuit_failure,
@@ -712,3 +713,61 @@ def _per_point_curve(eps0_min, eps0_max, points, **kw):
         else:
             rows.append(_row_key(TradeoffPoint(e0, r.levels, r.eps_qc, r.closed_form_levels)))
     return rows
+
+
+@pytest.fixture(scope="module")
+def exact_cases():
+    """Seeded planner draws with their exact decisions (helpers.exact_plan):
+    eps_th log-uniform in [1e-6, 0.5], gate_count log-uniform up to 1e15 and
+    p < p_hat uniform.  Every other draw puts eps0 uniform below eps_th; the
+    rest put it on a level boundary, at max_gate_error's value for a level L
+    in 1..8 (L None for the former).  Each case is (kw, L, exact level, log ratios)."""
+    rng = random.Random(22)
+    cases = []
+    while len(cases) < 1000:
+        p, p_hat = sorted((rng.random(), rng.random()))
+        eps_th = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+        kw = dict(eps_th=eps_th, gate_count=int(10.0 ** rng.uniform(0.0, 15.0)), p=p, p_hat=p_hat)
+        level = rng.randint(1, 8) if len(cases) % 2 else None
+        eps0 = eps_th * rng.random() if level is None else max_gate_error(level, **kw)
+        if p < p_hat and 0.0 < eps0 < eps_th:
+            cases.append((dict(kw, eps0=eps0), level, *helpers.exact_plan(**kw, eps0=eps0)))
+    return cases
+
+
+class TestExactPlanner:
+    """Which side of the truth the float planner falls on, against the
+    80-digit decimal planner: never above the exact minimal level, and one
+    below it only where the exact failure there is within FEASIBILITY_SLACK
+    of the budget."""
+
+    @staticmethod
+    def assert_on_the_optimistic_side(levels, exact, ratios):
+        assert levels <= exact
+        if levels < exact:
+            assert levels == exact - 1 and ratios[levels] <= math.log1p(FEASIBILITY_SLACK)
+
+    def test_required_levels(self, exact_cases):
+        fewer = 0
+        for kw, _, exact, ratios in exact_cases:
+            levels = required_levels(FtParams(**kw)).levels
+            self.assert_on_the_optimistic_side(levels, exact, ratios)
+            fewer += levels < exact
+        assert fewer > 100  # the boundary draws do reach the slack
+
+    def test_max_gate_error_overshoots_the_budget_by_at_most_2_to_the_level_times_8e_15(self, exact_cases):
+        # planning at max_gate_error(L) gives L in floats, but the exact
+        # failure at L can lie past the budget: eps0's few ulps, raised to 2**L
+        overshoot = [(float(ratios[level]), level) for _, level, _, ratios in exact_cases if level]
+        assert max(r / 2.0 ** level for r, level in overshoot) <= 8e-15
+        assert max(r for r, _ in overshoot) > 1e-13
+
+    def test_tradeoff_rows(self):
+        rng = random.Random(23)
+        for _ in range(8):
+            p, p_hat = sorted(rng.uniform(0.0, 0.5) for _ in range(2))
+            kw = dict(eps_th=10.0 ** rng.uniform(-6.0, math.log10(0.5)),
+                      gate_count=int(10.0 ** rng.uniform(0.0, 15.0)), p=p, p_hat=p_hat)
+            for row in tradeoff_curve(kw["eps_th"] * 1e-4, kw["eps_th"], 50, **kw):
+                if row.levels >= 0:
+                    self.assert_on_the_optimistic_side(row.levels, *helpers.exact_plan(row.eps0, **kw))

@@ -1,3 +1,4 @@
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +15,7 @@ from ftqc import (
     Gate,
     InputRecord,
     LinkingMaps,
+    MixingCheck,
     NoiseModel,
     QccReport,
     alpha_random_search,
@@ -56,6 +58,19 @@ def identity_parity(n=1):
 
 def identity_circuit(n=1):
     return Circuit(num_qubits=n, gates=[Gate(name="I", targets=(0,))])
+
+
+def tilted_plus(n):
+    """|+><+| on n qubits plus 4.9e-10 A, A real antisymmetric with -1 in
+    every entry below the diagonal: a Hermiticity defect of 9.8e-10, within
+    the tolerance.  Full depolarizing noise after an I on every qubit, read
+    out by {|+><+|, I - |+><+|}; the exact inaccuracy is 2 (1 - 1/2**n)."""
+    d = 2 ** n
+    plus, below = np.full((d, d), 1.0 / d), np.tril(np.ones((d, d)), -1)
+    comp = OverallComputation(("x",), ("0", "1"), {"x": "0"}, {"x": plus + 4.9e-10 * (below.T - below)},
+                              {"0": plus, "1": np.eye(d) - plus})
+    circ = Circuit(num_qubits=n, gates=[Gate(name="I", targets=(q,)) for q in range(n)])
+    return circ, NoiseModel(kind="depolarizing", strength=1.0), comp
 
 
 def ladder(n):
@@ -528,6 +543,21 @@ class TestCertify:
         r = certify_combined_bound(circ, NoiseModel(kind="depolarizing", strength=1.0), comp).per_input[0]
         assert (1.0 - r.actual_success) - (1.0 - r.ideal_success + r.inaccuracy_x / 2) > 1.4e-9
 
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_distance_is_that_of_the_hermitian_part(self, n):
+        # eigvalsh reads a difference's lower triangle alone, which at n = 8
+        # sat 2.5e-7 below the exact distance and broke the per-input bound
+        r = certify_combined_bound(*tilted_plus(n)).per_input[0]
+        assert r.inaccuracy_x == pytest.approx(2.0 * (1.0 - 2.0 ** -n), rel=0.0, abs=1e-14)
+
+    def test_lower_triangle_distance_breaks_the_per_input_bound(self, monkeypatch):
+        import ftqc.densmat
+        import ftqc.qcc
+
+        monkeypatch.setattr(ftqc.qcc, "_distances", lambda a, b: ftqc.densmat._trace_norms(a - b))
+        with pytest.raises(TheoremViolationError, match=r"^per-input bound violated at input 'x': "):
+            certify_combined_bound(*tilted_plus(8))
+
     def test_violation_names_the_first_input_in_inputs_order(self, monkeypatch):
         # with every inaccuracy read as 0, alpha = 0 and each noisy failure breaks p + alpha
         import ftqc.densmat
@@ -562,6 +592,18 @@ class TestCertify:
             QccReport((rec,), alpha=0.5)
         with pytest.raises(DimensionMismatchError, match="at least one input record"):
             QccReport(())
+
+    def test_records_keep_their_fields_repr_and_pickle(self):
+        record = InputRecord("0", 1.0, 0.9, 0.2)
+        check = MixingCheck(0.1, 0.2, True)
+        assert InputRecord._fields == ("x", "ideal_success", "actual_success", "inaccuracy_x")
+        assert MixingCheck._fields == ("measured", "bound", "holds")
+        assert repr(record) == "InputRecord(x='0', ideal_success=1.0, actual_success=0.9, inaccuracy_x=0.2)"
+        assert repr(check) == "MixingCheck(measured=0.1, bound=0.2, holds=True)"
+        for value in (record, check):
+            back = pickle.loads(pickle.dumps(value))
+            assert type(back) is type(value) and back == value == tuple(value) and hash(back) == hash(value)
+            assert value._replace() == value and value._asdict() == dict(zip(value._fields, value))
 
     def test_to_dict_field_order(self):
         report = certify_combined_bound(

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -24,12 +23,8 @@ from ftqc.errors import (
 from ftqc.vote import EXACT_K_LIMIT, REPETITION_CAP
 
 
-def binomial_tail_oracle(p_prime: float, k: int) -> float:
-    """Independent exact-rational oracle: sum the majority tail directly."""
-    p = Fraction(p_prime)
-    q = 1 - p
-    m = k // 2 + 1
-    return float(sum(comb(k, j) * q ** j * p ** (k - j) for j in range(m, k + 1)))
+# How far a windowed sum (k > EXACT_K_LIMIT) may lie from the exact success, on either side.
+TAIL_ERROR = 1e-15
 
 
 class TestMajoritySuccess:
@@ -55,35 +50,31 @@ class TestMajoritySuccess:
         for p in (0.05, 0.15, 0.3, 0.45, 0.7):
             for k in (1, 3, 5, 21, 63):
                 assert majority_success(p, k) == pytest.approx(
-                    binomial_tail_oracle(p, k), abs=1e-14
+                    float(helpers.exact_majority_success(p, k)), abs=1e-14
                 )
 
     def test_exact_path_rounds_like_the_fraction_conversion(self):
         # total / den**k is one correctly rounded int division, as is
-        # float(Fraction(total, den**k)), the conversion it replaced
-        def fraction_exact(p_prime, k):
-            frac = Fraction(p_prime)
-            num, den = frac.numerator, frac.denominator
-            total = sum(comb(k, j) * (den - num) ** j * num ** (k - j) for j in range((k + 1) // 2, k + 1))
-            return float(Fraction(total, den ** k))
-
+        # float(Fraction(total, den**k)), the conversion it replaced: the
+        # exact path is within half an ulp of the exact success
         rng = random.Random(5)
         draws = []
         for k in range(1, EXACT_K_LIMIT, 2):  # every odd k of the exact path
             draws += [(p, k) for p in (0.0, 5e-324, 2.0 ** -1022, 0.15, 0.5, math.nextafter(0.5, 0.0), 1.0)]
             draws += [(rng.random() if rng.random() < 0.5 else 10.0 ** -rng.uniform(0.0, 20.0), k)
                       for _ in range(150)]
-        assert [vote._majority_success_exact(p, k) for p, k in draws] == [fraction_exact(p, k) for p, k in draws]
+        exact = [float(helpers.exact_majority_success(p, k)) for p, k in draws]
+        assert [vote._majority_success_exact(p, k) for p, k in draws] == exact
 
     def test_exact_and_tail_paths_agree_at_seam(self):
         # k=63 uses integer arithmetic, k >= 65 the windowed log-space tail sum
         assert EXACT_K_LIMIT == 64
         for p in (0.1, 0.3, 0.49):
             below = majority_success(p, 63)
-            assert below == pytest.approx(binomial_tail_oracle(p, 63), abs=1e-13)
+            assert below == pytest.approx(float(helpers.exact_majority_success(p, 63)), abs=1e-13)
             for k in (65, 101, 301):
                 above = majority_success(p, k)
-                assert above == pytest.approx(binomial_tail_oracle(p, k), abs=1e-13)
+                assert above == pytest.approx(float(helpers.exact_majority_success(p, k)), abs=1e-13)
                 assert above >= below - 1e-13  # more repetitions never hurt below 1/2
 
     def test_billion_repetitions_fast_and_accurate(self):
@@ -162,6 +153,16 @@ class TestMajoritySuccess:
             values = [majority_success(p, k) for k in range(1, 100, 2)]
             for a, b in zip(values, values[1:]):
                 assert b >= a - 1e-13
+
+    def test_windowed_sum_is_within_its_bound_of_the_exact_success(self):
+        # on both sides of the truth: a window neither over- nor underestimates throughout
+        rng = random.Random(22)
+        gaps = []
+        for _ in range(60):
+            p, k = rng.uniform(0.01, 0.49), rng.randrange(EXACT_K_LIMIT + 1, 803, 2)
+            gaps.append(Fraction(majority_success(p, k)) - helpers.exact_majority_success(p, k))
+        assert max(map(abs, gaps)) <= TAIL_ERROR
+        assert min(gaps) < 0 < max(gaps)
 
 
 def _count_majority_calls(monkeypatch) -> list:
@@ -285,6 +286,17 @@ class TestMinRepetitions:
             min_repetitions(0.4996, 0.97)
         assert str(exc.value) == "no odd k <= 100000 reaches target 0.97 at p_prime 0.4996"
         assert calls == [1, 3, 7, 15, 31, 63, REPETITION_CAP - 1]
+
+    def test_answer_is_minimal_for_the_target_within_the_window_error(self):
+        # a target set to the float success at k: the k returned reaches it
+        # in exact arithmetic less TAIL_ERROR, and k - 2 misses it plus TAIL_ERROR
+        rng = random.Random(23)
+        for _ in range(30):
+            p = rng.uniform(0.44, 0.49)
+            t = majority_success(p, rng.randrange(EXACT_K_LIMIT + 1, 803, 2))
+            k = min_repetitions(p, t)
+            assert helpers.exact_majority_success(p, k) >= Fraction(t) - Fraction(TAIL_ERROR), (p, t)
+            assert helpers.exact_majority_success(p, k - 2) < Fraction(t) + Fraction(TAIL_ERROR), (p, t)
 
     def test_cap_exceeded_near_half(self):
         # p' this close to 1/2 needs ~1e8 repetitions, beyond the 1e5 cap

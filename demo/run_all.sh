@@ -149,3 +149,18 @@ if [ "$code" -ne 1 ] || [ "$lines" -ne 1 ]; then
     cat "$tmp/nan_gate.err" >&2
     exit 1
 fi
+# a gate target past the register is refused by the one qubit-list check,
+# with one stderr line naming the targets and the register
+cat > "$tmp/verify_target_range.json" <<'JSON'
+{"circuit": {"num_qubits": 2, "gates": [{"name": "CNOT", "targets": [0, 5]}]},
+ "computation": "demo/bell_parity_computation.json",
+ "noise": {"kind": "none"}}
+JSON
+code=0
+$FTQC verify --config "$tmp/verify_target_range.json" 2> "$tmp/target_range.err" || code=$?
+want='error: gate targets (0, 5) out of range for 2 qubit(s)'
+if [ "$code" -ne 1 ] || [ "$(cat "$tmp/target_range.err")" != "$want" ]; then
+    echo "run_all.sh: the target past the register exited $code, expected 1 and one line: $want" >&2
+    cat "$tmp/target_range.err" >&2
+    exit 1
+fi

@@ -95,10 +95,7 @@ class Circuit(_ReadOnly):
         for g in gates:
             if not isinstance(g, Gate):
                 raise CircuitError("gates must be Gate instances")
-            if max(g.targets) >= num_qubits:
-                raise CircuitError(
-                    f"target {_shown(max(g.targets))} out of range for {num_qubits} qubits"
-                )
+            _check_qubits(g.targets, "gate targets", CircuitError, num_qubits)
         self.num_qubits, self.gates = num_qubits, gates
 
     @property

@@ -103,8 +103,9 @@ class PlanResult(namedtuple("PlanResult", "levels eps_n eps_qc budget alpha_requ
 
 class TradeoffPoint(namedtuple("TradeoffPoint", "eps0 levels eps_qc closed_form")):
     """One grid point of the levels-vs-gate-error curve; levels = -1 marks
-    a point at or above the threshold (sentinel, kept so the grid stays
-    rectangular).  A named tuple, as a curve builds one per grid point."""
+    a point within float rounding of the threshold, where no level meets
+    the budget (sentinel, kept so the grid stays rectangular).  A named
+    tuple, as a curve builds one per grid point."""
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassFields()

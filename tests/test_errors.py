@@ -165,6 +165,7 @@ def test_bad_argument_raises_its_error_class(error, call):
          "measured qubits (<16610-bit integer>,) out of range for 2 qubit(s)"),
         (lambda: basis_readout(2, measured=()), "measured qubits must be nonempty"),
         (lambda: basis_readout(2, measured=(1, 1)), "duplicate measured qubits in (1, 1)"),
+        (lambda: Circuit(2, [Gate((0, 5), name="CNOT")]), "gate targets (0, 5) out of range for 2 qubit(s)"),
         (lambda: Gate(0, name="X"), "gate targets must be integers, got 0"),
         (lambda: Gate((), name="X"), "gate targets must be nonempty"),
         (lambda: Gate((1, 1), name="CZ"), "duplicate gate targets in (1, 1)"),
@@ -201,6 +202,8 @@ def test_refusal_messages(call, message):
     [
         (CircuitError, lambda: Gate((0,), matrix=np.eye(4)), "matrix dim 4 does not match 2**1 targets"),
         (CircuitError, lambda: Circuit(1, ["X"]), "gates must be Gate instances"),
+        (CircuitError, lambda: Circuit(2, [Gate((2 ** 64,), name="X")]),
+         "gate targets (<65-bit integer>,) out of range for 2 qubit(s)"),
         (DimensionMismatchError, lambda: HermitianOperator(np.zeros((0, 0))), "matrix must be at least 1x1"),
         (BadBitstringError, lambda: basis_encoding(1, ["0", "0"]), "duplicate input labels"),
         (DimensionMismatchError, lambda: OverallComputation((), ("0",), {}, {}, {}),
@@ -211,8 +214,8 @@ def test_refusal_messages(call, message):
             Circuit(2, [Gate((0, 1), name="CNOT")]), NOISE, computation_of(GROUND.entries)),
          "circuit dim 4 does not match computation dim 2"),
     ],
-    ids=["gate_matrix_width", "circuit_gate_type", "empty_operator", "duplicate_inputs",
-         "no_inputs", "repeated_inputs", "certify_width"],
+    ids=["gate_matrix_width", "circuit_gate_type", "circuit_target_range", "empty_operator",
+         "duplicate_inputs", "no_inputs", "repeated_inputs", "certify_width"],
 )
 def test_refusal_class_and_message(error, call, message):
     with pytest.raises(DomainError) as info:

@@ -43,6 +43,28 @@ cat > "$tmp/verify_noiseless.json" <<'JSON'
 JSON
 $FTQC verify --config "$tmp/verify_noiseless.json"
 
+# demo/verify.json's circuit written inline as explicit matrices: a named gate
+# holds its table matrix, so both forms must give the same bytes, JSON and CSV
+cat > "$tmp/verify_matrices.json" <<'JSON'
+{"circuit": {"num_qubits": 2,
+             "gates": [{"matrix": [[0.7071067811865475, 0.7071067811865475],
+                                   [0.7071067811865475, -0.7071067811865475]], "targets": [0]},
+                       {"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                        "targets": [0, 1]}]},
+ "computation": "demo/bell_parity_computation.json",
+ "noise": {"kind": "depolarizing", "strength": 0.1},
+ "random_search_trials": 200,
+ "seed": 7}
+JSON
+for format in json csv; do
+    $FTQC verify --format $format --config demo/verify.json > "$tmp/named.$format"
+    $FTQC verify --format $format --config "$tmp/verify_matrices.json" > "$tmp/matrices.$format"
+    if ! cmp "$tmp/named.$format" "$tmp/matrices.$format"; then
+        echo "run_all.sh: the circuit as explicit matrices changed the $format report" >&2
+        exit 1
+    fi
+done
+
 # a search past 63 repetitions, which starts at its Cornish-Fisher estimate
 echo '{"p_prime": 0.485, "target": 0.99}' > "$tmp/vote_search.json"
 $FTQC vote --config "$tmp/vote_search.json" > "$tmp/vote_search.out"

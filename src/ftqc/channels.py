@@ -1,7 +1,8 @@
 """Gates, circuits, noise models and noisy evolution.
 
 Tensor conventions match densmat: qubit 0 is the leftmost, most significant
-factor, so the basis index of a bitstring is int(bits, 2).
+factor, so the basis index of a bitstring is int(bits, 2).  Every gate holds
+its unitary in ``matrix``; a named gate's is its read-only table entry.
 
 ``evolve`` is the one path that pushes operators through a noisy circuit.
 It holds a stack of d x d operators as one qubit tensor, a row axis and a
@@ -46,15 +47,14 @@ _GATE_TABLE: dict[str, np.ndarray] = {
     ),
     "CZ": np.diag([1, 1, 1, -1]).astype(complex),
 }
-for _u in _GATE_TABLE.values():  # Gate.unitary() hands these out to every caller
-    _u.flags.writeable = False
 
 
 class Gate(_ReadOnly):
-    """One circuit element: either a named gate or an explicit unitary.
+    """One circuit element: a named gate or an explicit unitary, held in matrix.
 
-    targets lists the qubits the gate acts on, in the gate's own factor
-    order (for CNOT the first target is the control).
+    matrix is read-only: a named gate's table entry, or a checked copy of the
+    caller's.  targets lists the qubits the gate acts on, in the gate's own
+    factor order (for CNOT the first target is the control).
     """
 
     __slots__ = ("targets", "name", "matrix")
@@ -67,19 +67,16 @@ class Gate(_ReadOnly):
         if name is not None:
             if not isinstance(name, str) or name not in _GATE_TABLE:
                 raise CircuitError(f"unknown gate {_shown(name)}; known: {sorted(_GATE_TABLE)}")
-            arity = _GATE_TABLE[name].shape[0].bit_length() - 1
+            matrix = _GATE_TABLE[name]
+            arity = matrix.shape[0].bit_length() - 1
             if arity != len(targets):
                 raise CircuitError(f"gate {name} acts on {arity} qubit(s), got {len(targets)} targets")
         else:
-            m = _as_square_matrix(matrix)
-            if m.shape[0] != 2 ** len(targets):
-                raise CircuitError(f"matrix dim {m.shape[0]} does not match 2**{len(targets)} targets")
-            _check_unitary(m, "gate matrix")
-            matrix = m.copy()
+            matrix = _as_square_matrix(matrix).copy()
+            if matrix.shape[0] != 2 ** len(targets):
+                raise CircuitError(f"matrix dim {matrix.shape[0]} does not match 2**{len(targets)} targets")
+            _check_unitary(matrix, "gate matrix")
         self.targets, self.name, self.matrix = targets, name, matrix
-
-    def unitary(self) -> np.ndarray:
-        return _GATE_TABLE[self.name] if self.name is not None else self.matrix
 
 
 class Circuit(_ReadOnly):
@@ -152,10 +149,9 @@ def evolve(circ: Circuit, noise: NoiseModel, states) -> np.ndarray:
     n, s = circ.num_qubits, noise.strength
     t = stack.reshape((stack.shape[0],) + (2,) * (2 * n))
     for g in circ.gates:
-        u = g.unitary()
         rows = [1 + q for q in g.targets]
-        t = _act(t, u, rows)
-        t = _act(t, u.conj(), [n + r for r in rows])
+        t = _act(t, g.matrix, rows)
+        t = _act(t, g.matrix.conj(), [n + r for r in rows])
         if s:
             # einsum sublists: each target column axis reuses its row label
             labels = [0, *range(1, n + 1), *(r if r in rows else n + r for r in range(1, n + 1))]
@@ -173,7 +169,7 @@ def compile_ideal(circ: Circuit) -> np.ndarray:
     _check_type(circ, (Circuit,), "circ")
     u = np.eye(circ.dim, dtype=complex).reshape((2,) * (2 * circ.num_qubits))
     for g in circ.gates:
-        u = _act(u, g.unitary(), g.targets)
+        u = _act(u, g.matrix, g.targets)
     u = np.ascontiguousarray(u.reshape(circ.dim, circ.dim))
     u.flags.writeable = False
     return u

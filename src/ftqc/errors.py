@@ -115,10 +115,12 @@ class BadProbabilityError(DomainError):
 # --- argument rules -------------------------------------------------------------
 
 def _shown(value) -> str:
-    """repr, but an int past 64 bits, alone or in a tuple, by sign and size:
-    str() refuses an int of 4300+ digits."""
+    """repr, but a NumPy integer as the int it equals, and an int past 64 bits,
+    alone or in a tuple, by sign and size: str() refuses an int of 4300+ digits."""
     if isinstance(value, tuple):
         return f"({', '.join(map(_shown, value))}{',' if len(value) == 1 else ''})"
+    if _is_index(value):
+        value = operator.index(value)
     if isinstance(value, int) and value.bit_length() > 64:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
     return repr(value)

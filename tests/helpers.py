@@ -183,7 +183,7 @@ def random_search_oracle(circ: Circuit, noise: NoiseModel, trials: int, seed: in
     dim = circ.dim
     u = np.eye(dim, dtype=complex)
     for gate in circ.gates:
-        u = embed_oracle(gate.unitary(), gate.targets, circ.num_qubits) @ u
+        u = embed_oracle(gate.matrix, gate.targets, circ.num_qubits) @ u
     worst = 0.0
     for t in range(trials):
         gen = np.random.Generator(
@@ -256,7 +256,7 @@ def sequential_noisy_oracle(circ: Circuit, lam: float, rho: np.ndarray) -> np.nd
     """Evolve a state gate by gate: embedded unitary, then depolarizing twirl."""
     state = np.array(rho, dtype=complex)
     for gate in circ.gates:
-        u = embed_oracle(gate.unitary(), gate.targets, circ.num_qubits)
+        u = embed_oracle(gate.matrix, gate.targets, circ.num_qubits)
         state = u @ state @ u.conj().T
         if lam > 0.0:
             state = depolarize_oracle(state, gate.targets, circ.num_qubits, lam)

@@ -130,22 +130,27 @@ class TestComposeAndApply:
 class TestGateAndCircuit:
     def test_named_gate_table(self):
         g = Gate(name="X", targets=(0,))
-        np.testing.assert_allclose(g.unitary(), [[0, 1], [1, 0]])
+        np.testing.assert_allclose(g.matrix, [[0, 1], [1, 0]])
+
+    def test_named_gate_holds_its_table_matrix(self):
+        m = Gate((0,), name="H").matrix
+        assert isinstance(m, np.ndarray) and not m.flags.writeable
+        np.testing.assert_array_equal(m, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
     @pytest.mark.parametrize("name", ["I", "X", "Y", "Z", "H", "S", "T", "CNOT", "CZ"])
     def test_named_gate_matrix_is_read_only(self, name):
-        # every Gate of one name hands out the same table matrix
+        # every Gate of one name holds the same table matrix
         g = Gate(name=name, targets=(0, 1) if name in ("CNOT", "CZ") else (0,))
-        before = g.unitary().copy()
-        assert not g.unitary().flags.writeable
+        before = g.matrix.copy()
+        assert not g.matrix.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            g.unitary()[:] = 0
-        np.testing.assert_array_equal(g.unitary(), before)
+            g.matrix[:] = 0
+        np.testing.assert_array_equal(g.matrix, before)
 
     def test_custom_matrix_gate(self):
         g = Gate(matrix=np.eye(4), targets=(0, 1))
         assert len(g.targets) == 2
-        np.testing.assert_allclose(g.unitary(), np.eye(4))
+        np.testing.assert_allclose(g.matrix, np.eye(4))
 
     def test_rejects_unknown_name(self):
         with pytest.raises(CircuitError):

@@ -54,7 +54,8 @@ BUDGET = dict(eps_th=1e-9, gate_count=10 ** 12, p=0.2, p_hat=0.4)
 GROUND, EXCITED = DensityMatrix([[1, 0], [0, 0]]), DensityMatrix([[0, 0], [0, 1]])
 CIRC = Circuit(num_qubits=1, gates=[Gate(name="H", targets=(0,))])
 NOISE = NoiseModel("depolarizing", 0.1)
-# the Hadamard as an explicit unitary, a gate whose field is an array
+# the Hadamard by name and as an explicit unitary, each a gate whose field is an array
+NAMED_GATE = Gate(targets=(0,), name="H")
 MATRIX_GATE = Gate(targets=(0,), matrix=np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
@@ -156,6 +157,8 @@ def test_bad_argument_raises_its_error_class(error, call):
     "call, message",
     [
         (lambda: search(0), "trials must be a positive integer, got 0"),
+        (lambda: search(np.int64(0)), "trials must be a positive integer, got 0"),
+        (lambda: Circuit(np.int64(9)), "dimension 2**9 exceeds the dense-simulation cap 256"),
         (lambda: search(10 ** 6), "trials = 1000000 exceeds the cap of 100000"),
         (lambda: tradeoff_curve(1e-13, 1e-9, 10 ** 400, **BUDGET),
          "points = <1329-bit integer> exceeds the cap of 100000"),
@@ -266,7 +269,7 @@ def test_array_holders_compare_by_identity(make):
 def value_types():
     comp = computation_of(np.diag([1.0, 0.0]))
     report = certify_combined_bound(CIRC, NOISE, comp)
-    return [HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), MATRIX_GATE,
+    return [HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), NAMED_GATE, MATRIX_GATE,
             Circuit(1, [MATRIX_GATE]), NOISE, comp, LinkingMaps(), report.per_input[0], report,
             mixing_inaccuracy_bound_check(GROUND, EXCITED, 0.1)]
 
@@ -311,7 +314,7 @@ def arrays(value):
 def test_value_types_pickle():
     # pickle and deepcopy fill each slot through the read-only rule; a
     # computation's arrays are its init and povm stacks
-    values = (HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), MATRIX_GATE,
+    values = (HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), NAMED_GATE, MATRIX_GATE,
               Circuit(1, [MATRIX_GATE]), NOISE, computation_of(np.diag([1.0, 0.0])),
               InputRecord("0", 1.0, 0.9, 0.2), MixingCheck(0.1, 0.2, True))
     for value in values:
@@ -319,6 +322,8 @@ def test_value_types_pickle():
             assert back is not value and type(back) is type(value) and plain(back) == plain(value)
             assert len(arrays(back)) == len(arrays(value))
             assert not any(a.flags.writeable for a in arrays(back))
+            if isinstance(value, Gate):
+                assert isinstance(back.matrix, np.ndarray)
 
 
 def test_values_hold_copies_of_the_callers_arrays():

@@ -204,7 +204,7 @@ def _distances(actual: np.ndarray, ideal: np.ndarray) -> np.ndarray:
 # --- one-matrix wrappers -------------------------------------------------------
 
 class HermitianOperator(_ReadOnly):
-    """A square complex matrix checked to be Hermitian within VALIDATION_TOL."""
+    """A square complex matrix checked Hermitian within VALIDATION_TOL; its one member is ``entries``."""
 
     __slots__ = ("entries",)
     _check = staticmethod(_check_hermitian)  # a subclass narrows it
@@ -213,10 +213,6 @@ class HermitianOperator(_ReadOnly):
         m = _as_square_matrix(entries)
         self._check(m[np.newaxis])
         self.entries = m.copy()
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 class DensityMatrix(HermitianOperator):

@@ -903,6 +903,44 @@ sys.exit(ftqc.cli.main({key.split()!r}))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=ROOT, timeout=60)
         assert (done.returncode, done.stdout.decode()) == (want["exit"], want["stdout"]), done.stderr.decode()
 
+    def test_verify_loads_numpy_random_only_to_search(self, tmp_path):
+        # NumPy 1.24 may load numpy.random on import, NumPy 2 does not, so a
+        # run is checked for modules beyond those import numpy loaded itself
+        golden = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text())
+        csv_key = "verify --config demo/verify.json --format csv --seed 1"
+        search_key = "verify --config demo/verify.json --seed 7"
+        config = json.loads((ROOT / "demo" / "verify.json").read_text())
+        del config["random_search_trials"]
+        no_search = tmp_path / "verify.json"
+        no_search.write_text(json.dumps(config))
+        report = json.loads(golden[search_key]["stdout"])
+        del report["alpha_random_search"]
+        argvs = [csv_key.split(), ["verify", "--config", str(no_search)], search_key.split()]
+        code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {PACKAGE_DIR!r})
+import numpy
+baseline = set(sys.modules)
+import ftqc.cli
+runs = []
+for argv in {argvs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = ftqc.cli.main(argv)
+    added = sorted(m for m in set(sys.modules) - baseline if m.split(".")[:2] == ["numpy", "random"])
+    runs.append([code, out.getvalue(), added, "numpy.random" in sys.modules])
+print(json.dumps(runs))
+"""
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=ROOT, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        runs = json.loads(done.stdout)
+        assert [run[:2] for run in runs] == [
+            [0, golden[csv_key]["stdout"]],
+            [0, json.dumps(report, indent=2) + "\n"],
+            [0, golden[search_key]["stdout"]],
+        ]
+        assert runs[0][2] == runs[1][2] == [] and runs[2][3]
+
     def test_planner_runs_without_dataclasses(self):
         # a fresh interpreter in which importing dataclasses or inspect fails
         golden = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text())

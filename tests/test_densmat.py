@@ -37,7 +37,7 @@ def maximally_mixed(dim):
 class TestValidation:
     def test_valid_state_roundtrip(self):
         rho = DensityMatrix([[0.5, 0.5], [0.5, 0.5]])
-        assert rho.dim == 2
+        assert rho.entries.shape == (2, 2)
         np.testing.assert_allclose(rho.entries, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_rejects_nonhermitian(self):
@@ -64,12 +64,16 @@ class TestValidation:
 
     def test_tolerates_tiny_defects(self):
         rho = DensityMatrix([[1.0 + 1e-12, 1e-12j], [0.0, -1e-12]])
-        assert rho.dim == 2
+        assert rho.entries.shape == (2, 2)
 
     def test_entries_are_read_only(self):
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 9.0
+
+    @pytest.mark.parametrize("build", [DensityMatrix, HermitianOperator])
+    def test_a_wrapper_exposes_only_its_entries(self, build):
+        assert [name for name in dir(build([[1]])) if not name.startswith("_")] == ["entries"]
 
     def test_hermitian_operator_rejects(self):
         with pytest.raises(NotHermitianError):
@@ -242,7 +246,8 @@ class TestToleranceEdges:
     @pytest.mark.parametrize("basis", ["diagonal", "haar"])
     @pytest.mark.parametrize("dim", [2, 16, 256])
     def test_state_just_above_the_positivity_edge_passes(self, dim, basis):
-        assert DensityMatrix(self.matrix(self.state_spectrum(dim, -self.INSIDE), basis, dim)).dim == dim
+        rho = DensityMatrix(self.matrix(self.state_spectrum(dim, -self.INSIDE), basis, dim))
+        assert rho.entries.shape == (dim, dim)
 
     @staticmethod
     def effect_spectrum(dim, end, value):

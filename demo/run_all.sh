@@ -125,6 +125,23 @@ expect() {
         exit 1
     fi
 }
+# refusals that exit 1 with one stderr line: the line given, or any one line if it is empty
+expect_line() {
+    want=$1
+    shift
+    code=0
+    "$@" 2> "$tmp/refusal.err" || code=$?
+    if [ -n "$want" ]; then
+        [ "$(cat "$tmp/refusal.err")" = "$want" ] && ok=1 || ok=0
+    else
+        [ "$(wc -l < "$tmp/refusal.err")" -eq 1 ] && ok=1 || ok=0
+    fi
+    if [ "$code" -ne 1 ] || [ "$ok" -ne 1 ]; then
+        echo "run_all.sh: '$*' exited $code, expected 1 and one stderr line${want:+: $want}" >&2
+        cat "$tmp/refusal.err" >&2
+        exit 1
+    fi
+}
 echo '{"p_prime": 0.15, "k": 4}' > "$tmp/vote_even.json"
 expect 1 $FTQC vote --config "$tmp/vote_even.json"
 echo '{"p_prime": 0.15, "k": 3, "repetitions": 3}' > "$tmp/vote_unknown_key.json"
@@ -163,14 +180,7 @@ cat > "$tmp/verify_nan_gate.json" <<'JSON'
                  "povm": "computational_basis"},
  "noise": {"kind": "none"}}
 JSON
-code=0
-$FTQC verify --config "$tmp/verify_nan_gate.json" 2> "$tmp/nan_gate.err" || code=$?
-lines=$(wc -l < "$tmp/nan_gate.err")
-if [ "$code" -ne 1 ] || [ "$lines" -ne 1 ]; then
-    echo "run_all.sh: the NaN gate exited $code with $lines stderr line(s), expected 1 and 1" >&2
-    cat "$tmp/nan_gate.err" >&2
-    exit 1
-fi
+expect_line "" $FTQC verify --config "$tmp/verify_nan_gate.json"
 # a gate target past the register is refused by the one qubit-list check,
 # with one stderr line naming the targets and the register
 cat > "$tmp/verify_target_range.json" <<'JSON'
@@ -178,11 +188,5 @@ cat > "$tmp/verify_target_range.json" <<'JSON'
  "computation": "demo/bell_parity_computation.json",
  "noise": {"kind": "none"}}
 JSON
-code=0
-$FTQC verify --config "$tmp/verify_target_range.json" 2> "$tmp/target_range.err" || code=$?
-want='error: gate targets (0, 5) out of range for 2 qubit(s)'
-if [ "$code" -ne 1 ] || [ "$(cat "$tmp/target_range.err")" != "$want" ]; then
-    echo "run_all.sh: the target past the register exited $code, expected 1 and one line: $want" >&2
-    cat "$tmp/target_range.err" >&2
-    exit 1
-fi
+expect_line 'error: gate targets (0, 5) out of range for 2 qubit(s)' \
+    $FTQC verify --config "$tmp/verify_target_range.json"

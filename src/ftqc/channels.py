@@ -52,12 +52,12 @@ _GATE_TABLE: dict[str, np.ndarray] = {
 class Gate(_ReadOnly):
     """One circuit element: a named gate or an explicit unitary, held in matrix.
 
-    matrix is read-only: a named gate's table entry, or a checked copy of the
-    caller's.  targets lists the qubits the gate acts on, in the gate's own
-    factor order (for CNOT the first target is the control).
+    matrix is read-only: a named gate's table entry (the name is not kept), or
+    a checked copy of the caller's.  targets lists the qubits it acts on, in
+    its own factor order (for CNOT the first target is the control).
     """
 
-    __slots__ = ("targets", "name", "matrix")
+    __slots__ = ("targets", "matrix")
 
     def __init__(self, targets: tuple[int, ...], name: str | None = None,
                  matrix: np.ndarray | None = None):
@@ -76,7 +76,7 @@ class Gate(_ReadOnly):
             if matrix.shape[0] != 2 ** len(targets):
                 raise CircuitError(f"matrix dim {matrix.shape[0]} does not match 2**{len(targets)} targets")
             _check_unitary(matrix, "gate matrix")
-        self.targets, self.name, self.matrix = targets, name, matrix
+        self.targets, self.matrix = targets, matrix
 
 
 class Circuit(_ReadOnly):
@@ -101,9 +101,9 @@ class Circuit(_ReadOnly):
 
 
 class NoiseModel(_ReadOnly):
-    """Per-gate noise: kind 'none', or 'depolarizing' with strength in [0, 1]."""
+    """Per-gate noise: kind 'none', or 'depolarizing' with strength in [0, 1]; only the strength is kept."""
 
-    __slots__ = ("kind", "strength")
+    __slots__ = ("strength",)
 
     def __init__(self, kind: str, strength: float = 0.0):
         if kind not in ("none", "depolarizing"):
@@ -112,7 +112,7 @@ class NoiseModel(_ReadOnly):
                                  error=BadStrengthError)
         if kind == "none" and s != 0.0:
             raise BadStrengthError("noise kind 'none' must have strength 0")
-        self.kind, self.strength = kind, s
+        self.strength = s
 
 
 def _act(t: np.ndarray, g: np.ndarray, axes) -> np.ndarray:

@@ -96,7 +96,7 @@ class OverallComputation(_ReadOnly):
     truth table as a tuple of output labels and init as one read-only
     (B, d, d) complex stack, both in ``inputs`` order, and povm as one
     read-only (Y, d, d) stack in ``outputs`` order, each checked once here;
-    the POVM must sum to the identity within 1e-9.
+    the POVM must sum to the identity within 1e-9.  d is ``init.shape[1]``.
     """
 
     __slots__ = ("inputs", "outputs", "truth_table", "init", "povm")
@@ -129,7 +129,3 @@ class OverallComputation(_ReadOnly):
         _check_povm(povm)
         self.inputs, self.outputs, self.truth_table = inputs, outputs, truth_table
         self.init, self.povm = init, povm
-
-    @property
-    def dim(self) -> int:
-        return self.init.shape[1]

@@ -54,13 +54,13 @@ class LinkingMaps(_ReadOnly):
 
     No gate acts on the ancilla, so P (x) I applied to rho (x) |0><0| and
     traced down is exactly P(rho): every valid ancilla_dim gives the same
-    result as 1, and the maps are never materialized.
+    result as 1, so it is checked and not kept, and the maps are never built.
     """
 
-    __slots__ = ("ancilla_dim",)
+    __slots__ = ()
 
     def __init__(self, ancilla_dim: int = 1):
-        self.ancilla_dim = _check_count(ancilla_dim, "ancilla_dim", 1, None, DimensionMismatchError)
+        _check_count(ancilla_dim, "ancilla_dim", 1, None, DimensionMismatchError)
 
 
 class InputRecord(namedtuple("InputRecord", "x ideal_success actual_success inaccuracy_x")):
@@ -109,9 +109,10 @@ def alpha_random_search(P, G: np.ndarray, link: LinkingMaps, trials: int, seed: 
 
     P is the noisy circuit as a map on (B, d, d) stacks (implemented_channel)
     and G the ideal circuit's d x d unitary (compile_ideal), checked as a gate
-    matrix is.  Blocks of (MAX_DIM // d)**2 pure vectors v, 1 MiB per stack, go
-    through P as v v+ and through G as (G v)(G v)+.  Trial t draws from one
-    Philox generator reset to key (seed mod 2**64, t), counter 0, as a new
+    matrix is; link is accepted and unused, as no gate acts on its ancilla.
+    Blocks of (MAX_DIM // d)**2 pure vectors v, 1 MiB per stack, go through P
+    as v v+ and through G as (G v)(G v)+.  Trial t draws from one Philox
+    generator reset to key (seed mod 2**64, t), counter 0, as a new
     Philox(key=[seed, t]) starts.  A lower bound on the true supremum, reported
     beside the input-level alpha and never used in the certified bound.
     """
@@ -156,9 +157,9 @@ def certify_combined_bound(circ: Circuit, noise: NoiseModel, comp: OverallComput
     alpha + 1e-9, then the first above ideal failure + inaccuracy_x / 2 (as
     tr(E D) <= ||D||_1 / 2) + 1e-9 * (1 + inaccuracy_x), raises TheoremViolationError.
     """
-    _check_type(comp, (OverallComputation,), "comp")
-    if _check_type(circ, (Circuit,), "circ").dim != comp.dim:
-        raise DimensionMismatchError(f"circuit dim {circ.dim} does not match computation dim {comp.dim}")
+    d = _check_type(comp, (OverallComputation,), "comp").init.shape[1]
+    if _check_type(circ, (Circuit,), "circ").dim != d:
+        raise DimensionMismatchError(f"circuit dim {circ.dim} does not match computation dim {d}")
     u = compile_ideal(circ)
     ideal = u @ comp.init @ u.conj().T
     actual = evolve(circ, noise, comp.init)

@@ -31,6 +31,7 @@ from ftqc import (
     basis_readout,
     vote,
 )
+from ftqc.channels import _GATE_TABLE
 from ftqc.errors import CapExceededError
 from ftqc.ftcalc import LEVEL_CAP
 
@@ -265,6 +266,11 @@ def sequential_noisy_oracle(circ: Circuit, lam: float, rho: np.ndarray) -> np.nd
 
 # --- fault counting and channel bounds -------------------------------------------
 
+def gate_name(gate: Gate) -> str | None:
+    """The name of the table entry a named gate holds, or None for an explicit matrix."""
+    return next((name for name, m in _GATE_TABLE.items() if gate.matrix is m), None)
+
+
 def fault_counts(circ: Circuit, x: str, decode) -> tuple[Fraction, Fraction]:
     """Exact coefficients (c1, c2) of the decoded failure f(s) = c1 s +
     c2 s^2 + O(s^3) of a circuit of I and CNOT gates on the basis input x,
@@ -279,13 +285,13 @@ def fault_counts(circ: Circuit, x: str, decode) -> tuple[Fraction, Fraction]:
     A fault-tolerant gadget has c1 = 0, and c2 is then its count A of
     malignant fault pairs (Aliferis, Gottesman and Preskill, quant-ph/0504218).
     """
-    gates = circ.gates
-    assert all(g.name in ("I", "CNOT") for g in gates)
+    gates, names = circ.gates, [gate_name(g) for g in circ.gates]
+    assert all(name in ("I", "CNOT") for name in names)
 
     def decoded(flips):
         bits = [int(b) for b in x]
         for i, gate in enumerate(gates):
-            if gate.name == "CNOT":
+            if names[i] == "CNOT":
                 bits[gate.targets[1]] ^= bits[gate.targets[0]]
             for q in flips.get(i, ()):
                 bits[q] ^= 1
@@ -307,21 +313,22 @@ def fault_counts(circ: Circuit, x: str, decode) -> tuple[Fraction, Fraction]:
 def _conjugate_paulis(gate: Gate, x: np.ndarray, z: np.ndarray) -> None:
     """Map the Pauli strings with X bits x and Z bits z (bit q for qubit q)
     in place to their conjugates by a Clifford gate, signs dropped."""
-    if gate.name == "H":
+    name = gate_name(gate)
+    if name == "H":
         flip = (x ^ z) & (1 << gate.targets[0])
         x ^= flip
         z ^= flip
-    elif gate.name == "S":
+    elif name == "S":
         z ^= x & (1 << gate.targets[0])
-    elif gate.name == "CNOT":  # X on the control spreads to the target, Z on the target to the control
+    elif name == "CNOT":  # X on the control spreads to the target, Z on the target to the control
         c, t = gate.targets
         x ^= ((x >> c) & 1) << t
         z ^= ((z >> t) & 1) << c
-    elif gate.name == "CZ":  # X on either qubit picks up Z on the other
+    elif name == "CZ":  # X on either qubit picks up Z on the other
         a, b = gate.targets
         z ^= (((x >> b) & 1) << a) | (((x >> a) & 1) << b)
-    elif gate.name not in ("I", "X", "Y", "Z"):
-        raise ValueError(f"not a Clifford gate: {gate.name or 'explicit matrix'}")
+    elif name not in ("I", "X", "Y", "Z"):
+        raise ValueError(f"not a Clifford gate: {name or 'explicit matrix'}")
 
 
 def clifford_diamond(circ: Circuit, s: float) -> float:

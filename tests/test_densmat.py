@@ -9,6 +9,7 @@ from ftqc import (
     DensityMatrix,
     Gate,
     HermitianOperator,
+    LinkingMaps,
     NoiseModel,
     OverallComputation,
     certify_combined_bound,
@@ -74,6 +75,16 @@ class TestValidation:
     @pytest.mark.parametrize("build", [DensityMatrix, HermitianOperator])
     def test_a_wrapper_exposes_only_its_entries(self, build):
         assert [name for name in dir(build([[1]])) if not name.startswith("_")] == ["entries"]
+
+    @pytest.mark.parametrize("build, public", [
+        (lambda: Gate((0,), name="H"), ["matrix", "targets"]),
+        (lambda: NoiseModel("none"), ["strength"]),
+        (LinkingMaps, []),
+        (lambda: OverallComputation(("0",), ("0",), {"0": "0"}, {"0": [[1]]}, {"0": [[1]]}),
+         ["init", "inputs", "outputs", "povm", "truth_table"]),
+    ])
+    def test_a_simulator_value_exposes_only_what_the_verifier_reads(self, build, public):
+        assert [name for name in dir(build()) if not name.startswith("_")] == public
 
     def test_hermitian_operator_rejects(self):
         with pytest.raises(NotHermitianError):

@@ -171,7 +171,7 @@ class TestOverallComputation:
             init=enc,
             povm=readout,
         )
-        assert comp.dim == 4
+        assert not hasattr(comp, "dim")
         assert comp.init.shape == (2, 4, 4) and comp.povm.shape == (2, 4, 4)
         assert comp.init.dtype == complex and comp.povm.dtype == complex
         np.testing.assert_array_equal(comp.init, [enc["01"], enc["11"]])

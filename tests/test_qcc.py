@@ -234,7 +234,7 @@ class TestAlpha:
             search = alpha_random_search(P, G, LinkingMaps(), trials=16, seed=seed)
             assert report.alpha <= bound + 1e-9
             assert search <= bound + 1e-9
-            if all(g.name in CLIFFORD_GATES for g in circ.gates):
+            if all(helpers.gate_name(g) in CLIFFORD_GATES for g in circ.gates):
                 # the exact supremum sits between the estimates and the bound
                 exact = helpers.clifford_diamond(circ, noise.strength)
                 assert report.alpha <= exact + 1e-9 and search <= exact + 1e-9

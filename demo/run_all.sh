@@ -190,3 +190,9 @@ cat > "$tmp/verify_target_range.json" <<'JSON'
 JSON
 expect_line 'error: gate targets (0, 5) out of range for 2 qubit(s)' \
     $FTQC verify --config "$tmp/verify_target_range.json"
+# FtParams checks the planning inputs in order, eps0 first and the p < p_hat
+# rule last, each refusal one stderr line
+echo '{"eps0": 1.5, "eps_th": 1e-9, "gate_count": 1e12, "p": 0.2, "p_hat": 0.4}' > "$tmp/plan_eps0.json"
+expect_line 'error: eps0 = 1.5 outside (0, 1)' $FTQC plan --config "$tmp/plan_eps0.json"
+echo '{"eps0": 1e-10, "eps_th": 1e-9, "gate_count": 1e12, "p": 0.2, "p_hat": 0.1}' > "$tmp/plan_p_hat.json"
+expect_line 'error: infeasible: p_hat must exceed p' $FTQC plan --config "$tmp/plan_p_hat.json"

@@ -38,7 +38,6 @@ from .errors import (
     NotPositiveError,
     NotUnitTraceError,
     NotUnitaryError,
-    _SetOnce,
     _check_type,
     _is_index,
     _shown,
@@ -107,15 +106,21 @@ def _check_qubits(qubits, what: str, error, num_qubits=None) -> tuple[int, ...]:
     return qubits
 
 
-class _ReadOnly(_SetOnce):
-    """Set-once slots; an array is stored read-only, so a constructor hands over one it owns."""
+class _ReadOnly:
+    """The set-once base of the simulator's types: a slot takes one assignment, while unset, as
+    pickle and copy fill it too, and stores an array read-only, so a constructor hands over one it owns."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
         super().__setattr__(name, value)
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # --- checks; a failing (B, d, d) stack reports its worst matrix ---

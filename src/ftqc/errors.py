@@ -18,7 +18,7 @@ bool, in ``[lo, cap]``, returned as an ``int``), ``_check_unit_interval``
 a value is such an integer), ``_check_type`` (an instance of one of the
 package's types, refused with a ``DomainError`` naming them) and ``_shown``
 (how a refusal prints a caller's value).  Each check raises the error class
-its caller names.  ``_SetOnce`` is the base of the validated value types.
+its caller names.
 """
 
 import operator
@@ -157,21 +157,6 @@ def _check_type(value, kinds: tuple, name: str):
         wanted = " or ".join(k.__name__ for k in kinds)
         raise DomainError(f"{name} must be a {wanted}, got {type(value).__name__}")
     return value
-
-
-class _SetOnce:
-    """Slots that take one assignment each, while unset, as pickle and copy
-    fill them too; a later assignment or a deletion raises AttributeError."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError(f"cannot assign to field {name!r}")
-        super().__setattr__(name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _as_float(value) -> float:

@@ -30,7 +30,6 @@ from .errors import (
     CapExceededError,
     DomainError,
     InfeasibleError,
-    _SetOnce,
     _as_float,
     _check_count,
     _check_type,
@@ -60,29 +59,21 @@ def _check_gate_count(gate_count) -> int:
     return n
 
 
-class FtParams(_SetOnce):
-    """Scalar planning inputs, each validated by __init__ and set once; ==, hash and repr go by them."""
+class FtParams(namedtuple("FtParams", "eps0 eps_th gate_count p p_hat")):
+    """Scalar planning inputs, validated whenever one is built: by _make, _replace, copy and pickle too."""
 
-    __slots__ = ("eps0", "eps_th", "gate_count", "p", "p_hat")
+    __slots__ = ()
 
-    def __init__(self, eps0: float, eps_th: float, gate_count: int, p: float, p_hat: float):
-        self.eps0 = _check_unit_interval("eps0", eps0)
-        self.eps_th = _check_unit_interval("eps_th", eps_th)
-        self.gate_count = _check_gate_count(gate_count)
+    def __new__(cls, eps0: float, eps_th: float, gate_count: int, p: float, p_hat: float):
+        eps0 = _check_unit_interval("eps0", eps0)
+        eps_th = _check_unit_interval("eps_th", eps_th)
+        gate_count = _check_gate_count(gate_count)
         required_alpha(p_hat, p)
-        self.p, self.p_hat = float(p), float(p_hat)
+        return super().__new__(cls, eps0, eps_th, gate_count, float(p), float(p_hat))
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
+    @classmethod
+    def _make(cls, iterable):  # the named tuple's own builds through tuple.__new__, unchecked
+        return cls(*iterable)
 
 
 class _DataclassFields:
@@ -209,13 +200,13 @@ def required_levels(params: FtParams) -> PlanResult:
     circuit_failure(logical_gate_error(eps0, eps_th, N), gate_count)
     <= budget * (1 + FEASIBILITY_SLACK).
     """
-    alpha = _check_type(params, (FtParams,), "params").p_hat - params.p
-    budget = alpha / 2.0 or epsilon_budget(params.p_hat, params.p)  # which refuses a budget of 0
-    n, eps_n, eps_qc = _min_level(params.eps0, params.eps_th, params.gate_count, budget, 0)
+    eps0, eps_th, gate_count, p, p_hat = _check_type(params, (FtParams,), "params")
+    alpha = p_hat - p
+    budget = alpha / 2.0 or epsilon_budget(p_hat, p)  # which refuses a budget of 0
+    n, eps_n, eps_qc = _min_level(eps0, eps_th, gate_count, budget, 0)
     return PlanResult(
         levels=n, eps_n=eps_n, eps_qc=eps_qc, budget=budget, alpha_required=alpha,
-        closed_form_levels=_closed_form_levels(
-            params.eps0, params.eps_th, _closed_form_numerator(params.eps_th, params.gate_count, budget)),
+        closed_form_levels=_closed_form_levels(eps0, eps_th, _closed_form_numerator(eps_th, gate_count, budget)),
     )
 
 

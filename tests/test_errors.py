@@ -1,7 +1,7 @@
 """The argument rules shared through ftqc.errors: every bad count or
 probability given to the library raises an ftqc.errors class with a
 message, and a NumPy integer counts exactly as the same Python int.  The
-simulator's value types are read-only and compare by identity."""
+value types are read-only, and the simulator's compare by identity."""
 
 import array
 import ast
@@ -185,6 +185,7 @@ def test_bad_argument_raises_its_error_class(error, call):
         (lambda: certify_combined_bound(CIRC, 0.1, computation_of(GROUND.entries)),
          "noise must be a NoiseModel, got float"),
         (lambda: required_levels({"eps0": 1e-10}), "params must be a FtParams, got dict"),
+        (lambda: required_levels(tuple(FtParams(eps0=1e-10, **BUDGET))), "params must be a FtParams, got tuple"),
         (lambda: alpha_random_search(None, compile_ideal(CIRC), LinkingMaps(), 3, 0),
          "P must be callable, got NoneType"),
         # G passes the gates' unitarity check, which refuses an overflowing defect with no warning
@@ -266,12 +267,16 @@ def test_array_holders_compare_by_identity(make):
     assert len({a, b, a}) == 2
 
 
+PLANNER_RECORDS = [FtParams(eps0=1e-10, **BUDGET), required_levels(FtParams(eps0=1e-10, **BUDGET)),
+                   tradeoff_curve(1e-13, 1e-9, 2, **BUDGET)[0]]
+
+
 def value_types():
     comp = computation_of(np.diag([1.0, 0.0]))
     report = certify_combined_bound(CIRC, NOISE, comp)
     return [HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), NAMED_GATE, MATRIX_GATE,
             Circuit(1, [MATRIX_GATE]), NOISE, comp, LinkingMaps(), report.per_input[0], report,
-            mixing_inaccuracy_bound_check(GROUND, EXCITED, 0.1)]
+            mixing_inaccuracy_bound_check(GROUND, EXCITED, 0.1)] + PLANNER_RECORDS
 
 
 @pytest.mark.parametrize("value", value_types(), ids=lambda v: type(v).__name__)
@@ -286,6 +291,8 @@ def test_value_types_are_read_only(value):
         assert getattr(value, name) is before
     with pytest.raises(AttributeError):
         value.added = 1
+    with pytest.raises(AttributeError):
+        del value.added
 
 
 def fields(value):
@@ -316,7 +323,7 @@ def test_value_types_pickle():
     # computation's arrays are its init and povm stacks
     values = (HermitianOperator(np.eye(2)), DensityMatrix(np.eye(2) / 2), NAMED_GATE, MATRIX_GATE,
               Circuit(1, [MATRIX_GATE]), NOISE, computation_of(np.diag([1.0, 0.0])),
-              InputRecord("0", 1.0, 0.9, 0.2), MixingCheck(0.1, 0.2, True))
+              InputRecord("0", 1.0, 0.9, 0.2), MixingCheck(0.1, 0.2, True), *PLANNER_RECORDS)
     for value in values:
         for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert back is not value and type(back) is type(value) and plain(back) == plain(value)

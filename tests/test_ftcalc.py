@@ -369,16 +369,23 @@ class TestValueTypes:
         assert prm == same and not prm != same and hash(prm) == hash(same)
         assert hash(prm) == hash((1e-10, 1e-9, 10, 0.2, 0.4))
         assert prm != FtParams(**dict(self.FIELDS, gate_count=11))
-        assert prm != (1e-10, 1e-9, 10, 0.2, 0.4) and len({prm, same}) == 1
+        # a named tuple like every other record, so it equals its field tuple
+        assert prm == (1e-10, 1e-9, 10, 0.2, 0.4) and len({prm, same}) == 1
 
-    @pytest.mark.parametrize("name", list(FIELDS) + ["other"])
-    def test_params_fields_cannot_be_assigned_or_deleted(self, name):
-        prm = FtParams(**self.FIELDS)
-        with pytest.raises(AttributeError):
-            setattr(prm, name, 0.3)
-        with pytest.raises(AttributeError):
-            delattr(prm, name)
-        assert prm == FtParams(**self.FIELDS)
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda prm: prm._replace(eps0=2.0), BadProbabilityError, "eps0 = 2.0 outside (0, 1)"),
+        (lambda prm: FtParams._make((1e-10, 1e-9, 0, 0.2, 0.4)), DomainError,
+         "gate_count must be a positive integer, got 0"),
+        pytest.param(lambda prm: copy.replace(prm, p_hat=0.1), InfeasibleError, "infeasible: p_hat must exceed p",
+                     marks=pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")),
+    ], ids=["_replace", "_make", "copy.replace"])
+    def test_params_are_checked_however_built(self, build, error, message):
+        with pytest.raises(error) as info:
+            build(FtParams(**self.FIELDS))
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_params_replace_builds_an_equal_value(self):
+        assert FtParams(**self.FIELDS)._replace(eps0=2e-10) == FtParams(2e-10, 1e-9, 10, 0.2, 0.4)
 
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda prm: pickle.loads(pickle.dumps(prm)),

@@ -196,3 +196,9 @@ echo '{"eps0": 1.5, "eps_th": 1e-9, "gate_count": 1e12, "p": 0.2, "p_hat": 0.4}'
 expect_line 'error: eps0 = 1.5 outside (0, 1)' $FTQC plan --config "$tmp/plan_eps0.json"
 echo '{"eps0": 1e-10, "eps_th": 1e-9, "gate_count": 1e12, "p": 0.2, "p_hat": 0.1}' > "$tmp/plan_p_hat.json"
 expect_line 'error: infeasible: p_hat must exceed p' $FTQC plan --config "$tmp/plan_p_hat.json"
+# FtParams also refuses a budget (p_hat - p) / 2 that rounds to 0, so a curve
+# meets that refusal before it compares eps0_max with the threshold
+echo '{"eps0_min": 1e-5, "eps0_max": 0.5, "points": 3, "eps_th": 0.1, "gate_count": 1, "p": 0.0, "p_hat": 5e-324}' \
+    > "$tmp/tradeoff_zero_budget.json"
+expect_line 'error: infeasible: the budget (p_hat - p) / 2 rounds to 0 at p_hat 5e-324, p 0.0' \
+    $FTQC tradeoff --config "$tmp/tradeoff_zero_budget.json"

@@ -156,9 +156,9 @@ def _matrix(rows, name: str) -> list:
     return rows
 
 
-def _section(v) -> dict:
-    """A circuit or computation, inline or as the path of a JSON file."""
-    return _load_json_file(v) if isinstance(v, str) else v
+def _section(table):
+    """The reader of a section with this table (a circuit or computation): inline, or the path of a JSON file."""
+    return lambda v, name: _read(_load_json_file(v) if isinstance(v, str) else v, table, name)
 
 
 def _gate(v, name: str) -> dict:
@@ -168,20 +168,12 @@ def _gate(v, name: str) -> dict:
     return gate
 
 
-def _circuit(v, name: str) -> dict:
-    return _read(_section(v), _CIRCUIT, name)
-
-
 def _povm(v, name: str):
     if v == "computational_basis":
         return v
     if not isinstance(v, dict):
         raise ConfigError(f'{_q(name)} must be "computational_basis" or an object of matrices')
     return _map(_matrix)(v, name)
-
-
-def _computation(v, name: str) -> dict:
-    return _read(_section(v), _COMPUTATION, name)
 
 
 def _noise(v, name: str) -> dict:
@@ -198,6 +190,7 @@ _COMPUTATION = {
     "povm": (_povm, ...),
 }
 _NOISE = {"kind": (_one_of("none", "depolarizing"), ...), "strength": (_number, 0.0)}
+_circuit, _computation = _section(_CIRCUIT), _section(_COMPUTATION)
 
 
 def _output(default_format: str) -> dict:  # the keys of every command

@@ -8,7 +8,9 @@ refused, as inf or NaN, with no warning.  The state and effect checks take a
 (B, d, d) stack: certification and the random search check whole stacks of
 evolved outputs, the wrappers, ``trace_norm`` and ``effect_probability`` a
 stack of one.  No silent repair is performed: a matrix either passes
-validation as given or is rejected.  Every matrix given to the package
+validation as given or is rejected.  Only two computed values are ever
+repaired: a readout probability is clamped to [0, 1], and a whole trace norm
+below 1e-12 is flushed to 0.  Every matrix given to the package
 passes ``_as_square_matrix``, every stack ``_as_complex``, and a function
 that takes a wrapper refuses anything else (``_check_type``).  A
 ``DensityMatrix`` is a ``HermitianOperator`` whose class check also asks for
@@ -46,8 +48,7 @@ from .errors import (
 # Validation tolerance of every check below.
 VALIDATION_TOL = 1e-9
 
-# Eigenvalues with absolute value below this are treated as exact zeros
-# when summing trace norms.
+# A trace norm, the sum of all |eigenvalues|, below this flushes to exact 0.
 EIGENVALUE_ZERO_TOL = 1e-12
 
 # Dense simulation cap: at most 8 qubits, dimension 2**8 = 256.
@@ -191,9 +192,9 @@ def _readout(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
 
 
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
-    """Schatten 1-norms of a checked Hermitian stack, |eigenvalues| < EIGENVALUE_ZERO_TOL flushed."""
-    eigs = np.linalg.eigvalsh(stack)
-    return np.abs(np.where(np.abs(eigs) < EIGENVALUE_ZERO_TOL, 0.0, eigs)).sum(axis=1)
+    """Schatten 1-norms of a checked Hermitian stack, each flushed to 0 whole if below EIGENVALUE_ZERO_TOL."""
+    norms = np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+    return np.where(norms < EIGENVALUE_ZERO_TOL, 0.0, norms)
 
 
 def _distances(actual: np.ndarray, ideal: np.ndarray) -> np.ndarray:
@@ -236,9 +237,9 @@ def trace_norm(op) -> float:
     """Schatten 1-norm of a Hermitian operator (sum of |eigenvalues|).
 
     Accepts a HermitianOperator, a DensityMatrix, or a raw array (validated
-    as Hermitian first).  Eigenvalues smaller in magnitude than
-    EIGENVALUE_ZERO_TOL are flushed to zero before summing, so the distance
-    between two copies of the same state is exactly 0.0.  No factor 1/2:
+    as Hermitian first).  A norm below EIGENVALUE_ZERO_TOL is flushed to
+    zero after summing, so the distance between two copies of the same state
+    is exactly 0.0; no single eigenvalue is dropped.  No factor 1/2:
     orthogonal pure states are at distance 2.
     """
     m = (op if isinstance(op, HermitianOperator) else HermitianOperator(op)).entries

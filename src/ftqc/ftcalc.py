@@ -60,7 +60,7 @@ def _check_gate_count(gate_count) -> int:
 
 
 class FtParams(namedtuple("FtParams", "eps0 eps_th gate_count p p_hat")):
-    """Scalar planning inputs, validated whenever one is built: by _make, _replace, copy and pickle too."""
+    """Planning inputs with a positive budget, checked at every build: by _make, _replace, copy and pickle too."""
 
     __slots__ = ()
 
@@ -68,7 +68,7 @@ class FtParams(namedtuple("FtParams", "eps0 eps_th gate_count p p_hat")):
         eps0 = _check_unit_interval("eps0", eps0)
         eps_th = _check_unit_interval("eps_th", eps_th)
         gate_count = _check_gate_count(gate_count)
-        required_alpha(p_hat, p)
+        epsilon_budget(p_hat, p)
         return super().__new__(cls, eps0, eps_th, gate_count, float(p), float(p_hat))
 
     @classmethod
@@ -202,7 +202,7 @@ def required_levels(params: FtParams) -> PlanResult:
     """
     eps0, eps_th, gate_count, p, p_hat = _check_type(params, (FtParams,), "params")
     alpha = p_hat - p
-    budget = alpha / 2.0 or epsilon_budget(p_hat, p)  # which refuses a budget of 0
+    budget = alpha / 2.0  # positive, as FtParams checked it
     n, eps_n, eps_qc = _min_level(eps0, eps_th, gate_count, budget, 0)
     return PlanResult(
         levels=n, eps_n=eps_n, eps_qc=eps_qc, budget=budget, alpha_required=alpha,
@@ -323,7 +323,7 @@ def tradeoff_curve(
         )
     points = _check_count(points, "points", 2, TRADEOFF_POINT_CAP, DomainError)
     grid = _log_grid(lo, hi, points)
-    budget = (prm.p_hat - prm.p) / 2.0 or epsilon_budget(prm.p_hat, prm.p)  # which refuses a budget of 0
+    budget = (prm.p_hat - prm.p) / 2.0  # positive, as FtParams checked it
     limit = budget * (1.0 + FEASIBILITY_SLACK)
     log_eth = math.log(eth)
     cf_num = _closed_form_numerator(eth, n_gates, budget)

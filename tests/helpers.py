@@ -9,7 +9,8 @@ failure by counting faults on classical bits instead of simulating states,
 a Clifford circuit's exact alpha by tracking Pauli strings instead of
 evolving states, the planner's level in 80-digit decimal arithmetic instead
 of floats, the majority vote by an exact recurrence in k instead of a
-binomial sum.
+binomial sum, a permutation circuit's noisy output on a basis input as an
+exact Markov chain over bit strings instead of a density matrix.
 """
 
 from __future__ import annotations
@@ -308,6 +309,59 @@ def fault_counts(circ: Circuit, x: str, decode) -> tuple[Fraction, Fraction]:
     n1 = sum(failing((i,)) for i in range(len(gates)))
     n2 = sum(failing(pair) for pair in combinations(range(len(gates)), 2))
     return n1, n2 - (len(gates) - 1) * n1
+
+
+def exact_basis_output(circ: Circuit, x: str, s: float) -> dict[str, Fraction]:
+    """The noisy output of basis input x, as an exact distribution over bit
+    strings, for a circuit of I, X, Z, CNOT and CZ gates, each followed by
+    depolarizing noise of strength Fraction(s) on its targets.
+
+    A diagonal state stays diagonal, so the evolution is a Markov chain over
+    bit strings: X and CNOT permute them, Z and CZ leave a diagonal state as
+    it is, and the noise replaces the targets' bits with uniform ones with
+    probability s.  The weights are integers over one common denominator,
+    which each noisy gate multiplies by den * 2**k for s = num / den and k
+    targets.  Any other gate raises ValueError.
+    """
+    num, den = Fraction(s).as_integer_ratio()
+    dist, scale = {x: 1}, 1
+    for gate in circ.gates:
+        name, targets = gate_name(gate), gate.targets
+        if name not in ("I", "X", "Z", "CNOT", "CZ"):
+            raise ValueError(f"not a permutation or diagonal gate: {name or 'explicit matrix'}")
+        if name in ("X", "CNOT"):  # flip the last target, under CNOT where the control is 1
+            q = targets[-1]
+            dist = {bits[:q] + "10"[int(bits[q])] + bits[q + 1:] if name == "X" or bits[targets[0]] == "1"
+                    else bits: w for bits, w in dist.items()}
+        if num:
+            k, mixed = len(targets), {}
+            for bits, w in dist.items():
+                mixed[bits] = mixed.get(bits, 0) + (den - num) * 2 ** k * w
+                for fill in product("01", repeat=k):
+                    chars = list(bits)
+                    for q, c in zip(targets, fill):
+                        chars[q] = c
+                    key = "".join(chars)
+                    mixed[key] = mixed.get(key, 0) + num * w
+            dist, scale = mixed, scale * den * 2 ** k
+    return {bits: Fraction(w, scale) for bits, w in dist.items()}
+
+
+def exact_basis_records(circ: Circuit, comp: OverallComputation, s: float) -> list[tuple[Fraction, ...]]:
+    """Each input's exact (ideal_success, actual_success, inaccuracy_x), from
+    exact_basis_output at strengths 0 and s, for a computation of basis
+    inputs read out by diagonal effects; inaccuracy_x is the l1 distance of
+    the two distributions, the trace norm of their diagonal difference."""
+    diagonals = np.einsum("yii->yi", comp.povm)
+    assert np.array_equal(comp.povm, diagonals[:, :, np.newaxis] * np.eye(comp.povm.shape[1]))
+    records = []
+    for x, y in zip(comp.inputs, comp.truth_table):
+        effect = [Fraction(v) for v in diagonals[comp.outputs.index(y)].real]
+        ideal, actual = exact_basis_output(circ, x, 0.0), exact_basis_output(circ, x, s)
+        success = [sum(w * effect[int(bits, 2)] for bits, w in dist.items()) for dist in (ideal, actual)]
+        gap = sum(abs(actual.get(bits, 0) - ideal.get(bits, 0)) for bits in actual.keys() | ideal.keys())
+        records.append((*success, gap))
+    return records
 
 
 def _conjugate_paulis(gate: Gate, x: np.ndarray, z: np.ndarray) -> None:

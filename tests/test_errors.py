@@ -24,6 +24,7 @@ from ftqc.errors import (
     CircuitError,
     DimensionMismatchError,
     DomainError,
+    InfeasibleError,
     UnknownInputError,
 )
 from ftqc.ftcalc import (
@@ -51,6 +52,7 @@ from ftqc.vote import majority_success, min_repetitions
 SRC = pathlib.Path(errors.__file__).parent
 HUGE = 10 ** 5000  # str() of it raises ValueError
 BUDGET = dict(eps_th=1e-9, gate_count=10 ** 12, p=0.2, p_hat=0.4)
+ZERO_BUDGET = "infeasible: the budget (p_hat - p) / 2 rounds to 0 at p_hat 5e-324, p 0.0"
 GROUND, EXCITED = DensityMatrix([[1, 0], [0, 0]]), DensityMatrix([[0, 0], [0, 1]])
 CIRC = Circuit(num_qubits=1, gates=[Gate(name="H", targets=(0,))])
 NOISE = NoiseModel("depolarizing", 0.1)
@@ -217,9 +219,14 @@ def test_refusal_messages(call, message):
         (DimensionMismatchError, lambda: certify_combined_bound(
             Circuit(2, [Gate((0, 1), name="CNOT")]), NOISE, computation_of(GROUND.entries)),
          "circuit dim 4 does not match computation dim 2"),
+        # p_hat - p = 5e-324: FtParams itself refuses the budget it rounds to, however it is built
+        (InfeasibleError, lambda: FtParams(eps0=1e-5, eps_th=0.1, gate_count=1, p=0.0, p_hat=5e-324),
+         ZERO_BUDGET),
+        (InfeasibleError, lambda: FtParams(eps0=1e-5, eps_th=0.1, gate_count=1, p=0.0, p_hat=0.5)._replace(
+            p_hat=5e-324), ZERO_BUDGET),
     ],
     ids=["gate_matrix_width", "circuit_gate_type", "circuit_target_range", "empty_operator",
-         "duplicate_inputs", "no_inputs", "repeated_inputs", "certify_width"],
+         "duplicate_inputs", "no_inputs", "repeated_inputs", "certify_width", "zero_budget", "zero_budget_replace"],
 )
 def test_refusal_class_and_message(error, call, message):
     with pytest.raises(DomainError) as info:
